@@ -35,20 +35,15 @@ from .generators import SolenoidParams, circle_sample, random_cloud, solenoid_sa
 from .metric import circle_oracle, euclidean_oracle, matrix_oracle
 from .persistence import (
     DiagramEntry,
-    ExplicitModule,
     Filtration,
     PersistenceDiagram,
-    barcode_from_ranks,
     build_filtration,
-    normal_form,
-    ranks_from_barcode,
     reduce,
 )
 from .sparsify import (
     PrecisionProfile,
     SparseLengthMatrix,
     count_simplices,
-    implied_lengths,
     make_profile,
     read_sparse,
     sparsify,
@@ -56,6 +51,19 @@ from .sparsify import (
 )
 
 __version__ = "0.1.0"
+
+# The explicit-module algebra needs numpy, which the pipeline does not; it is
+# imported on first access so that ``import ripsaw.cli`` stays numpy-free.
+_MODULE_ALGEBRA = ("ExplicitModule", "barcode_from_ranks", "normal_form",
+                   "ranks_from_barcode")
+
+
+def __getattr__(name):
+    if name in _MODULE_ALGEBRA:
+        from . import modules
+        return getattr(modules, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ApproxDiagram",
@@ -84,7 +92,6 @@ __all__ = [
     "density_violations",
     "euclidean_oracle",
     "find_parent",
-    "implied_lengths",
     "make_profile",
     "match_diagrams",
     "matrix_oracle",

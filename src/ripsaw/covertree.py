@@ -154,46 +154,16 @@ def tighten(tree: CoverTree, oracle) -> ContractionTree:
             reach[p] = reach[x]
     reach[0] = INF
 
+    # reach is monotone along tree edges and parents have smaller insertion
+    # indices, so every parent precedes its children in this order
     order = sorted(range(n), key=lambda i: (-reach[i], i))
-    order = _parents_first(order, tree.parent)
     pos = [0] * n
     for k, old in enumerate(order):
         pos[old] = k
     parent = [-1] + [pos[tree.parent[order[k]]] for k in range(1, n)]
+    assert all(parent[k] < k for k in range(1, n))
     times = [reach[order[k]] for k in range(n)]
     return ContractionTree(order=order, parent=parent, times=times)
-
-
-def _parents_first(order, parent):
-    """Stable pass ensuring every parent precedes its children.
-
-    Reach is monotone along tree edges and parents carry smaller insertion
-    indices, so the sorted order already satisfies this; the pass is a cheap
-    guard against a violated assumption.
-    """
-    emitted = [False] * len(order)
-    waiting = {}
-    out = []
-
-    def emit(x):
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            out.append(y)
-            emitted[y] = True
-            # children deferred until their parent is emitted; reversed keeps
-            # the first-deferred child first in the output
-            stack.extend(reversed(waiting.pop(y, ())))
-
-    for x in order:
-        p = parent[x]
-        if p < 0 or emitted[p]:
-            emit(x)
-        else:
-            waiting.setdefault(p, []).append(x)
-    if waiting:
-        raise AssertionError("orphaned nodes in reorder")
-    return out
 
 
 def density_violations(ctree: ContractionTree, oracle, rho=4.0, limit=10):
@@ -291,6 +261,8 @@ def read_tree(path) -> ContractionTree:
                 times.append(_parse_time(toks[2]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
+            if math.isnan(times[-1]):
+                raise InputError(f"{path}:{lineno}: contraction time is nan")
     if declared is None:
         raise InputError(f"{path}: empty tree file")
     if len(order) != declared:

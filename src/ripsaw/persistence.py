@@ -1,11 +1,10 @@
 """Desk-scale persistent homology over prime fields.
 
 ``build_filtration`` enumerates the flag filtration of a (sparse or full)
-length matrix up to a simplex-dimension cap; ``reduce`` runs the textbook
-boundary-matrix column reduction and reports one diagram entry per
-persistence pair.  ``normal_form`` decomposes an explicitly given persistence
-module into intervals, and ``ranks_from_barcode`` / ``barcode_from_ranks``
-convert between interval multiplicities and the rank table.
+length matrix up to a simplex-dimension cap; ``reduce`` pairs its simplices
+by reducing coboundary columns with clearing, dimension by dimension, and
+reports one diagram entry per persistence pair.  The explicit-module algebra
+(``normal_form`` and the rank-table conversions) lives in ``ripsaw.modules``.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
@@ -20,9 +19,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-
-import numpy as np
+from bisect import bisect_left
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
 from .sparsify import SparseLengthMatrix
@@ -67,15 +66,18 @@ def _edge_data(lengths, threshold):
         n = lengths.size
         pairs = {(i, j): w for i, j, w in lengths.edges}
     else:
-        arr = np.asarray(lengths, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        try:
+            rows = [[float(x) for x in row] for row in lengths]
+        except (TypeError, ValueError):
+            rows = None
+        n = len(rows or ())
+        if rows is None or any(len(row) != n for row in rows):
             raise InputError("expected a square matrix or SparseLengthMatrix")
-        n = arr.shape[0]
         pairs = {
-            (i, j): float(arr[i, j])
+            (i, j): rows[i][j]
             for i in range(n)
             for j in range(i + 1, n)
-            if math.isfinite(arr[i, j])
+            if math.isfinite(rows[i][j])
         }
     if threshold is not None:
         pairs = {e: w for e, w in pairs.items() if w <= threshold}
@@ -202,253 +204,89 @@ def _sorted_entries(entries):
 
 
 def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
-    """Column-reduce the boundary matrix over Z_p.
+    """Persistence pairs over Z_p by coboundary reduction with clearing.
 
-    Emits (diameter of creator, diameter of killer] per finite pair and
-    death = inf for essential classes, for dimensions up to
-    ``filtration.dim_cap - 1`` (dimension 0 when the cap is 0).
+    Dimensions d = 0 .. report_cap are reduced in increasing order, where
+    report_cap is ``filtration.dim_cap - 1`` (0 when the cap is 0).  Within
+    dimension d the d-simplices are visited in reverse filtration order, and
+    a d-simplex that was a pivot in dimension d - 1 is skipped (clearing):
+    it kills a (d-1)-class and can pair with nothing in dimension d.
+    Each coboundary column is generated when its simplex is visited: its
+    rows are the (d+1)-simplices formed with the common neighbours of the
+    simplex's vertices, with coefficient (-1)^k when the added vertex sits
+    at position k.  A column's pivot is its earliest coface in filtration
+    order, and a reduced column is kept only when it becomes a pivot.
+    Top-dimension simplices only ever appear as rows, never as columns.
+
+    A d-simplex whose column keeps pivot tau yields (diameter of the
+    simplex, diameter of tau]; one whose column reduces to zero is an
+    essential class, death = inf.  The pairs depend only on the filtration's
+    total order, so they equal those of boundary-matrix reduction.
     """
     if not is_prime(p):
         raise InputError(f"field characteristic {p} is not prime")
     simplices = filtration.simplices
     report_cap = max(0, filtration.dim_cap - 1)
-    index = {verts: k for k, (verts, _d) in enumerate(simplices)}
-    if p == 2:
-        cols = [
-            {index[verts[:k] + verts[k + 1:]] for k in range(len(verts))}
-            if len(verts) > 1 else set()
-            for verts, _d in simplices
-        ]
-        pivots = _reduce_mod2(cols)
-        empties = [j for j, col in enumerate(cols) if not col]
-    else:
-        cols = []
-        for verts, _d in simplices:
-            col = {}
-            if len(verts) > 1:
-                for k in range(len(verts)):
-                    col[index[verts[:k] + verts[k + 1:]]] = (-1) ** k % p
-            cols.append(col)
-        pivots = _reduce_modp(cols, p)
-        empties = [j for j, col in enumerate(cols) if not col]
+    nbrs = [set() for _ in range(filtration.n)]
+    for verts, _d in simplices:
+        if len(verts) == 2:
+            nbrs[verts[0]].add(verts[1])
+            nbrs[verts[1]].add(verts[0])
 
     entries = []
-    killed = set()
-    for low, j in pivots.items():
-        killed.add(low)
-        verts, birth = simplices[low]
-        death = simplices[j][1]
-        dim = len(verts) - 1
-        if birth != death and dim <= report_cap:
-            entries.append(DiagramEntry(dim=dim, birth=birth, death=death))
-    for j in empties:
-        if j in killed:
-            continue
-        verts, birth = simplices[j]
-        dim = len(verts) - 1
-        if dim <= report_cap:
-            entries.append(DiagramEntry(dim=dim, birth=birth, death=INF))
+    cleared = set()
+    for dim in range(report_cap + 1):
+        # filtration index of every (dim+1)-simplex, the rows of this dimension
+        index = {verts: k for k, (verts, _d) in enumerate(simplices)
+                 if len(verts) == dim + 2}
+        pivots = {}
+        for k in range(len(simplices) - 1, -1, -1):
+            verts, birth = simplices[k]
+            if len(verts) != dim + 1 or k in cleared:
+                continue
+            col = _coboundary(verts, nbrs, index, p)
+            # every row of col is in the heap; rows cancelled since are
+            # dropped lazily when they reach the top
+            heap = list(col)
+            heapify(heap)
+            while heap:
+                low = heap[0]
+                if low not in col:
+                    heappop(heap)
+                    continue
+                other = pivots.get(low)
+                if other is None:
+                    break
+                factor = col[low]
+                for row, c in other.items():
+                    if row in col:
+                        v = (col[row] - factor * c) % p
+                        if v:
+                            col[row] = v
+                        else:
+                            del col[row]
+                    else:
+                        col[row] = -factor * c % p
+                        heappush(heap, row)
+            if col:
+                if col[low] != 1:
+                    # stored scaled so that the pivot coefficient is 1
+                    inv = pow(col[low], -1, p)
+                    col = {row: c * inv % p for row, c in col.items()}
+                pivots[low] = col
+                death = simplices[low][1]
+                if birth != death:
+                    entries.append(DiagramEntry(dim=dim, birth=birth, death=death))
+            else:
+                entries.append(DiagramEntry(dim=dim, birth=birth, death=INF))
+        cleared = set(pivots)
     return PersistenceDiagram(field_char=p, entries=_sorted_entries(entries))
 
 
-def _reduce_mod2(cols):
-    pivots = {}
-    for j, col in enumerate(cols):
-        while col:
-            low = max(col)
-            k = pivots.get(low)
-            if k is None:
-                pivots[low] = j
-                break
-            col ^= cols[k]
-    return pivots
-
-
-def _reduce_modp(cols, p):
-    pivots = {}
-    for j, col in enumerate(cols):
-        while col:
-            low = max(col)
-            k = pivots.get(low)
-            if k is None:
-                pivots[low] = j
-                break
-            other = cols[k]
-            factor = col[low] * pow(other[low], -1, p) % p
-            for row, c in other.items():
-                v = (col.get(row, 0) - factor * c) % p
-                if v:
-                    col[row] = v
-                else:
-                    col.pop(row, None)
-    return pivots
-
-
-# --- explicit persistence modules -----------------------------------------
-
-@dataclass
-class ExplicitModule:
-    """Spaces V(0..L) over Z_p given by dims, with maps[c]: V(c) -> V(c+1)."""
-
-    dims: list
-    maps: list
-    p: int
-
-    def __post_init__(self):
-        if len(self.maps) != len(self.dims) - 1:
-            raise InputError("need one map per consecutive pair of spaces")
-        for c, m in enumerate(self.maps):
-            m = np.asarray(m, dtype=np.int64) % self.p
-            if m.shape != (self.dims[c + 1], self.dims[c]):
-                raise InputError(f"map {c} has shape {m.shape}, "
-                                 f"expected {(self.dims[c + 1], self.dims[c])}")
-            self.maps[c] = m
-
-    @property
-    def length(self):
-        return len(self.dims) - 1
-
-
-def rref_mod(mat, p):
-    """Row-reduced echelon form over Z_p; returns (matrix, pivot columns)."""
-    a = np.array(mat, dtype=np.int64) % p
-    rows, cols = a.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        sel = None
-        for i in range(r, rows):
-            if a[i, c] % p:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a[[r, sel]] = a[[sel, r]]
-        a[r] = a[r] * pow(int(a[r, c]), -1, p) % p
-        for i in range(rows):
-            if i != r and a[i, c]:
-                a[i] = (a[i] - a[i, c] * a[r]) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
-
-
-def rank_mod(mat, p):
-    a = np.asarray(mat)
-    if a.size == 0:
-        return 0
-    _, pivots = rref_mod(a, p)
-    return len(pivots)
-
-
-def kernel_mod(mat, p):
-    """Basis vectors (as rows) of the kernel of ``mat`` over Z_p."""
-    a = np.asarray(mat, dtype=np.int64)
-    cols = a.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if a.shape[0] == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % p
-    return basis
-
-
-class _Span:
-    """Incremental span membership over Z_p via a growing echelon basis."""
-
-    def __init__(self, dim, p):
-        self.p = p
-        self.rows = np.zeros((0, dim), dtype=np.int64)
-        self.pivots = []
-
-    def add_if_independent(self, vec):
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = (v - v[piv] * row) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = v * pow(int(v[piv]), -1, self.p) % self.p
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(piv)
-        return True
-
-
-def normal_form(module: ExplicitModule):
-    """Interval multiplicities N[(b, d)] of an explicit module.
-
-    Sweeps births b ascending (b = -1 is "present from the start") and
-    deaths d ascending; at (b, d) it extracts vectors of V(b+1) that die
-    after step d (kernel of the composed map into V(d+1), everything when
-    d is the final index), are independent of the vectors already collected
-    in V(b+1), and records their forward orbits.
-    """
-    p = module.p
-    length = module.length
-    spans = [_Span(dim, p) for dim in module.dims]
-    counts = {}
-    for b in range(-1, length):
-        start = b + 1
-        dim_start = module.dims[start]
-        if dim_start == 0:
-            continue
-        # composed[c] = map from V(start) to V(c), c >= start
-        composed = {start: np.eye(dim_start, dtype=np.int64)}
-        for c in range(start + 1, length + 1):
-            composed[c] = module.maps[c - 1] @ composed[c - 1] % p
-        for d in range(start, length + 1):
-            if d < length:
-                killer = module.maps[d] @ composed[d] % p
-                candidates = kernel_mod(killer, p)
-            else:
-                candidates = np.eye(dim_start, dtype=np.int64)
-            for vec in candidates:
-                if not spans[start].add_if_independent(vec):
-                    continue
-                counts[(b, d)] = counts.get((b, d), 0) + 1
-                for c in range(start + 1, d + 1):
-                    spans[c].add_if_independent(composed[c] @ vec % p)
-    return counts
-
-
-def ranks_from_barcode(intervals, length):
-    """Rank table r[s, t] = number of intervals with b < s <= t <= d,
-    for 0 <= s <= t <= length.  ``intervals`` maps (b, d) to multiplicity."""
-    r = np.zeros((length + 1, length + 1), dtype=np.int64)
-    for (b, d), mult in intervals.items():
-        for s in range(max(b + 1, 0), min(d, length) + 1):
-            for t in range(s, min(d, length) + 1):
-                r[s, t] += mult
-    return r
-
-
-def barcode_from_ranks(ranks):
-    """Invert the rank table by inclusion-exclusion:
-    N[b, d] = r[b+1, d] - r[b+1, d+1] - r[b, d] + r[b, d+1]."""
-    ranks = np.asarray(ranks)
-    length = ranks.shape[0] - 1
-
-    def get(s, t):
-        if s < 0 or t > length or s > t:
-            return 0
-        return int(ranks[s, t])
-
-    intervals = {}
-    for b in range(-1, length):
-        for d in range(b + 1, length + 1):
-            n = get(b + 1, d) - get(b + 1, d + 1) - get(b, d) + get(b, d + 1)
-            if n < 0:
-                raise InputError(f"inconsistent rank table at interval ({b}, {d}]")
-            if n:
-                intervals[(b, d)] = n
-    return intervals
+def _coboundary(verts, nbrs, index, p):
+    """Coboundary column {filtration index of coface: coefficient} of a simplex."""
+    col = {}
+    for v in set.intersection(*(nbrs[u] for u in verts)):
+        k = bisect_left(verts, v)
+        col[index[verts[:k] + (v,) + verts[k:]]] = p - 1 if k % 2 else 1
+    return col

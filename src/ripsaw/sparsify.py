@@ -22,8 +22,8 @@ and t = cutoff of x_j, the cases are
 with (d) deciding the measure-zero tie t == dp >= dd toward keeping (this
 is what guarantees that parent edges, where dp == 0, are never missing).
 With a missing parent pair, case (a), the whole subtree is missing and is
-never visited.  Implied lengths exist only as a quadratic-memory test
-oracle; the production path never materializes them.
+never visited.  The full implied-length matrix is quadratic in memory, so
+only the tests build it, as an oracle; the production path never does.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from .covertree import ContractionTree
 from .errors import InputError
@@ -209,55 +207,6 @@ def _consider(u, v, dp, cutoff, order, oracle, edges, stack):
     # cases (b) and (c): edge missing, subtree pruned
 
 
-@dataclass
-class ImpliedLengths:
-    """Full implied-length matrix (test oracle; quadratic memory)."""
-
-    lbar: np.ndarray
-    missing: np.ndarray
-
-    def kept_edges(self):
-        n = self.lbar.shape[0]
-        return [
-            (i, j, float(self.lbar[i, j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-            if not self.missing[i, j]
-        ]
-
-
-def implied_lengths(ctree: ContractionTree, oracle, profile: PrecisionProfile) -> ImpliedLengths:
-    """Implied lengths for every retained pair via the unpruned recursion."""
-    _check_profile(ctree, profile)
-    cutoff = profile.times
-    n_keep = profile.N
-    order = ctree.order
-    lbar = np.zeros((n_keep, n_keep))
-    missing = np.zeros((n_keep, n_keep), dtype=bool)
-    for j in range(1, n_keep):
-        pj = ctree.parent[j]
-        tj = cutoff[j]
-        for i in range(j):
-            if i == pj:
-                pp_missing, pp_lbar, dp = False, 0.0, 0.0
-            else:
-                a, b = (i, pj) if i < pj else (pj, i)
-                pp_missing, pp_lbar = missing[a, b], lbar[a, b]
-                dp = oracle.eval(order[i], order[pj])
-            dd = oracle.eval(order[i], order[j])
-            if pp_missing:                  # case (a)
-                miss, val = True, pp_lbar
-            elif tj >= dp and tj >= dd:     # case (d), wins the t == dp tie
-                miss, val = False, dd
-            elif tj <= dp:                  # case (b)
-                miss, val = True, dp
-            else:                           # case (c): dp < t < dd
-                miss, val = True, tj
-            missing[i, j] = missing[j, i] = miss
-            lbar[i, j] = lbar[j, i] = val
-    return ImpliedLengths(lbar=lbar, missing=missing)
-
-
 def count_simplices(matrix: SparseLengthMatrix, dim_cap: int):
     """Clique counts of the edge graph, per dimension 0..dim_cap."""
     if dim_cap < 0:
@@ -318,6 +267,12 @@ def read_sparse(path) -> SparseLengthMatrix:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
             if not 0 <= i < j < profile.N:
                 raise InputError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
+            if not (math.isfinite(w) and w >= 0.0):
+                raise InputError(f"{path}:{lineno}: edge length {w!r} is not "
+                                 "a finite nonnegative number")
             edges.append((i, j, w))
     edges.sort()
+    for prev, edge in zip(edges, edges[1:]):
+        if prev[:2] == edge[:2]:
+            raise InputError(f"{path}: edge {edge[:2]} listed twice")
     return SparseLengthMatrix(size=profile.N, edges=edges, profile=profile)

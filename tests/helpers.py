@@ -3,10 +3,13 @@ no code path with the implementations they check."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from ripsaw.persistence import barcode_from_ranks
+from ripsaw.modules import barcode_from_ranks
+from ripsaw.persistence import DiagramEntry, PersistenceDiagram
+from ripsaw.sparsify import _check_profile
 
 INF = math.inf
 
@@ -179,3 +182,103 @@ def diagram_to_multisets(diagram, hom_cap):
 def full_distance_matrix(oracle):
     n = oracle.size
     return np.array([[oracle.eval(i, j) for j in range(n)] for i in range(n)])
+
+
+# --- sparsifier: implied lengths of every pair ---------------------------------
+
+@dataclass
+class ImpliedLengths:
+    """Full implied-length matrix (test oracle; quadratic memory)."""
+
+    lbar: np.ndarray
+    missing: np.ndarray
+
+    def kept_edges(self):
+        n = self.lbar.shape[0]
+        return [
+            (i, j, float(self.lbar[i, j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if not self.missing[i, j]
+        ]
+
+
+def implied_lengths(ctree, oracle, profile):
+    """Implied lengths for every retained pair via the unpruned recursion."""
+    _check_profile(ctree, profile)
+    cutoff = profile.times
+    n_keep = profile.N
+    order = ctree.order
+    lbar = np.zeros((n_keep, n_keep))
+    missing = np.zeros((n_keep, n_keep), dtype=bool)
+    for j in range(1, n_keep):
+        pj = ctree.parent[j]
+        tj = cutoff[j]
+        for i in range(j):
+            if i == pj:
+                pp_missing, pp_lbar, dp = False, 0.0, 0.0
+            else:
+                a, b = (i, pj) if i < pj else (pj, i)
+                pp_missing, pp_lbar = missing[a, b], lbar[a, b]
+                dp = oracle.eval(order[i], order[pj])
+            dd = oracle.eval(order[i], order[j])
+            if pp_missing:                  # case (a)
+                miss, val = True, pp_lbar
+            elif tj >= dp and tj >= dd:     # case (d), wins the t == dp tie
+                miss, val = False, dd
+            elif tj <= dp:                  # case (b)
+                miss, val = True, dp
+            else:                           # case (c): dp < t < dd
+                miss, val = True, tj
+            missing[i, j] = missing[j, i] = miss
+            lbar[i, j] = lbar[j, i] = val
+    return ImpliedLengths(lbar=lbar, missing=missing)
+
+
+# --- persistence: textbook boundary-matrix reduction ---------------------------
+
+def boundary_reduce(filtration, p):
+    """Column-reduce the full boundary matrix over Z_p, in filtration order.
+
+    Homology without clearing, the textbook algorithm: every simplex gets a
+    boundary column and the pivot is the latest face.  Pairs equal those of
+    ``ripsaw.persistence.reduce``, which reduces coboundaries instead.
+    Reports dimensions up to ``filtration.dim_cap - 1`` (0 when the cap is 0).
+    """
+    simplices = filtration.simplices
+    report_cap = max(0, filtration.dim_cap - 1)
+    index = {verts: k for k, (verts, _d) in enumerate(simplices)}
+    cols = [
+        {index[verts[:k] + verts[k + 1:]]: (-1) ** k % p for k in range(len(verts))}
+        if len(verts) > 1 else {}
+        for verts, _d in simplices
+    ]
+    pivots = {}
+    for j, col in enumerate(cols):
+        while col:
+            low = max(col)
+            k = pivots.get(low)
+            if k is None:
+                pivots[low] = j
+                break
+            other = cols[k]
+            factor = col[low] * pow(other[low], -1, p) % p
+            for row, c in other.items():
+                v = (col.get(row, 0) - factor * c) % p
+                if v:
+                    col[row] = v
+                else:
+                    col.pop(row, None)
+
+    entries = []
+    for low, j in pivots.items():
+        verts, birth = simplices[low]
+        death = simplices[j][1]
+        if birth != death and len(verts) - 1 <= report_cap:
+            entries.append(DiagramEntry(dim=len(verts) - 1, birth=birth, death=death))
+    for j, col in enumerate(cols):
+        verts, birth = simplices[j]
+        if not col and j not in pivots and len(verts) - 1 <= report_cap:
+            entries.append(DiagramEntry(dim=len(verts) - 1, birth=birth, death=INF))
+    entries.sort(key=lambda e: (e.dim, e.birth, e.death))
+    return PersistenceDiagram(field_char=p, entries=entries)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_force_parent, gauss_rank
+from helpers import brute_force_parent, gauss_rank, implied_lengths
 from ripsaw import (
     build,
     build_filtration,
@@ -19,7 +19,6 @@ from ripsaw import (
     contraction_violations,
     density_violations,
     euclidean_oracle,
-    implied_lengths,
     make_profile,
     normal_form,
     random_cloud,
@@ -32,7 +31,7 @@ from ripsaw import (
     tighten,
 )
 from ripsaw.covertree import CoverTree
-from ripsaw.persistence import ExplicitModule
+from ripsaw.modules import ExplicitModule
 
 INF = math.inf
 

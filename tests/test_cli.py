@@ -254,3 +254,39 @@ def test_non_metric_input_warns_but_builds(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "density bound" in err
     assert tree.exists()
+
+
+def _replace_line(path, index, text):
+    lines = path.read_text().splitlines()
+    lines[index] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("length", ["nan", "inf", "-0.5"])
+def test_persist_rejects_bad_edge_length(circle_files, tmp_path, capsys, length):
+    sparse = circle_files["sparse"]
+    i, j, _w = sparse.read_text().splitlines()[0].split()
+    _replace_line(sparse, 0, f"{i} {j} {length}")
+    assert run("persist", "--input", sparse, "--out", tmp_path / "x.json") == 2
+    assert "not a finite nonnegative number" in capsys.readouterr().err
+
+
+def test_persist_rejects_duplicate_edge(circle_files, tmp_path, capsys):
+    sparse = circle_files["sparse"]
+    i, j, w = sparse.read_text().splitlines()[0].split()
+    with open(sparse, "a") as fh:
+        fh.write(f"{i} {j} {2 * float(w)!r}\n")
+    assert run("persist", "--input", sparse, "--out", tmp_path / "x.json") == 2
+    assert "listed twice" in capsys.readouterr().err
+
+
+def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys):
+    tree = circle_files["tree"]
+    lines = tree.read_text().splitlines()
+    # header, config comment, root; the next line is the first finite time
+    assert lines[1].startswith("#") and lines[2].endswith(" inf")
+    orig, parent, _t = lines[3].split()
+    _replace_line(tree, 3, f"{orig} {parent} nan")
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", tree, "--out", tmp_path / "x.sparse") == 2
+    assert "contraction time is nan" in capsys.readouterr().err

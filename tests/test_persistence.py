@@ -26,7 +26,8 @@ from ripsaw import (
     ranks_from_barcode,
     reduce,
 )
-from ripsaw.persistence import dump_diagram, load_diagram, rref_mod
+from ripsaw.modules import rref_mod
+from ripsaw.persistence import dump_diagram, load_diagram
 
 INF = math.inf
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -78,6 +79,23 @@ def test_filtration_threshold():
     dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
     filt = build_filtration(dist, 1, threshold=1.0)
     assert all(d <= 1.0 for _v, d in filt.simplices)
+
+
+def test_filtration_list_equals_ndarray():
+    dist = full_distance_matrix(euclidean_oracle(random_cloud(8, 2, 4)))
+    assert build_filtration(dist.tolist(), 2) == build_filtration(dist, 2)
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.0, 1.0]],
+    np.zeros((2, 3)),
+    [0.0, 1.0],
+    [[0.0, 1.0], [1.0]],
+    np.zeros((2, 2, 2)),
+])
+def test_filtration_rejects_non_square(bad):
+    with pytest.raises(InputError):
+        build_filtration(bad, 1)
 
 
 def test_memory_guard():

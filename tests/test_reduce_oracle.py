@@ -1,0 +1,77 @@
+"""Coboundary reduction with clearing against the textbook boundary reducer.
+
+Both pair simplices by the filtration's total order alone, so the entry
+lists must be equal, not merely close.  Inputs are seeded random: Euclidean
+clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
+with eps1 > 0, and integer-valued lower-distance matrices that break the
+triangle inequality, tie heavily and miss some edges.
+"""
+
+import math
+import random
+
+import pytest
+
+from helpers import boundary_reduce, full_distance_matrix
+from ripsaw import (
+    build,
+    build_filtration,
+    circle_oracle,
+    circle_sample,
+    euclidean_oracle,
+    make_profile,
+    random_cloud,
+    reduce,
+    sparsify,
+    tighten,
+)
+
+
+def _size(rng, dim_cap):
+    return rng.randint(3, 11) if dim_cap == 3 else rng.randint(3, 20)
+
+
+def _cloud(rng, dim_cap):
+    points = random_cloud(_size(rng, dim_cap), rng.choice((2, 3)), rng.randrange(10**6))
+    return full_distance_matrix(euclidean_oracle(points)), None
+
+
+def _circle(rng, dim_cap):
+    return full_distance_matrix(circle_oracle(circle_sample(_size(rng, dim_cap)))), None
+
+
+def _sparsified(rng, dim_cap):
+    n = _size(rng, dim_cap) + 4
+    oracle = euclidean_oracle(random_cloud(n, 2, rng.randrange(10**6)))
+    ctree = tighten(build(oracle), oracle)
+    profile, _cutoffs = make_profile(ctree, keep=rng.randint(n - 4, n),
+                                     eps1=rng.choice((0.25, 0.5, 1.0)))
+    return sparsify(ctree, oracle, profile), None
+
+
+def _integer(rng, dim_cap):
+    """Lengths 1..4 or missing, as a plain list of lists; often non-metric."""
+    n = _size(rng, dim_cap)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            w = rng.choice((1, 2, 2, 3, 3, 4, math.inf))
+            rows[i][j] = rows[j][i] = float(w)
+    return rows, rng.choice((None, 2.0, 3.0))
+
+
+MAKERS = {"cloud": _cloud, "circle": _circle, "sparsified": _sparsified,
+          "integer": _integer}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("kind", sorted(MAKERS))
+def test_reduce_matches_boundary_reduction(kind, p):
+    rng = random.Random(f"{kind}-{p}")
+    for case in range(20):
+        dim_cap = case % 4
+        lengths, threshold = MAKERS[kind](rng, dim_cap)
+        filt = build_filtration(lengths, dim_cap, threshold=threshold)
+        got = reduce(filt, p)
+        assert got.entries == boundary_reduce(filt, p).entries, (case, dim_cap)
+        assert got.field_char == p

@@ -2,13 +2,13 @@ import math
 
 import pytest
 
+from helpers import implied_lengths
 from ripsaw import (
     InputError,
     PrecisionProfile,
     build,
     count_simplices,
     euclidean_oracle,
-    implied_lengths,
     make_profile,
     matrix_oracle,
     random_cloud,
