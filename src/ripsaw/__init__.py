@@ -38,12 +38,12 @@ from .persistence import (
     Filtration,
     PersistenceDiagram,
     build_filtration,
+    count_simplices,
     reduce,
 )
 from .sparsify import (
     PrecisionProfile,
     SparseLengthMatrix,
-    count_simplices,
     make_profile,
     read_sparse,
     sparsify,

@@ -40,10 +40,8 @@ def _quartiles(values):
 
 
 def cmd_tree(args):
-    config = {
-        "command": "tree", "input": args.input, "format": args.format,
-        "out": args.out, "seed": args.seed,
-    }
+    config = {"command": "tree", "input": args.input, "format": args.format,
+              "out": args.out}
     oracle = _load_oracle(args.input, args.format)
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
@@ -194,7 +192,6 @@ def _parser():
     tree.add_argument("--format", choices=["points", "circle", "lower-distance"],
                       default="points")
     tree.add_argument("--out", required=True)
-    tree.add_argument("--seed", type=int, default=0)
     tree.set_defaults(func=cmd_tree)
 
     spa = sub.add_parser("sparsify", help="emit the sparse length matrix")

@@ -261,8 +261,9 @@ def read_tree(path) -> ContractionTree:
                 times.append(_parse_time(toks[2]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-            if math.isnan(times[-1]):
-                raise InputError(f"{path}:{lineno}: contraction time is nan")
+            if not times[-1] >= 0.0:
+                raise InputError(f"{path}:{lineno}: contraction time is "
+                                 f"{times[-1]!r}, not >= 0")
     if declared is None:
         raise InputError(f"{path}: empty tree file")
     if len(order) != declared:

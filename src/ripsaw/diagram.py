@@ -127,24 +127,23 @@ class MatchResult:
         return not self.uncovered_alive_v and not self.uncovered_alive_w
 
 
-def _augment(v, adjacency, match_v, match_w, seen):
-    for w in adjacency[v]:
-        if w in seen:
+def _alternate(x, adjacency, match_x, match_y, keep, seen):
+    """Match ``x`` along an alternating path that ends at a free vertex of
+    the other side or at a vertex of x's side outside ``keep``, which gives
+    up its partner.  No other vertex of x's side loses its partner."""
+    for y in adjacency[x]:
+        if y in seen:
             continue
-        seen.add(w)
-        if match_w.get(w) is None or _augment(match_w[w], adjacency, match_v, match_w, seen):
-            match_v[v] = w
-            match_w[w] = v
+        seen.add(y)
+        other = match_y.get(y)
+        if other is None or other not in keep or _alternate(
+                other, adjacency, match_x, match_y, keep, seen):
+            if match_x.get(other) == y:
+                del match_x[other]
+            match_x[x] = y
+            match_y[y] = x
             return True
     return False
-
-
-def _matching_covering(sources, adjacency):
-    """Greedy augmenting-path matching trying to saturate ``sources``."""
-    match_v, match_w = {}, {}
-    for v in sources:
-        _augment(v, adjacency, match_v, match_w, set())
-    return match_v, match_w
 
 
 def match_diagrams(entries_v, entries_w, psi1, psi2) -> MatchResult:
@@ -161,57 +160,38 @@ def match_diagrams(entries_v, entries_w, psi1, psi2) -> MatchResult:
 def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
     """Matching in a bipartite graph covering two required vertex sets.
 
-    Two one-sided matchings (one saturating ``alive_v``, one ``alive_w``)
-    are merged along alternating paths; the merge never uncovers a vertex
-    either matching covers, so when both one-sided searches succeed the
-    result covers both sets simultaneously.  Remaining vertices are then
-    matched greedily.
+    Augmenting paths first cover what they can of ``alive_v``.  Each alive
+    W entry still unmatched then follows an alternating path that ends at a
+    free V entry or takes the partner of a W entry that is not alive, so
+    no V entry and no matched alive W entry loses its partner.  Some matching
+    covering ``alive_w`` gives such a path (its symmetric difference with
+    the current one), so both sets end up covered whenever each can be
+    covered alone (Mendelsohn-Dulmage).  Augmenting from every unmatched V
+    entry then makes the matching maximum without uncovering anything.
     """
-    mv_v, mv_w = _matching_covering(alive_v, adjacency)
-    uncovered_alive_v = [iv for iv in alive_v if iv not in mv_v]
+    all_v = range(len(adjacency))
+    match_v, match_w = {}, {}
+    for v in alive_v:
+        _alternate(v, adjacency, match_v, match_w, all_v, set())
+    uncovered_alive_v = [iv for iv in alive_v if iv not in match_v]
 
-    radjacency = [
-        [iv for iv in range(len(adjacency)) if jw in adjacency[iv]]
-        for jw in range(n_w)
-    ]
-    mw_w, mw_v = _matching_covering(alive_w, radjacency)
-    uncovered_alive_w = [jw for jw in alive_w if jw not in mw_w]
+    radjacency = [[] for _ in range(n_w)]
+    for iv, nbrs in enumerate(adjacency):
+        for jw in nbrs:
+            radjacency[jw].append(iv)
+    keep_w = set(alive_w)
+    uncovered_alive_w = [
+        jw for jw in alive_w if jw not in match_w
+        and not _alternate(jw, radjacency, match_w, match_v, keep_w, set())]
 
-    # merge: start from the alive-V matching, then walk alternating paths to
-    # pull in each alive W entry without uncovering any V entry
-    match_v = dict(mv_v)
-    match_w = {w: v for v, w in match_v.items()}
-    for w0 in alive_w:
-        if w0 in match_w or w0 not in mw_w:
-            continue
-        w = w0
-        flips = []
-        while True:
-            v = mw_w[w]
-            flips.append((v, w))
-            nxt = match_v.get(v)
-            if nxt is None:
-                break
-            flips.append((v, nxt))
-            if nxt not in mw_w:
-                break
-            w = nxt
-        for k, (v, w_edge) in enumerate(flips):
-            if k % 2 == 0:
-                match_v[v] = w_edge
-                match_w[w_edge] = v
-            elif match_w.get(w_edge) == v:
-                del match_w[w_edge]
-
-    # opportunistic extension: augmenting paths only add coverage
-    for v in range(len(adjacency)):
+    for v in all_v:
         if v not in match_v:
-            _augment(v, adjacency, match_v, match_w, set())
+            _alternate(v, adjacency, match_v, match_w, all_v, set())
 
     pairs = sorted(match_v.items())
     return MatchResult(
         pairs=pairs,
-        unmatched_v=[iv for iv in range(len(adjacency)) if iv not in match_v],
+        unmatched_v=[iv for iv in all_v if iv not in match_v],
         unmatched_w=[jw for jw in range(n_w) if jw not in match_w],
         uncovered_alive_v=uncovered_alive_v,
         uncovered_alive_w=uncovered_alive_w,

@@ -84,6 +84,35 @@ def _edge_data(lengths, threshold):
     return n, pairs
 
 
+def _cliques(n, weight, dim_cap):
+    """Every clique with at most dim_cap+1 vertices of the graph on 0..n-1
+    whose edges are the keys (i, j), i < j, of ``weight``, yielded as
+    (increasing vertex tuple, diameter): first every vertex, then a
+    depth-first growth from each vertex."""
+    if dim_cap < 0:
+        raise InputError("dim_cap must be nonnegative")
+    above = [set() for _ in range(n)]
+    for (i, j) in weight:
+        above[i].add(j)
+    for v in range(n):
+        yield (v,), 0.0
+    # each entry: a clique, its diameter, and the vertices above its last
+    # vertex that are adjacent to all of its vertices
+    stack = [((v,), 0.0, above[v]) for v in range(n)] if dim_cap >= 1 else []
+    while stack:
+        verts, diam, cands = stack.pop()
+        for v in cands:
+            d = diam
+            for u in verts:
+                w = weight[(u, v)]
+                if w > d:
+                    d = w
+            new = verts + (v,)
+            yield new, d
+            if len(new) <= dim_cap:
+                stack.append((new, d, cands & above[v]))
+
+
 def build_filtration(lengths, dim_cap, threshold=None, max_simplices=None) -> Filtration:
     """Enumerate all cliques with at most dim_cap+1 vertices.
 
@@ -91,45 +120,27 @@ def build_filtration(lengths, dim_cap, threshold=None, max_simplices=None) -> Fi
     ``ResourceGuardError`` once the enumeration exceeds the cap given by
     ``max_simplices`` or the RIPSAW_MAX_SIMPLICES environment variable.
     """
-    if dim_cap < 0:
-        raise InputError("dim_cap must be nonnegative")
     budget = _simplex_budget(max_simplices)
     n, weight = _edge_data(lengths, threshold)
-    above = [[] for _ in range(n)]
-    for (i, j) in weight:
-        above[i].append(j)
-    for nbrs in above:
-        nbrs.sort()
-
-    simplices = [((v,), 0.0) for v in range(n)]
-    count = n
-    if count > budget:
-        raise ResourceGuardError(
-            f"simplex count exceeds cap {budget} at {count} vertices", count=count)
-
-    def grow(verts, diam, cands):
-        nonlocal count
-        for v in cands:
-            d2 = diam
-            for u in verts:
-                w = weight[(u, v)]
-                if w > d2:
-                    d2 = w
-            count += 1
-            if count > budget:
-                raise ResourceGuardError(
-                    f"simplex count exceeds cap {budget} "
-                    f"(aborted after {count} simplices)", count=count)
-            new = verts + (v,)
-            simplices.append((new, d2))
-            if len(new) <= dim_cap:
-                grow(new, d2, [u for u in cands if u > v and (v, u) in weight])
-
-    if dim_cap >= 1:
-        for v in range(n):
-            grow((v,), 0.0, above[v])
+    simplices = []
+    for simplex in _cliques(n, weight, dim_cap):
+        simplices.append(simplex)
+        if len(simplices) > budget:
+            raise ResourceGuardError(
+                f"simplex count exceeds cap {budget} "
+                f"(aborted after {len(simplices)} simplices)", count=len(simplices))
     simplices.sort(key=lambda sd: (sd[1], len(sd[0]), sd[0]))
     return Filtration(simplices=simplices, dim_cap=dim_cap, n=n)
+
+
+def count_simplices(lengths, dim_cap):
+    """Clique counts of the edge graph, per dimension 0..dim_cap, streamed
+    from the enumeration ``build_filtration`` sorts; nothing is stored."""
+    n, weight = _edge_data(lengths, None)
+    counts = [0] * (dim_cap + 1)
+    for verts, _d in _cliques(n, weight, dim_cap):
+        counts[len(verts) - 1] += 1
+    return counts
 
 
 @dataclass(frozen=True)

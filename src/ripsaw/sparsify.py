@@ -207,27 +207,6 @@ def _consider(u, v, dp, cutoff, order, oracle, edges, stack):
     # cases (b) and (c): edge missing, subtree pruned
 
 
-def count_simplices(matrix: SparseLengthMatrix, dim_cap: int):
-    """Clique counts of the edge graph, per dimension 0..dim_cap."""
-    if dim_cap < 0:
-        raise InputError("dim_cap must be nonnegative")
-    above = [set() for _ in range(matrix.size)]
-    for i, j, _w in matrix.edges:
-        above[i].add(j)
-    counts = [matrix.size] + [0] * dim_cap
-
-    def grow(cands, dim):
-        for v in cands:
-            counts[dim] += 1
-            if dim < dim_cap:
-                grow(cands & above[v], dim + 1)
-
-    for v in range(matrix.size):
-        if dim_cap >= 1:
-            grow(above[v], 1)
-    return counts
-
-
 def _meta_path(path):
     return Path(path).with_suffix(".meta.json")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 
-from .diagram import ApproxDiagram
+from .diagram import approximate
 
 INF = math.inf
 
@@ -57,7 +57,7 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
                overlay=None, config=None):
     """Render a diagram (plus optional profile / overlay profile) to SVG text."""
     if profile is not None:
-        approx = approximate_entries(diagram, profile)
+        approx = approximate(diagram, profile).entries
         finite = [v for e in approx for v in (e.rect[0], e.birth, e.rect[2], e.death)
                   if v != INF]
     else:
@@ -137,11 +137,6 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def approximate_entries(diagram, profile):
-    from .diagram import approximate
-    return approximate(diagram, profile).entries
 
 
 def _curve_path(fn, axis, px, py, color, name, samples=200):

@@ -1,6 +1,7 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -280,13 +281,39 @@ def test_persist_rejects_duplicate_edge(circle_files, tmp_path, capsys):
     assert "listed twice" in capsys.readouterr().err
 
 
-def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys):
+@pytest.mark.parametrize("index,time", [(3, "nan"), (-1, "-1.0")],
+                         ids=["nan", "negative"])
+def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys, index, time):
     tree = circle_files["tree"]
     lines = tree.read_text().splitlines()
-    # header, config comment, root; the next line is the first finite time
+    # header, config comment, root; the next line is the first finite time.
+    # The last node has the smallest time, so a negative one there keeps the
+    # times nonincreasing.
     assert lines[1].startswith("#") and lines[2].endswith(" inf")
-    orig, parent, _t = lines[3].split()
-    _replace_line(tree, 3, f"{orig} {parent} nan")
+    orig, parent, _t = lines[index].split()
+    _replace_line(tree, index, f"{orig} {parent} {time}")
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
                "--tree", tree, "--out", tmp_path / "x.sparse") == 2
-    assert "contraction time is nan" in capsys.readouterr().err
+    assert f"contraction time is {time}" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every `ripsaw ...` line inside the README's fenced code blocks."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, in_block = [], False
+    for line in readme.read_text().splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+        elif in_block and line.startswith("ripsaw "):
+            commands.append(line.split()[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv in commands:
+        try:
+            cli._parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail("README command does not parse: ripsaw " + " ".join(argv))

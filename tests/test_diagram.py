@@ -178,10 +178,20 @@ def test_match_properties_on_random_pipeline():
             seen_w.add(jw)
 
 
+def test_cover_matching_frees_a_partner_that_is_not_alive():
+    """The alive V entry first takes W entry 0, which is not alive; covering
+    the alive W entry 1 must move it over."""
+    from ripsaw.diagram import cover_matching
+
+    res = cover_matching([[0, 1]], [0], [1], 2)
+    assert res.ok and res.pairs == [(0, 1)] and res.unmatched_w == [0]
+
+
 def test_cover_matching_against_exhaustive_feasibility():
     """On random small graphs, cover_matching succeeds exactly when some
     injective matching covering both required sets exists (checked by
-    exhaustive search), and its output is a valid covering matching."""
+    exhaustive search), and its output is a valid covering matching of
+    maximum size."""
     from itertools import permutations
 
     from ripsaw.diagram import cover_matching
@@ -205,6 +215,16 @@ def test_cover_matching_against_exhaustive_feasibility():
             return True
         return False
 
+    def max_matching_size(adjacency, n_w):
+        best = 0
+        for perm in permutations(list(range(n_w)) + [None] * len(adjacency),
+                                 len(adjacency)):
+            used = [w for w in perm if w is not None]
+            if (len(set(used)) == len(used)
+                    and all(w is None or w in adjacency[v] for v, w in enumerate(perm))):
+                best = max(best, len(used))
+        return best
+
     for seed in range(120):
         n_v = 1 + int(unit_double(seed, 0) * 5)
         n_w = 1 + int(unit_double(seed, 1) * 5)
@@ -216,6 +236,7 @@ def test_cover_matching_against_exhaustive_feasibility():
         alive_w = [w for w in range(n_w) if unit_double(seed, 777 + w) < 0.5]
         res = cover_matching(adjacency, alive_v, alive_w, n_w)
         assert res.ok == feasible(adjacency, alive_v, alive_w, n_w), seed
+        assert len(res.pairs) == max_matching_size(adjacency, n_w), seed
         seen_w = set()
         for v, w in res.pairs:
             assert w in adjacency[v]

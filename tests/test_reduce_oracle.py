@@ -4,11 +4,13 @@ Both pair simplices by the filtration's total order alone, so the entry
 lists must be equal, not merely close.  Inputs are seeded random: Euclidean
 clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
 with eps1 > 0, and integer-valued lower-distance matrices that break the
-triangle inequality, tie heavily and miss some edges.
+triangle inequality, tie heavily and miss some edges.  The unthresholded
+cases also check ``count_simplices`` against the filtration's simplices.
 """
 
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +19,7 @@ from ripsaw import (
     build,
     build_filtration,
     circle_oracle,
+    count_simplices,
     circle_sample,
     euclidean_oracle,
     make_profile,
@@ -75,3 +78,7 @@ def test_reduce_matches_boundary_reduction(kind, p):
         got = reduce(filt, p)
         assert got.entries == boundary_reduce(filt, p).entries, (case, dim_cap)
         assert got.field_char == p
+        if threshold is None:
+            by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
+            assert count_simplices(lengths, dim_cap) == [
+                by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
