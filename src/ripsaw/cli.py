@@ -22,13 +22,18 @@ INF = math.inf
 
 
 def _load_oracle(path, fmt):
+    """The oracle of an input file and a sha256 digest of its parsed values."""
     if fmt == "points":
-        return metric.euclidean_oracle(metric.load_points(path))
-    if fmt == "circle":
-        return metric.circle_oracle([p[0] for p in metric.load_points(path)])
-    if fmt == "lower-distance":
-        return metric.matrix_oracle(metric.load_lower_distance(path))
-    raise InputError(f"unknown input format {fmt!r}")
+        values, make = metric.load_points(path), metric.euclidean_oracle
+    elif fmt == "circle":
+        values, make = [p[0] for p in metric.load_points(path)], metric.circle_oracle
+    elif fmt == "lower-distance":
+        values, make = metric.load_lower_distance(path), metric.matrix_oracle
+    else:
+        raise InputError(f"unknown input format {fmt!r}")
+    import hashlib  # here, not at module level: `ripsaw gen` never needs it
+
+    return make(values), hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 def _quartiles(values):
@@ -42,7 +47,7 @@ def _quartiles(values):
 def cmd_tree(args):
     config = {"command": "tree", "input": args.input, "format": args.format,
               "out": args.out}
-    oracle = _load_oracle(args.input, args.format)
+    oracle, config["digest"] = _load_oracle(args.input, args.format)
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
     covertree.write_tree(args.out, ctree, config=config)
@@ -73,8 +78,8 @@ def cmd_sparsify(args):
         "tree": args.tree, "eps1": args.eps1, "keep": args.keep,
         "threshold": args.threshold, "out": args.out,
     }
-    oracle = _load_oracle(args.input, args.format)
-    ctree = covertree.read_tree(args.tree)
+    oracle, digest = _load_oracle(args.input, args.format)
+    ctree = covertree.read_tree(args.tree, digest=digest)
     if ctree.size != oracle.size:
         raise InputError(f"tree has {ctree.size} nodes but input has "
                          f"{oracle.size} points")

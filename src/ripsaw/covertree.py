@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .errors import InputError
 
 INF = math.inf
+CONFIG_PREFIX = "# config "
 
 
 class CoverTree:
@@ -229,19 +230,33 @@ def write_tree(path, ctree: ContractionTree, config=None):
     with open(path, "w") as fh:
         fh.write(f"n {ctree.size}\n")
         if config is not None:
-            fh.write("# config " + json.dumps(config, sort_keys=True) + "\n")
+            fh.write(CONFIG_PREFIX + json.dumps(config, sort_keys=True) + "\n")
         for k in range(ctree.size):
             orig = ctree.order[k]
             par = -1 if k == 0 else ctree.order[ctree.parent[k]]
             fh.write(f"{orig} {par} {_format_time(ctree.times[k])}\n")
 
 
-def read_tree(path) -> ContractionTree:
+def read_tree(path, digest=None) -> ContractionTree:
+    """Parse a file written by ``write_tree``.
+
+    When ``digest`` is given and the file's config line records a different
+    input digest, the tree was built for another input and is refused.
+    Files that record no digest are accepted.
+    """
     order, parent_orig, times = [], [], []
     declared = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
+            if digest is not None and text.startswith(CONFIG_PREFIX):
+                try:
+                    recorded = json.loads(text[len(CONFIG_PREFIX):]).get("digest")
+                except (ValueError, AttributeError):
+                    raise InputError(f"{path}:{lineno}: malformed config line") from None
+                if recorded is not None and recorded != digest:
+                    raise InputError(f"{path}: tree was built from a different input "
+                                     f"(digest {recorded}, input has {digest})")
             if not text or text.startswith("#"):
                 continue
             if declared is None:

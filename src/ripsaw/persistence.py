@@ -1,10 +1,12 @@
 """Desk-scale persistent homology over prime fields.
 
 ``build_filtration`` enumerates the flag filtration of a (sparse or full)
-length matrix up to a simplex-dimension cap; ``reduce`` pairs its simplices
-by reducing coboundary columns with clearing, dimension by dimension, and
-reports one diagram entry per persistence pair.  The explicit-module algebra
-(``normal_form`` and the rank-table conversions) lives in ``ripsaw.modules``.
+length matrix up to a simplex-dimension cap, storing only the simplices
+below the top dimension; ``reduce`` pairs its simplices by reducing
+coboundary columns with clearing, dimension by dimension, with every coface
+an implicit integer key, and reports one diagram entry per persistence pair.
+The explicit-module algebra (``normal_form`` and the rank-table
+conversions) lives in ``ripsaw.modules``.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
@@ -21,6 +23,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
@@ -50,14 +53,36 @@ def _simplex_budget(max_simplices):
     return int(env) if env else DEFAULT_MAX_SIMPLICES
 
 
+def _filtration_order(simplex):
+    verts, diam = simplex
+    return diam, len(verts), verts
+
+
 @dataclass
 class Filtration:
-    """Simplices as (vertex tuple, diameter), sorted by
-    (diameter, dimension, vertex order); every face precedes its cofaces."""
+    """The flag filtration of an edge graph up to ``dim_cap``-simplices.
 
-    simplices: list
+    Only the simplices below the top dimension, the reducer's columns, are
+    stored: ``columns`` holds the cliques with at most max(1, dim_cap)
+    vertices as (vertex tuple, diameter), sorted by (diameter, dimension,
+    vertex order).  ``weight`` maps each edge (i, j), i < j, of the
+    filtration to its length; the top dimension is implicit in it.
+    """
+
+    columns: list
+    weight: dict
     dim_cap: int
     n: int
+
+    @property
+    def simplices(self):
+        """Every simplex, top dimension included, as (vertex tuple, diameter)
+        sorted by (diameter, dimension, vertex order); every face precedes
+        its cofaces.  Built on each read."""
+        out = [(verts, d) for verts, d, _ext
+               in _cliques(self.n, self.weight, self.dim_cap + 1)]
+        out.sort(key=_filtration_order)
+        return out
 
 
 def _edge_data(lengths, threshold):
@@ -85,20 +110,21 @@ def _edge_data(lengths, threshold):
 
 
 def _cliques(n, weight, dim_cap):
-    """Every clique with at most dim_cap+1 vertices of the graph on 0..n-1
-    whose edges are the keys (i, j), i < j, of ``weight``, yielded as
-    (increasing vertex tuple, diameter): first every vertex, then a
-    depth-first growth from each vertex."""
+    """Every vertex and every clique below dimension dim_cap of the graph on
+    0..n-1 whose edges are the keys (i, j), i < j, of ``weight``, yielded as
+    (increasing vertex tuple, diameter, extensions): the extensions are the
+    vertices above the last one adjacent to all of them, so a clique with
+    dim_cap vertices has exactly len(extensions) top-dimension cofaces.
+    Every vertex comes first, then a depth-first growth from each vertex."""
     if dim_cap < 0:
         raise InputError("dim_cap must be nonnegative")
+    most = max(1, dim_cap)
     above = [set() for _ in range(n)]
     for (i, j) in weight:
         above[i].add(j)
     for v in range(n):
-        yield (v,), 0.0
-    # each entry: a clique, its diameter, and the vertices above its last
-    # vertex that are adjacent to all of its vertices
-    stack = [((v,), 0.0, above[v]) for v in range(n)] if dim_cap >= 1 else []
+        yield (v,), 0.0, above[v]
+    stack = [((v,), 0.0, above[v]) for v in range(n)] if most > 1 else []
     while stack:
         verts, diam, cands = stack.pop()
         for v in cands:
@@ -108,38 +134,48 @@ def _cliques(n, weight, dim_cap):
                 if w > d:
                     d = w
             new = verts + (v,)
-            yield new, d
-            if len(new) <= dim_cap:
-                stack.append((new, d, cands & above[v]))
+            ext = cands & above[v]
+            yield new, d, ext
+            if len(new) < most:
+                stack.append((new, d, ext))
 
 
 def build_filtration(lengths, dim_cap, threshold=None, max_simplices=None) -> Filtration:
-    """Enumerate all cliques with at most dim_cap+1 vertices.
+    """The flag filtration of all cliques with at most dim_cap+1 vertices.
 
-    Missing (infinite) edges block cliques.  Refuses with
-    ``ResourceGuardError`` once the enumeration exceeds the cap given by
-    ``max_simplices`` or the RIPSAW_MAX_SIMPLICES environment variable.
+    Missing (infinite) edges block cliques.  Top-dimension simplices are
+    counted from the extension sets of their largest faces, not enumerated.
+    Refuses with ``ResourceGuardError`` once the count of every simplex up
+    to dim_cap exceeds the cap given by ``max_simplices`` or the
+    RIPSAW_MAX_SIMPLICES environment variable.
     """
     budget = _simplex_budget(max_simplices)
     n, weight = _edge_data(lengths, threshold)
-    simplices = []
-    for simplex in _cliques(n, weight, dim_cap):
-        simplices.append(simplex)
-        if len(simplices) > budget:
+    if dim_cap == 0:
+        weight = {}  # vertices only: no edge is in the filtration
+    columns = []
+    count = 0
+    for verts, d, ext in _cliques(n, weight, dim_cap):
+        columns.append((verts, d))
+        count += 1 + (len(ext) if len(verts) == dim_cap else 0)
+        if count > budget:
             raise ResourceGuardError(
                 f"simplex count exceeds cap {budget} "
-                f"(aborted after {len(simplices)} simplices)", count=len(simplices))
-    simplices.sort(key=lambda sd: (sd[1], len(sd[0]), sd[0]))
-    return Filtration(simplices=simplices, dim_cap=dim_cap, n=n)
+                f"(aborted after {count} simplices)", count=count)
+    columns.sort(key=_filtration_order)
+    return Filtration(columns=columns, weight=weight, dim_cap=dim_cap, n=n)
 
 
 def count_simplices(lengths, dim_cap):
     """Clique counts of the edge graph, per dimension 0..dim_cap, streamed
-    from the enumeration ``build_filtration`` sorts; nothing is stored."""
+    from the enumeration ``build_filtration`` stores; the top dimension is
+    counted from extension sets, and nothing is stored."""
     n, weight = _edge_data(lengths, None)
     counts = [0] * (dim_cap + 1)
-    for verts, _d in _cliques(n, weight, dim_cap):
+    for verts, _d, ext in _cliques(n, weight, dim_cap):
         counts[len(verts) - 1] += 1
+        if len(verts) == dim_cap:
+            counts[dim_cap] += len(ext)
     return counts
 
 
@@ -222,12 +258,16 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     dimension d the d-simplices are visited in reverse filtration order, and
     a d-simplex that was a pivot in dimension d - 1 is skipped (clearing):
     it kills a (d-1)-class and can pair with nothing in dimension d.
-    Each coboundary column is generated when its simplex is visited: its
-    rows are the (d+1)-simplices formed with the common neighbours of the
-    simplex's vertices, with coefficient (-1)^k when the added vertex sits
-    at position k.  A column's pivot is its earliest coface in filtration
-    order, and a reduced column is kept only when it becomes a pivot.
-    Top-dimension simplices only ever appear as rows, never as columns.
+
+    Each coboundary column is generated from the edge graph when its simplex
+    is visited: its rows are the (d+1)-simplices formed with the common
+    neighbours of the simplex's vertices, with coefficient (-1)^k when the
+    added vertex sits at position k.  A row is never stored as a simplex:
+    it is the key rank(diameter) * n**(d+2) + base-n code of its vertices,
+    rank indexing the sorted distinct lengths, so keys order like the
+    filtration and the pivot is the smallest key.  A reduced column is kept
+    only when it becomes a pivot, as row and coefficient arrays (64-bit when
+    every key fits, tuples otherwise).
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
     simplex, diameter of tau]; one whose column reduces to zero is an
@@ -236,26 +276,33 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     """
     if not is_prime(p):
         raise InputError(f"field characteristic {p} is not prime")
-    simplices = filtration.simplices
+    from array import array  # here, not at module level: `ripsaw gen` never needs it
+
+    n = filtration.n
+    lengths = sorted({0.0, *filtration.weight.values()})
+    rank = {w: k for k, w in enumerate(lengths)}
+    # adj[u][v] is the rank of the length of edge uv
+    adj = [{} for _ in range(n)]
+    for (i, j), w in filtration.weight.items():
+        adj[i][j] = adj[j][i] = rank[w]
     report_cap = max(0, filtration.dim_cap - 1)
-    nbrs = [set() for _ in range(filtration.n)]
-    for verts, _d in simplices:
-        if len(verts) == 2:
-            nbrs[verts[0]].add(verts[1])
-            nbrs[verts[1]].add(verts[0])
 
     entries = []
     cleared = set()
     for dim in range(report_cap + 1):
-        # filtration index of every (dim+1)-simplex, the rows of this dimension
-        index = {verts: k for k, (verts, _d) in enumerate(simplices)
-                 if len(verts) == dim + 2}
+        scale = n ** (dim + 2)
+        pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
         pivots = {}
-        for k in range(len(simplices) - 1, -1, -1):
-            verts, birth = simplices[k]
-            if len(verts) != dim + 1 or k in cleared:
+        for verts, birth in reversed(filtration.columns):
+            if len(verts) != dim + 1:
                 continue
-            col = _coboundary(verts, nbrs, index, p)
+            code = 0
+            for u in verts:
+                code = code * n + u
+            # its key as a row of dimension dim - 1
+            if rank[birth] * (scale // n) + code in cleared:
+                continue
+            col = _coboundary(verts, code, rank[birth], adj, n, p)
             # every row of col is in the heap; rows cancelled since are
             # dropped lazily when they reach the top
             heap = list(col)
@@ -269,7 +316,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                 if other is None:
                     break
                 factor = col[low]
-                for row, c in other.items():
+                for row, c in zip(*other):
                     if row in col:
                         v = (col[row] - factor * c) % p
                         if v:
@@ -280,12 +327,10 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                         col[row] = -factor * c % p
                         heappush(heap, row)
             if col:
-                if col[low] != 1:
-                    # stored scaled so that the pivot coefficient is 1
-                    inv = pow(col[low], -1, p)
-                    col = {row: c * inv % p for row, c in col.items()}
-                pivots[low] = col
-                death = simplices[low][1]
+                # stored scaled so that the pivot coefficient is 1
+                inv = pow(col[low], -1, p)
+                pivots[low] = (pack(col), pack([c * inv % p for c in col.values()]))
+                death = lengths[low // scale]
                 if birth != death:
                     entries.append(DiagramEntry(dim=dim, birth=birth, death=death))
             else:
@@ -294,10 +339,21 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     return PersistenceDiagram(field_char=p, entries=_sorted_entries(entries))
 
 
-def _coboundary(verts, nbrs, index, p):
-    """Coboundary column {filtration index of coface: coefficient} of a simplex."""
+def _coboundary(verts, code, r, adj, n, p):
+    """Coboundary column {row key: coefficient} of the simplex ``verts``
+    with vertex code ``code`` and diameter rank ``r``."""
+    m = len(verts)
+    scale = n ** (m + 1)
+    # the code of verts with v inserted at position k is fixed[k] + v * place[k]
+    place = [n ** (m - k) for k in range(m + 1)]
+    fixed = [code // pw * pw * n + code % pw for pw in place]
+    nbrs = [adj[u] for u in verts]
     col = {}
-    for v in set.intersection(*(nbrs[u] for u in verts)):
+    for v in set(nbrs[0]).intersection(*nbrs[1:]):
+        rv = r
+        for ranks in nbrs:
+            if ranks[v] > rv:
+                rv = ranks[v]
         k = bisect_left(verts, v)
-        col[index[verts[:k] + (v,) + verts[k:]]] = p - 1 if k % 2 else 1
+        col[rv * scale + fixed[k] + v * place[k]] = p - 1 if k % 2 else 1
     return col

@@ -100,6 +100,33 @@ def test_mismatched_tree_is_error(tmp_path):
                "--out", tmp_path / "x.sparse") == 2
 
 
+def test_tree_from_other_input_of_same_size_is_error(tmp_path, capsys):
+    """A tree records a digest of its input; sparsify refuses a tree built
+    from different points, even of the same count."""
+    paths = {name: tmp_path / name for name in ("a.csv", "b.csv", "copy.csv", "a.tree")}
+    assert run("gen", "cloud", "--n", 64, "--seed", 0, "--out", paths["a.csv"]) == 0
+    assert run("gen", "cloud", "--n", 64, "--seed", 1, "--out", paths["b.csv"]) == 0
+    assert run("tree", "--input", paths["a.csv"], "--out", paths["a.tree"]) == 0
+    paths["copy.csv"].write_bytes(paths["a.csv"].read_bytes())
+    capsys.readouterr()
+    assert run("sparsify", "--input", paths["b.csv"], "--tree", paths["a.tree"],
+               "--out", tmp_path / "x.sparse") == 2
+    assert "built from a different input" in capsys.readouterr().err
+    # the digest is of the parsed values, not of the path
+    assert run("sparsify", "--input", paths["copy.csv"], "--tree", paths["a.tree"],
+               "--out", tmp_path / "x.sparse") == 0
+    lines = paths["a.tree"].read_text().splitlines()
+    assert lines[1].startswith("# config ") and '"digest": ' in lines[1]
+    _replace_line(paths["a.tree"], 1, "# config {")
+    assert run("sparsify", "--input", paths["b.csv"], "--tree", paths["a.tree"],
+               "--out", tmp_path / "x.sparse") == 2
+    assert "malformed config line" in capsys.readouterr().err
+    # a tree file without a recorded digest is still read
+    _replace_line(paths["a.tree"], 1, "# written by hand")
+    assert run("sparsify", "--input", paths["b.csv"], "--tree", paths["a.tree"],
+               "--out", tmp_path / "x.sparse") == 0
+
+
 def test_persist_export_only(circle_files, tmp_path, capsys):
     before = circle_files["sparse"].read_bytes()
     assert run("persist", "--input", circle_files["sparse"], "--export-only") == 0

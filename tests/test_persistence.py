@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_memory_guard():
     with pytest.raises(ResourceGuardError) as err:
         build_filtration(dist, 3, max_simplices=1000)
     assert err.value.count > 1000
+
+
+def test_top_dimension_is_never_stored():
+    """The exact 64-point cloud at dim_cap 2: the 41,664 triangles are only
+    coboundary rows, so the filtration stores none of them, and building
+    plus reducing peaks at under half of the 12.5-13 MB that storing them
+    took."""
+    dist = full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))
+    tracemalloc.start()
+    try:
+        filt = build_filtration(dist, 2)
+        reduce(filt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.25e6
+    assert max(len(verts) for verts, _d in filt.columns) == 2
+    assert sum(len(verts) == 3 for verts, _d in filt.simplices) == 41664
 
 
 def test_memory_guard_env(monkeypatch):

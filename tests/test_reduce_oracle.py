@@ -6,6 +6,8 @@ clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
 with eps1 > 0, and integer-valued lower-distance matrices that break the
 triangle inequality, tie heavily and miss some edges.  The unthresholded
 cases also check ``count_simplices`` against the filtration's simplices.
+A last case scatters small clusters over 2**15 vertex ids, so the reducer's
+packed tetrahedron keys exceed 2**63 and cannot use 64-bit storage.
 """
 
 import math
@@ -28,6 +30,7 @@ from ripsaw import (
     sparsify,
     tighten,
 )
+from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 
 def _size(rng, dim_cap):
@@ -82,3 +85,30 @@ def test_reduce_matches_boundary_reduction(kind, p):
             by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
             assert count_simplices(lengths, dim_cap) == [
                 by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
+
+
+def _wide(rng, n):
+    """Three clusters of 8 random vertex ids out of n, each missing some
+    edges, with lengths k/4 for k in 1..40."""
+    ids = rng.sample(range(n), 24)
+    edges = []
+    for g in range(3):
+        group = sorted(ids[8 * g:8 * g + 8])
+        edges += [(a, b, rng.randint(1, 40) / 4)
+                  for k, a in enumerate(group) for b in group[k + 1:]
+                  if rng.random() < 0.85]
+    profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=n, n=n)
+    return SparseLengthMatrix(size=n, edges=sorted(edges), profile=profile)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduce_matches_boundary_reduction_beyond_64_bit_keys(p):
+    n = 2**15
+    filt = build_filtration(_wide(random.Random(f"wide-{p}"), n), 3)
+    # the key of a tetrahedron: rank of its diameter among the distinct
+    # lengths, times n**4, plus its base-n vertex code
+    rank = {w: k for k, w in enumerate(sorted({0.0, *filt.weight.values()}))}
+    keys = [rank[d] * n**4 + sum(v * n**(3 - i) for i, v in enumerate(verts))
+            for verts, d in filt.simplices if len(verts) == 4]
+    assert max(keys) > 2**63
+    assert reduce(filt, p).entries == boundary_reduce(filt, p).entries
