@@ -2,23 +2,23 @@
 and interleaving verification as subcommands with file interchange.
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard.  Every output embeds the parsed configuration (as a JSON "config"
-object in its metadata), and reruns on identical inputs are byte-identical.
+guard.  Every output embeds its subcommand's parsed arguments as a JSON
+"config" object in its metadata (``_config``; a ``.tree`` adds the input's
+digest), and reruns on identical inputs are byte-identical.  The only
+truncation of the filtration is ``sparsify --threshold``, which the profile
+records as ``T``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import math
+import dataclasses
 import sys
 
 from . import covertree, diagram, generators, metric, persistence, svgplot
 from .errors import InputError, ResourceGuardError
 from .sparsify import PrecisionProfile, make_profile, read_sparse, write_sparse
 from .sparsify import sparsify as sparsify_matrix
-
-INF = math.inf
 
 
 def _load_oracle(path, fmt):
@@ -44,9 +44,13 @@ def _quartiles(values):
             vals[(3 * len(vals)) // 4], vals[-1]]
 
 
+def _config(args):
+    """The parsed arguments of a subcommand, as every output records them."""
+    return {k: v for k, v in vars(args).items() if k != "func"}
+
+
 def cmd_tree(args):
-    config = {"command": "tree", "input": args.input, "format": args.format,
-              "out": args.out}
+    config = _config(args)
     oracle, config["digest"] = _load_oracle(args.input, args.format)
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
@@ -67,27 +71,19 @@ def cmd_tree(args):
 
 
 def cmd_sparsify(args):
-    keep = args.keep
-    if keep != "all":
-        try:
-            keep = int(keep)
-        except ValueError:
-            raise InputError(f'--keep must be an integer or "all", got {keep!r}') from None
-    config = {
-        "command": "sparsify", "input": args.input, "format": args.format,
-        "tree": args.tree, "eps1": args.eps1, "keep": args.keep,
-        "threshold": args.threshold, "out": args.out,
-    }
+    try:
+        keep = None if args.keep == "all" else int(args.keep)
+    except ValueError:
+        raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
     oracle, digest = _load_oracle(args.input, args.format)
     ctree = covertree.read_tree(args.tree, digest=digest)
     if ctree.size != oracle.size:
         raise InputError(f"tree has {ctree.size} nodes but input has "
                          f"{oracle.size} points")
-    profile, _cutoffs = make_profile(
-        ctree, keep=None if keep == "all" else keep,
-        eps1=args.eps1, threshold=args.threshold)
+    profile, _cutoffs = make_profile(ctree, keep=keep, eps1=args.eps1,
+                                     threshold=args.threshold)
     matrix = sparsify_matrix(ctree, oracle, profile)
-    write_sparse(args.out, matrix, config=config)
+    write_sparse(args.out, matrix, config=_config(args))
     full = matrix.full_edge_count()
     ratio = len(matrix.edges) / full if full else 0.0
     print(f"kept points: {profile.N} of {profile.n}")
@@ -98,11 +94,6 @@ def cmd_sparsify(args):
 
 
 def cmd_persist(args):
-    config = {
-        "command": "persist", "input": args.input, "dim": args.dim,
-        "field": args.field, "threshold": args.threshold, "out": args.out,
-        "export_only": args.export_only,
-    }
     matrix = read_sparse(args.input)
     if args.export_only:
         print(f"{args.input} is ready for an external persistence engine; "
@@ -110,10 +101,9 @@ def cmd_persist(args):
         return 0
     if args.out is None:
         raise InputError("--out is required unless --export-only is given")
-    filtration = persistence.build_filtration(
-        matrix, dim_cap=args.dim + 1, threshold=args.threshold)
+    filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
     diag = persistence.reduce(filtration, args.field)
-    meta = {"profile": matrix.profile.as_meta(), "config": config}
+    meta = {"profile": matrix.profile.as_meta(), "config": _config(args)}
     persistence.dump_diagram(args.out, diag, meta=meta)
     print(f"entries: {len(diag.entries)}")
     print(f"wrote {args.out}")
@@ -121,14 +111,9 @@ def cmd_persist(args):
 
 
 def cmd_plot(args):
-    config = {
-        "command": "plot", "input": args.input, "out": args.out,
-        "log_plot": args.log_plot, "clip": args.clip,
-        "overlay_eps0": args.overlay_eps0, "overlay_eps1": args.overlay_eps1,
-    }
     diag, meta = persistence.load_diagram(args.input)
     profile = None
-    if isinstance(meta, dict) and meta.get("profile"):
+    if meta.get("profile"):
         profile = PrecisionProfile.from_meta(meta["profile"])
     else:
         print("warning: no profile metadata; plotting plain dots", file=sys.stderr)
@@ -136,13 +121,10 @@ def cmd_plot(args):
     if args.overlay_eps0 is not None or args.overlay_eps1 is not None:
         if profile is None:
             raise InputError("overlay requires profile metadata in the diagram")
-        overlay = PrecisionProfile(
-            R=profile.R,
-            eps0=args.overlay_eps0 if args.overlay_eps0 is not None else 0.0,
-            eps1=args.overlay_eps1 if args.overlay_eps1 is not None else 0.0,
-            N=profile.N, n=profile.n)
-    text = svgplot.render_svg(diag, profile, log_axes=args.log_plot,
-                              clip=args.clip, overlay=overlay, config=config)
+        overlay = dataclasses.replace(profile, eps0=args.overlay_eps0 or 0.0,
+                                      eps1=args.overlay_eps1 or 0.0, T=None)
+    text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, clip=args.clip,
+                              overlay=overlay, config=_config(args))
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -156,7 +138,7 @@ def cmd_verify(args):
         raise InputError(
             f"field characteristics differ: {full_diag.field_char} vs "
             f"{sparse_diag.field_char}")
-    if not (isinstance(sparse_meta, dict) and sparse_meta.get("profile")):
+    if not sparse_meta.get("profile"):
         raise InputError("sparse diagram carries no profile metadata")
     profile = PrecisionProfile.from_meta(sparse_meta["profile"])
     report = diagram.verify_interleaving(full_diag, sparse_diag, profile)
@@ -192,22 +174,24 @@ def _parser():
                     "and compute/verify approximate persistence diagrams.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    tree = sub.add_parser("tree", help="build and tighten a contraction tree")
-    tree.add_argument("--input", required=True)
-    tree.add_argument("--format", choices=["points", "circle", "lower-distance"],
-                      default="points")
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--input", required=True)
+    source.add_argument("--format", choices=["points", "circle", "lower-distance"],
+                        default="points")
+
+    tree = sub.add_parser("tree", parents=[source],
+                          help="build and tighten a contraction tree")
     tree.add_argument("--out", required=True)
     tree.set_defaults(func=cmd_tree)
 
-    spa = sub.add_parser("sparsify", help="emit the sparse length matrix")
-    spa.add_argument("--input", required=True)
-    spa.add_argument("--format", choices=["points", "circle", "lower-distance"],
-                     default="points")
+    spa = sub.add_parser("sparsify", parents=[source],
+                         help="emit the sparse length matrix")
     spa.add_argument("--tree", required=True)
     spa.add_argument("--eps1", type=float, default=0.0)
     spa.add_argument("--keep", default="all",
                      help='number of points to retain, or "all"')
-    spa.add_argument("--threshold", type=float, default=None)
+    spa.add_argument("--threshold", type=float, default=None,
+                     help="drop edges longer than this; recorded as T")
     spa.add_argument("--out", required=True)
     spa.set_defaults(func=cmd_sparsify)
 
@@ -216,7 +200,6 @@ def _parser():
     per.add_argument("--dim", type=int, default=1,
                      help="largest homology dimension to report")
     per.add_argument("--field", type=int, default=2)
-    per.add_argument("--threshold", type=float, default=None)
     per.add_argument("--out", default=None)
     per.add_argument("--export-only", action="store_true",
                      help="stop after validating the sparse matrix file")

@@ -7,7 +7,7 @@ deaths: each entry (b, d) is the upper-right corner of the rectangle
 entry is Definite when d > psi(b), i.e. its corner clears the graph of the
 shift map; otherwise it may be an artifact.
 
-``verify_interleaving(P_V, P_W, psi)`` checks the single-shift setting where
+``verify_interleaving(P_V, P_W, profile)`` checks the single-shift setting where
 W(r) includes into V(r) and V(r) into W(psi(r)): the rank inequalities
 
     rank_W(s -> psi(t)) <= rank_V(s -> t) <= rank_W(psi(s) -> t)
@@ -26,6 +26,9 @@ from .errors import InputError
 from .persistence import PersistenceDiagram
 
 INF = math.inf
+
+# rank-inequality failures reported per dimension before the grid scan stops
+MAX_WITNESSES = 20
 
 
 def _apply(psi, x):
@@ -266,33 +269,28 @@ def _grid(values, psi_inv):
     for v in values:
         if v == INF:
             continue
-        pts.add(v)
-        if psi_inv is not None:
-            w = psi_inv(v)
-            pts.add(w)
-            pts.add(psi_inv(w))
+        w = psi_inv(v)
+        pts.update((v, w, psi_inv(w)))
     if pts:
         pts.add(max(pts) + 1.0)
     return sorted(pts)
 
 
 def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
-                        psi, psi_inv=None, max_witnesses=20) -> InterleavingReport:
+                        profile) -> InterleavingReport:
     """Check that ``diag_w`` is psi-interleaved into ``diag_v``.
 
     ``diag_v`` is the exact side; ``diag_w`` the approximating side (its
-    scales over-estimate by at most psi).  ``psi_inv`` sharpens the test
-    grid so that count regimes between critical values are not skipped; the
-    profile's closed-form inverse is the intended argument.
+    scales over-estimate by at most psi).  ``profile`` supplies the shift
+    map ``psi`` and its inverse ``psi_inv`` (a ``PrecisionProfile`` or any
+    object with both); ``psi_inv`` lays out the test grid so that count
+    regimes between critical values are not skipped.
 
     The grid closure covers every distinct value the rank counts can take:
     counts change only where s or t crosses an entry value or a psi-preimage
     of one.
     """
-    if hasattr(psi, "psi"):  # accept a PrecisionProfile directly
-        profile = psi
-        psi = profile.psi
-        psi_inv = profile.psi_inv if psi_inv is None else psi_inv
+    psi, psi_inv = profile.psi, profile.psi_inv
     report = InterleavingReport()
     for dim in sorted(set(diag_v.dims()) | set(diag_w.dims())):
         pv = diag_v.pairs(dim)
@@ -317,9 +315,9 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
                     rhs = rank_at(pw, ps, t)
                     if lhs > rhs:
                         violations.append(RankWitness(2, s, t, lhs, rhs))
-                if len(violations) >= max_witnesses:
+                if len(violations) >= MAX_WITNESSES:
                     break
-            if len(violations) >= max_witnesses:
+            if len(violations) >= MAX_WITNESSES:
                 break
         matching = match_diagrams(pv, pw, psi, lambda r: r)
         report.dimensions[dim] = DimensionReport(

@@ -64,14 +64,6 @@ def rref_mod(mat, p):
     return a, pivots
 
 
-def rank_mod(mat, p):
-    a = np.asarray(mat)
-    if a.size == 0:
-        return 0
-    _, pivots = rref_mod(a, p)
-    return len(pivots)
-
-
 def kernel_mod(mat, p):
     """Basis vectors (as rows) of the kernel of ``mat`` over Z_p."""
     a = np.asarray(mat, dtype=np.int64)

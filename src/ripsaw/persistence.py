@@ -216,15 +216,28 @@ class PersistenceDiagram:
 
     @classmethod
     def from_json_dict(cls, data):
-        entries = [
-            DiagramEntry(
-                dim=int(e["dim"]),
-                birth=float(e["birth"]),
-                death=INF if e["death"] == "inf" else float(e["death"]),
-            )
-            for e in data["entries"]
-        ]
-        return cls(field_char=int(data["field"]), entries=entries)
+        """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
+        missing, a value is not a number, or an entry is not a finite birth
+        with a death at or after it."""
+        try:
+            field_char = int(data["field"])
+            entries = [
+                DiagramEntry(
+                    dim=int(e["dim"]),
+                    birth=float(e["birth"]),
+                    death=INF if e["death"] == "inf" else float(e["death"]),
+                )
+                for e in data["entries"]
+            ]
+        except KeyError as exc:
+            raise InputError(f"diagram has no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed diagram: {exc}") from None
+        for e in entries:
+            if not (e.dim >= 0 and math.isfinite(e.birth) and e.death >= e.birth):
+                raise InputError(f"bad diagram entry: dim {e.dim}, birth "
+                                 f"{e.birth!r}, death {e.death!r}")
+        return cls(field_char=field_char, entries=entries)
 
     def to_text(self):
         lines = []
@@ -241,9 +254,17 @@ def dump_diagram(path, diagram: PersistenceDiagram, meta=None):
 
 
 def load_diagram(path):
-    with open(path) as fh:
-        data = json.load(fh)
-    return PersistenceDiagram.from_json_dict(data), data.get("meta", {})
+    """(diagram, meta dict) from a JSON file; ``InputError`` when malformed."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        diag = PersistenceDiagram.from_json_dict(data)
+    except ValueError as exc:  # also JSON, decoding and InputError failures
+        raise InputError(f"{path}: {exc}") from None
+    meta = data.get("meta", {})
+    if not isinstance(meta, dict):
+        raise InputError(f"{path}: diagram meta is not an object")
+    return diag, meta
 
 
 def _sorted_entries(entries):
@@ -342,14 +363,17 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
 def _coboundary(verts, code, r, adj, n, p):
     """Coboundary column {row key: coefficient} of the simplex ``verts``
     with vertex code ``code`` and diameter rank ``r``."""
+    nbrs = [adj[u] for u in verts]
+    common = set(nbrs[0]).intersection(*nbrs[1:])
+    if not common:
+        return {}
     m = len(verts)
     scale = n ** (m + 1)
     # the code of verts with v inserted at position k is fixed[k] + v * place[k]
     place = [n ** (m - k) for k in range(m + 1)]
     fixed = [code // pw * pw * n + code % pw for pw in place]
-    nbrs = [adj[u] for u in verts]
     col = {}
-    for v in set(nbrs[0]).intersection(*nbrs[1:]):
+    for v in common:
         rv = r
         for ranks in nbrs:
             if ranks[v] > rv:

@@ -108,14 +108,27 @@ class PrecisionProfile:
 
     @classmethod
     def from_meta(cls, meta):
-        return cls(
-            R=float(meta["R"]),
-            eps0=float(meta["eps0"]),
-            eps1=float(meta["eps1"]),
-            N=int(meta["N"]),
-            n=int(meta["n"]),
-            T=None if meta.get("T") is None else float(meta["T"]),
-        )
+        """The profile ``as_meta`` wrote; ``InputError`` when a key is
+        missing or a value is out of range."""
+        try:
+            profile = cls(
+                R=float(meta["R"]),
+                eps0=float(meta["eps0"]),
+                eps1=float(meta["eps1"]),
+                N=int(meta["N"]),
+                n=int(meta["n"]),
+                T=None if meta.get("T") is None else float(meta["T"]),
+            )
+        except KeyError as exc:
+            raise InputError(f"profile has no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed profile: {exc}") from None
+        # `not v >= 0` also holds for nan
+        if not (all(v >= 0.0 for v in (profile.R, profile.eps0, profile.eps1))
+                and (profile.T is None or not math.isnan(profile.T))
+                and 1 <= profile.N <= profile.n):
+            raise InputError(f"profile out of range: {profile.as_meta()}")
+        return profile
 
 
 def make_profile(ctree: ContractionTree, keep=None, eps1=0.0, threshold=None):
@@ -228,9 +241,11 @@ def read_sparse(path) -> SparseLengthMatrix:
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    profile = PrecisionProfile.from_meta(meta)
+    try:
+        with open(meta_path) as fh:
+            profile = PrecisionProfile.from_meta(json.load(fh))
+    except ValueError as exc:  # also JSON, decoding and InputError failures
+        raise InputError(f"{meta_path}: {exc}") from None
     edges = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

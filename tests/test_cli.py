@@ -253,12 +253,38 @@ def test_plot_without_profile_warns(tmp_path, capsys):
     assert "plotting plain dots" in capsys.readouterr().err
 
 
-def test_outputs_embed_config(circle_files):
-    tree_text = circle_files["tree"].read_text()
-    assert '"command": "tree"' in tree_text
-    meta = json.loads(
-        circle_files["sparse"].with_suffix(".meta.json").read_text())
-    assert meta["config"]["command"] == "sparsify"
+def _parsed(argv):
+    """The arguments ``argv`` parses to, without the subcommand handler."""
+    args = vars(cli._parser().parse_args([str(a) for a in argv]))
+    del args["func"]
+    return args
+
+
+def test_outputs_embed_config(tmp_path):
+    """Each output's config is its command line as parsed; a .tree adds the
+    input digest, and the sparsify threshold is also the profile's T."""
+    p = {name: tmp_path / name for name in ("c.csv", "c.tree", "c.sparse", "c.json", "c.svg")}
+    steps = [
+        ["tree", "--input", p["c.csv"], "--format", "circle", "--out", p["c.tree"]],
+        ["sparsify", "--input", p["c.csv"], "--format", "circle", "--tree", p["c.tree"],
+         "--eps1", 0.5, "--keep", 24, "--threshold", 0.25, "--out", p["c.sparse"]],
+        ["persist", "--input", p["c.sparse"], "--dim", 1, "--field", 3, "--out", p["c.json"]],
+        ["plot", "--input", p["c.json"], "--out", p["c.svg"], "--log-plot",
+         "--overlay-eps0", 0.01],
+    ]
+    assert run("gen", "circle", "--n", 32, "--out", p["c.csv"]) == 0
+    for argv in steps:
+        assert run(*argv) == 0
+    tree_config = json.loads(p["c.tree"].read_text().splitlines()[1].removeprefix("# config "))
+    assert len(tree_config.pop("digest")) == 64
+    sidecar = json.loads(p["c.sparse"].with_suffix(".meta.json").read_text())
+    diagram_meta = json.loads(p["c.json"].read_text())["meta"]
+    svg_config = p["c.svg"].read_text().splitlines()[1]
+    assert svg_config.startswith("<!-- config ") and svg_config.endswith(" -->")
+    recorded = [tree_config, sidecar["config"], diagram_meta["config"],
+                json.loads(svg_config[len("<!-- config "):-len(" -->")])]
+    assert recorded == [_parsed(argv) for argv in steps]
+    assert sidecar["T"] == diagram_meta["profile"]["T"] == 0.25
 
 
 def test_lower_distance_format(tmp_path):
@@ -344,3 +370,56 @@ def test_readme_commands_parse():
             cli._parser().parse_args(argv)
         except SystemExit:
             pytest.fail("README command does not parse: ripsaw " + " ".join(argv))
+
+
+def test_persist_has_no_threshold_option(circle_files, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run("persist", "--input", circle_files["sparse"], "--threshold", 0.1,
+            "--out", tmp_path / "x.json")
+    assert exc.value.code == 2
+
+
+def _bad_diagram(case, data):
+    """The text of a malformed diagram derived from ``data``."""
+    h1 = next(e for e in data["entries"] if e["dim"] == 1)
+    if case == "field-only":
+        data = {"field": 2}
+    elif case == "not-json":
+        return "field: 2\n"
+    elif case == "profile-without-eps1":
+        del data["meta"]["profile"]["eps1"]
+    elif case == "nan-death":
+        h1["death"] = math.nan
+    elif case == "death-below-birth":
+        h1["death"] = h1["birth"] / 2
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
+                                  "nan-death", "death-below-birth"])
+def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))
+    assert run("verify", circle_files["diag"], bad) == 2
+    assert run("plot", "--input", bad, "--out", tmp_path / "bad.svg") == 2
+    assert not (tmp_path / "bad.svg").exists()
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+@pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",
+                                  "N-above-n"])
+def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
+    meta_path = circle_files["sparse"].with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    if case == "n-only":
+        meta = {"n": 32}
+    elif case == "no-eps1":
+        del meta["eps1"]
+    elif case == "nan-eps1":
+        meta["eps1"] = math.nan
+    elif case == "N-above-n":
+        meta["N"] = meta["n"] + 1
+    meta_path.write_text("n = 32\n" if case == "not-json" else json.dumps(meta))
+    assert run("persist", "--input", circle_files["sparse"],
+               "--out", tmp_path / "x.json") == 2
+    assert "error: " in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -272,7 +273,7 @@ def test_rank_at_accepts_diagram():
 
 def test_verify_self_identity():
     d = diag([(0, 0.0, 1.0), (0, 0.0, INF), (1, 0.3, 0.9)])
-    report = verify_interleaving(d, d, identity, identity)
+    report = verify_interleaving(d, d, SimpleNamespace(psi=identity, psi_inv=identity))
     assert report.passed
 
 
@@ -280,7 +281,8 @@ def test_verify_shift_absorbed():
     delta = 0.125
     dv = diag([(1, 1.0, 3.0)])
     dw = diag([(1, 1.0 + delta, 3.0)])
-    report = verify_interleaving(dv, dw, lambda r: r + delta, lambda r: r - delta)
+    report = verify_interleaving(
+        dv, dw, SimpleNamespace(psi=lambda r: r + delta, psi_inv=lambda r: r - delta))
     assert report.passed
 
 
@@ -288,7 +290,8 @@ def test_verify_double_shift_fails_with_witness():
     delta = 0.125
     dv = diag([(1, 1.0, 3.0)])
     dw = diag([(1, 1.0 + 2 * delta, 3.0)])
-    report = verify_interleaving(dv, dw, lambda r: r + delta, lambda r: r - delta)
+    report = verify_interleaving(
+        dv, dw, SimpleNamespace(psi=lambda r: r + delta, psi_inv=lambda r: r - delta))
     assert not report.passed
     rep = report.dimensions[1]
     assert rep.rank_violations or not rep.matching.ok
@@ -308,5 +311,5 @@ def test_verify_inflated_death_fails():
 def test_verify_detects_field_via_report_only():
     # verification is diagram-level; summary renders without raising
     d = diag([(0, 0.0, INF)])
-    report = verify_interleaving(d, d, identity, identity)
+    report = verify_interleaving(d, d, SimpleNamespace(psi=identity, psi_inv=identity))
     assert "dim 0" in report.summary()

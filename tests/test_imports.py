@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -23,3 +24,29 @@ def test_module_algebra_names_resolve_lazily():
     assert ripsaw.ExplicitModule is modules.ExplicitModule
     with pytest.raises(AttributeError):
         ripsaw.no_such_name
+
+
+def _unused_imports(source):
+    """Names an import in ``source`` binds that nothing in it reads."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound.setdefault(name, node.lineno)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in read)
+
+
+def test_unused_import_check_flags_a_stray_import():
+    assert _unused_imports("import json\nimport math\nx = math.pi\n") == [(1, "json")]
+    assert _unused_imports("from . import a as b, c\nc.f(b)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py") if p.name != "__init__.py"))
+def test_module_binds_no_unused_import(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _unused_imports(source) == []
