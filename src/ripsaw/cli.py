@@ -1,12 +1,12 @@
 """Pipeline driver: tree building, sparsification, persistence, plotting,
 and interleaving verification as subcommands with file interchange.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 resource
-guard.  Every output embeds its subcommand's parsed arguments as a JSON
-"config" object in its metadata (``_config``; a ``.tree`` adds the input's
-digest), and reruns on identical inputs are byte-identical.  The only
-truncation of the filtration is ``sparsify --threshold``, which the profile
-records as ``T``.
+Exit codes: 0 success, 1 verification failure, 2 input error (an unreadable
+file too), 3 resource guard.  Every output embeds its subcommand's parsed
+arguments as a JSON "config" object in its metadata (``_config``; a ``.tree``
+adds the input's digest), and reruns on identical inputs are byte-identical.
+The only truncation of the filtration is ``sparsify --threshold``, which the
+profile records as ``T``.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def cmd_sparsify(args):
     if ctree.size != oracle.size:
         raise InputError(f"tree has {ctree.size} nodes but input has "
                          f"{oracle.size} points")
-    profile, _cutoffs = make_profile(ctree, keep=keep, eps1=args.eps1,
-                                     threshold=args.threshold)
+    profile = make_profile(ctree, keep=keep, eps1=args.eps1, threshold=args.threshold)
     matrix = sparsify_matrix(ctree, oracle, profile)
     write_sparse(args.out, matrix, config=_config(args))
     full = matrix.full_edge_count()
@@ -235,7 +234,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceGuardError as exc:

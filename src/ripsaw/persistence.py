@@ -50,7 +50,11 @@ def _simplex_budget(max_simplices):
     if max_simplices is not None:
         return max_simplices
     env = os.environ.get(MAX_SIMPLICES_ENV)
-    return int(env) if env else DEFAULT_MAX_SIMPLICES
+    if not env:
+        return DEFAULT_MAX_SIMPLICES
+    if not env.strip().isdecimal():
+        raise InputError(f"{MAX_SIMPLICES_ENV}={env!r} is not a nonnegative integer")
+    return int(env)
 
 
 def _filtration_order(simplex):

@@ -4,10 +4,12 @@ A precision profile fixes the interleaving budget: a relative error ``eps1``,
 an absolute error ``eps0`` induced by truncating to the N most significant
 points, and the radius cap R.  The induced shift map is
 
-    psi(r) = min(R, r + max(eps0, eps1 * r))
+    psi(r) = min(R+, r + max(eps0, eps1 * r))
 
-and the per-point edge cutoffs are the contraction times scaled by
-``q(r) = (2 + 2/eps1) * r`` (infinite when eps1 == 0, i.e. keep everything).
+with R+ the float just above R (a class dying at exactly R is still alive at
+R under the (b, d] convention), and the per-point edge cutoffs are the
+contraction times scaled by ``q(r) = (2 + 2/eps1) * r`` (infinite when
+eps1 == 0, i.e. keep everything).
 
 The sparsifier walks the pair tree rooted at (0, 0) whose nodes are index
 pairs (a, b), a <= b; the parent of a pair is obtained by replacing its
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .covertree import ContractionTree
@@ -43,9 +45,10 @@ INF = math.inf
 class PrecisionProfile:
     """Interleaving budget plus the evaluable maps psi, psi_inv, q, q_inv.
 
-    ``times`` holds the per-retained-point edge cutoffs (index 0 is the
-    root's, always infinite); ``n`` is the original point count and ``N``
-    the retained count.
+    ``n`` is the original point count and ``N`` the retained count.  A
+    profile is valid or is never built: ``InputError`` unless R >= 0, eps0
+    and eps1 are finite and >= 0, T is None or finite and >= 0, and
+    1 <= N <= n.
     """
 
     R: float
@@ -54,15 +57,23 @@ class PrecisionProfile:
     N: int
     n: int
     T: float | None = None
-    times: list = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        T = 0.0 if self.T is None else self.T
+        # `not R >= 0` also holds for nan
+        if not (self.R >= 0.0
+                and all(math.isfinite(v) and v >= 0.0 for v in (self.eps0, self.eps1, T))
+                and 1 <= self.N <= self.n):
+            raise InputError(f"profile out of range: {self.as_meta()}")
 
     def psi(self, r):
         """Shift map: how far scales may move under sparsification."""
         if r == INF:
             return INF
+        cap = math.nextafter(self.R, INF)
         if self.T is not None and r > self.T:
-            return self.R
-        return min(self.R, r + max(self.eps0, self.eps1 * r))
+            return cap
+        return min(cap, r + max(self.eps0, self.eps1 * r))
 
     def psi_inv(self, x):
         """Smallest preimage of x under the uncapped shift map (0 below eps0)."""
@@ -75,10 +86,9 @@ class PrecisionProfile:
         return x / (1.0 + self.eps1)
 
     def q(self, r):
-        """Cutoff scaling applied to contraction times."""
+        """Cutoff scaling applied to contraction times; infinite when
+        eps1 == 0, which keeps every pair (duplicates, at time 0, too)."""
         if self.eps1 == 0.0:
-            return INF if r > 0 else 0.0
-        if r == INF:
             return INF
         return (2.0 + 2.0 / self.eps1) * r
 
@@ -96,6 +106,13 @@ class PrecisionProfile:
             return half_eps0
         return r
 
+    def cutoffs(self, ctree: ContractionTree):
+        """Edge cutoffs of the retained points of ``ctree``: their contraction
+        times scaled by q (index 0 is the root's, always infinite)."""
+        if ctree.size != self.n:
+            raise InputError("profile was built for a different tree")
+        return [self.q(t) for t in ctree.times[:self.N]]
+
     def as_meta(self):
         return {
             "n": self.n,
@@ -109,9 +126,9 @@ class PrecisionProfile:
     @classmethod
     def from_meta(cls, meta):
         """The profile ``as_meta`` wrote; ``InputError`` when a key is
-        missing or a value is out of range."""
+        missing, a value is not a number or the profile is out of range."""
         try:
-            profile = cls(
+            return cls(
                 R=float(meta["R"]),
                 eps0=float(meta["eps0"]),
                 eps1=float(meta["eps1"]),
@@ -121,40 +138,25 @@ class PrecisionProfile:
             )
         except KeyError as exc:
             raise InputError(f"profile has no {exc} key") from None
+        except InputError:
+            raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed profile: {exc}") from None
-        # `not v >= 0` also holds for nan
-        if not (all(v >= 0.0 for v in (profile.R, profile.eps0, profile.eps1))
-                and (profile.T is None or not math.isnan(profile.T))
-                and 1 <= profile.N <= profile.n):
-            raise InputError(f"profile out of range: {profile.as_meta()}")
-        return profile
 
 
 def make_profile(ctree: ContractionTree, keep=None, eps1=0.0, threshold=None):
     """Profile for retaining the ``keep`` most significant points of a tree.
 
-    Returns (profile, cutoffs).  ``eps0`` is twice the contraction time of
-    the first discarded point (0 when nothing is discarded); cutoffs are the
-    scaled times of the retained points, all infinite when eps1 == 0 so that
-    every retained pair stays connected.
+    ``eps0`` is twice the contraction time of the first discarded point (0
+    when nothing is discarded); ``PrecisionProfile.cutoffs`` derives the edge
+    cutoffs from the same tree.
     """
     size = ctree.size
     n_keep = size if keep is None else int(keep)
-    if not 1 <= n_keep <= size:
-        raise InputError(f"keep = {n_keep} out of range 1..{size}")
-    if eps1 < 0:
-        raise InputError("eps1 must be nonnegative")
     radius = ctree.times[1] if size > 1 else 0.0
-    eps0 = 2.0 * ctree.times[n_keep] if n_keep < size else 0.0
-    profile = PrecisionProfile(R=radius, eps0=eps0, eps1=float(eps1),
-                               N=n_keep, n=size, T=threshold)
-    if eps1 == 0.0:
-        cutoffs = [INF] * n_keep
-    else:
-        cutoffs = [profile.q(t) for t in ctree.times[:n_keep]]
-    profile.times = cutoffs
-    return profile, cutoffs
+    eps0 = 2.0 * ctree.times[n_keep] if 0 < n_keep < size else 0.0
+    return PrecisionProfile(R=radius, eps0=eps0, eps1=float(eps1),
+                            N=n_keep, n=size, T=threshold)
 
 
 @dataclass
@@ -173,17 +175,9 @@ class SparseLengthMatrix:
         return self.size * (self.size - 1) // 2
 
 
-def _check_profile(ctree, profile):
-    if profile.n != ctree.size:
-        raise InputError("profile was built for a different tree")
-    if profile.times is None or len(profile.times) != profile.N:
-        raise InputError("profile is missing its cutoff times")
-
-
 def sparsify(ctree: ContractionTree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
     """Emit the kept edges of the pair-tree traversal, sorted by (i, j)."""
-    _check_profile(ctree, profile)
-    cutoff = profile.times
+    cutoff = profile.cutoffs(ctree)
     n_keep = profile.N
     order = ctree.order
     parent = ctree.parent

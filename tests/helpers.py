@@ -9,7 +9,6 @@ import numpy as np
 
 from ripsaw.modules import barcode_from_ranks
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram
-from ripsaw.sparsify import _check_profile
 
 INF = math.inf
 
@@ -205,8 +204,7 @@ class ImpliedLengths:
 
 def implied_lengths(ctree, oracle, profile):
     """Implied lengths for every retained pair via the unpruned recursion."""
-    _check_profile(ctree, profile)
-    cutoff = profile.times
+    cutoff = profile.cutoffs(ctree)
     n_keep = profile.N
     order = ctree.order
     lbar = np.zeros((n_keep, n_keep))

@@ -7,7 +7,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import brute_force_parent, gauss_rank, implied_lengths
 from ripsaw import (
@@ -88,7 +87,7 @@ def test_criterion_3_implied_length_bounds():
         oracle = euclidean_oracle(random_cloud(40, 2, seed))
         ct = tighten(build(oracle), oracle)
         for eps1 in (0.25, 0.5, 1.0):
-            profile, _ = make_profile(ct, eps1=eps1)
+            profile = make_profile(ct, eps1=eps1)
             imp = implied_lengths(ct, oracle, profile)
             for i in range(40):
                 for j in range(i + 1, 40):
@@ -142,7 +141,7 @@ def test_criterion_5_sparsification_effect():
     pts = solenoid_sample(SolenoidParams(n=2000, seed=0))
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
-    profile, _ = make_profile(ct, eps1=0.25)
+    profile = make_profile(ct, eps1=0.25)
     matrix = sparsify(ct, oracle, profile)
     full = 2000 * 1999 // 2
     assert len(matrix.edges) <= 0.30 * full
@@ -201,7 +200,7 @@ def test_criterion_8_format_fidelity(tmp_path):
     pts = random_cloud(40, 2, 77)
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
-    profile, _ = make_profile(ct, keep=35, eps1=0.25)
+    profile = make_profile(ct, keep=35, eps1=0.25)
     matrix = sparsify(ct, oracle, profile)
 
     meta = {"profile": matrix.profile.as_meta()}

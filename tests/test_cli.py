@@ -423,3 +423,40 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     assert run("persist", "--input", circle_files["sparse"],
                "--out", tmp_path / "x.json") == 2
     assert "error: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threshold", -1], ["--threshold", "nan"], ["--eps1", "nan"], ["--eps1", "inf"],
+    ["--keep", 0], ["--keep", -100],
+], ids=["threshold-negative", "threshold-nan", "eps1-nan", "eps1-inf", "keep-0",
+        "keep-negative"])
+def test_sparsify_rejects_bad_profile(circle_files, tmp_path, capsys, argv):
+    out = tmp_path / "x.sparse"
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", circle_files["tree"], *argv, "--out", out) == 2
+    assert "profile out of range" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--overlay-eps1", -1], ["--overlay-eps1", -1, "--overlay-eps0", "nan"],
+    ["--overlay-eps0", "inf"],
+])
+def test_plot_rejects_bad_overlay(circle_files, tmp_path, capsys, argv):
+    svg = tmp_path / "x.svg"
+    assert run("plot", "--input", circle_files["diag"], *argv, "--out", svg) == 2
+    assert "profile out of range" in capsys.readouterr().err
+    assert not svg.exists()
+
+
+def test_missing_input_file_exits_2(circle_files, tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    assert run("verify", missing, missing) == 2
+    assert run("tree", "--input", tmp_path / "missing.csv", "--out", tmp_path / "x.tree") == 2
+    # the sidecar is there, the edge file is not
+    sparse = tmp_path / "lost.sparse"
+    sparse.with_suffix(".meta.json").write_bytes(
+        circle_files["sparse"].with_suffix(".meta.json").read_bytes())
+    assert run("persist", "--input", sparse, "--out", tmp_path / "x.json") == 2
+    assert capsys.readouterr().err.count("No such file") == 3
+    assert not (tmp_path / "x.tree").exists() and not (tmp_path / "x.json").exists()

@@ -11,6 +11,8 @@ from ripsaw import (
     approximate,
     build,
     build_filtration,
+    circle_oracle,
+    circle_sample,
     euclidean_oracle,
     make_profile,
     match_diagrams,
@@ -140,9 +142,9 @@ def test_definite_rectangles_lower_bound_exact_ranks():
     pts = random_cloud(30, 2, 21)
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
-    full_profile, _ = make_profile(ct, eps1=0.0)
+    full_profile = make_profile(ct, eps1=0.0)
     full = reduce(build_filtration(sparsify(ct, oracle, full_profile), 2), 2)
-    profile, _ = make_profile(ct, eps1=0.5)
+    profile = make_profile(ct, eps1=0.5)
     sparse = reduce(build_filtration(sparsify(ct, oracle, profile), 2), 2)
     approx = approximate(sparse, profile)
     for dim in (0, 1):
@@ -163,9 +165,9 @@ def test_match_properties_on_random_pipeline():
     pts = random_cloud(35, 2, 17)
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
-    full_profile, _ = make_profile(ct, eps1=0.0)
+    full_profile = make_profile(ct, eps1=0.0)
     full = reduce(build_filtration(sparsify(ct, oracle, full_profile), 2), 2)
-    profile, _ = make_profile(ct, eps1=0.5)
+    profile = make_profile(ct, eps1=0.5)
     sparse = reduce(build_filtration(sparsify(ct, oracle, profile), 2), 2)
     for dim in (0, 1):
         pv, pw = full.pairs(dim), sparse.pairs(dim)
@@ -313,3 +315,44 @@ def test_verify_detects_field_via_report_only():
     d = diag([(0, 0.0, INF)])
     report = verify_interleaving(d, d, SimpleNamespace(psi=identity, psi_inv=identity))
     assert "dim 0" in report.summary()
+
+
+# --- exact against sparse diagrams, swept ------------------------------------------------
+
+SWEEP_EPS1 = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 100.0)
+
+# (dataset, keep, eps1) cases that failed while psi capped at exactly R, where
+# a sparse class that dies at R is still alive under the (b, d] convention
+CAP_AT_R_FAILURES = (
+    [("circle9", 4, e) for e in SWEEP_EPS1]
+    + [("circle9", keep, e) for keep in (7, 9) for e in SWEEP_EPS1 if e >= 2.0]
+    + [("cloud24-5", keep, e) for keep in (12, 21, 24) for e in SWEEP_EPS1 if e >= 8.0]
+    + [("circle32", 32, e) for e in SWEEP_EPS1 if e >= 8.0]
+)
+
+
+def _sweep_datasets():
+    """(name, oracle, field, keeps): circles over Z_2, 2-D clouds over Z_3."""
+    for n in range(3, 40, 3):
+        yield f"circle{n}", circle_oracle(circle_sample(n)), 2, {n, n - 2, n // 2}
+    yield "circle32", circle_oracle(circle_sample(32)), 2, {32}
+    for n in (12, 24):
+        for seed in range(6):
+            oracle = euclidean_oracle(random_cloud(n, 2, seed))
+            yield f"cloud{n}-{seed}", oracle, 3, {n, n - n // 8, n // 2}
+
+
+def test_verify_sweep_exact_against_sparse():
+    checked, failed = set(), []
+    for name, oracle, p, keeps in _sweep_datasets():
+        ct = tighten(build(oracle), oracle)
+        exact = reduce(build_filtration(sparsify(ct, oracle, make_profile(ct)), 2), p)
+        for keep in sorted(keeps):
+            for eps1 in SWEEP_EPS1:
+                profile = make_profile(ct, keep=keep, eps1=eps1)
+                sparse = reduce(build_filtration(sparsify(ct, oracle, profile), 2), p)
+                if not verify_interleaving(exact, sparse, profile).passed:
+                    failed.append((name, keep, eps1))
+                checked.add((name, keep, eps1))
+    assert failed == []
+    assert len(checked) == 675 and set(CAP_AT_R_FAILURES) <= checked

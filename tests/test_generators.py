@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from ripsaw import SolenoidParams, circle_oracle, circle_sample, random_cloud, solenoid_sample

@@ -50,3 +50,9 @@ def test_unused_import_check_flags_a_stray_import():
 def test_module_binds_no_unused_import(path):
     source = (Path(ripsaw.__file__).parent / path).read_text()
     assert _unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in Path(__file__).parent.glob("*.py")))
+def test_test_file_binds_no_unused_import(path):
+    source = (Path(__file__).parent / path).read_text()
+    assert _unused_imports(source) == []

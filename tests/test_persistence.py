@@ -131,6 +131,13 @@ def test_memory_guard_env(monkeypatch):
         build_filtration(dist, 2)
 
 
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5e6"])
+def test_malformed_memory_guard_env_is_input_error(monkeypatch, value):
+    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", value)
+    with pytest.raises(InputError, match="RIPSAW_MAX_SIMPLICES"):
+        build_filtration(np.zeros((2, 2)), 1)
+
+
 # --- reduction -------------------------------------------------------------------
 
 def test_reduce_square():

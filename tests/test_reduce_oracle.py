@@ -50,8 +50,8 @@ def _sparsified(rng, dim_cap):
     n = _size(rng, dim_cap) + 4
     oracle = euclidean_oracle(random_cloud(n, 2, rng.randrange(10**6)))
     ctree = tighten(build(oracle), oracle)
-    profile, _cutoffs = make_profile(ctree, keep=rng.randint(n - 4, n),
-                                     eps1=rng.choice((0.25, 0.5, 1.0)))
+    profile = make_profile(ctree, keep=rng.randint(n - 4, n),
+                           eps1=rng.choice((0.25, 0.5, 1.0)))
     return sparsify(ctree, oracle, profile), None
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -37,21 +38,21 @@ def rad_tree():
 
 
 def test_make_profile_no_truncation():
-    profile, cutoffs = make_profile(rad_tree(), eps1=0.25)
-    assert cutoffs == [INF, 50.0, 30.0, 10.0]
+    profile = make_profile(rad_tree(), eps1=0.25)
+    assert profile.cutoffs(rad_tree()) == [INF, 50.0, 30.0, 10.0]
     assert profile.eps0 == 0.0
     assert profile.R == 5.0
 
 
 def test_make_profile_truncated():
-    profile, cutoffs = make_profile(rad_tree(), keep=3, eps1=0.25)
+    profile = make_profile(rad_tree(), keep=3, eps1=0.25)
     assert profile.eps0 == 2.0
-    assert len(cutoffs) == 3
+    assert len(profile.cutoffs(rad_tree())) == 3
 
 
 def test_make_profile_eps1_zero_keeps_everything():
-    profile, cutoffs = make_profile(rad_tree(), eps1=0.0)
-    assert cutoffs == [INF, INF, INF, INF]
+    profile = make_profile(rad_tree(), eps1=0.0)
+    assert profile.cutoffs(rad_tree()) == [INF, INF, INF, INF]
 
 
 def test_make_profile_rejects_bad_keep():
@@ -61,11 +62,42 @@ def test_make_profile_rejects_bad_keep():
         make_profile(rad_tree(), keep=5)
 
 
+VALID = dict(R=5.0, eps0=0.5, eps1=0.25, N=3, n=4, T=2.0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("R", -1.0), ("R", math.nan),
+    ("eps0", -0.1), ("eps0", math.nan), ("eps0", INF),
+    ("eps1", -1.0), ("eps1", math.nan), ("eps1", INF),
+    ("T", -1.0), ("T", math.nan), ("T", INF),
+    ("N", 0), ("N", 5),
+])
+def test_profile_rejects_out_of_range(field, value):
+    PrecisionProfile(**VALID)
+    with pytest.raises(InputError, match="profile out of range"):
+        PrecisionProfile(**dict(VALID, **{field: value}))
+    with pytest.raises(InputError, match="profile out of range"):
+        dataclasses.replace(PrecisionProfile(**VALID), **{field: value})
+
+
+@pytest.mark.parametrize("keep,eps1,threshold", [
+    (None, 0.0, None), (None, 0.25, None), (3, 0.5, 2.0), (1, 100.0, 0.0)])
+def test_profile_meta_roundtrip(keep, eps1, threshold):
+    p = make_profile(rad_tree(), keep=keep, eps1=eps1, threshold=threshold)
+    assert PrecisionProfile.from_meta(p.as_meta()) == p
+
+
+def test_cutoffs_refuse_other_tree():
+    ct, _oracle = cloud_tree(5, 0)
+    with pytest.raises(InputError, match="different tree"):
+        make_profile(rad_tree(), eps1=0.5).cutoffs(ct)
+
+
 def test_psi_values():
     profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=4, n=4)
     assert profile.psi(0.2) == pytest.approx(0.3)
     assert profile.psi(1.0) == pytest.approx(1.25)
-    assert profile.psi(100.0) == 10.0
+    assert profile.psi(100.0) == math.nextafter(10.0, INF)  # just above R
     assert profile.psi(INF) == INF
 
 
@@ -98,11 +130,13 @@ def test_q_inv_matches_piecewise():
 
 # --- dispatch cases --------------------------------------------------------------
 
-def dispatch_fixture(times, d01, d02, d12):
-    tree = ContractionTree(order=[0, 1, 2], parent=[-1, 0, 1], times=times)
+def dispatch_fixture(cutoffs, d01, d02, d12):
+    # eps1 = 1 makes q(t) = 4t exact, so times of cutoff / 4 give these cutoffs
+    tree = ContractionTree(order=[0, 1, 2], parent=[-1, 0, 1],
+                           times=[t / 4.0 for t in cutoffs])
     oracle = matrix_oracle([d01, d02, d12])
-    profile = PrecisionProfile(R=times[1], eps0=0.0, eps1=0.5, N=3, n=3,
-                               times=list(times))
+    profile = make_profile(tree, eps1=1.0)
+    assert profile.cutoffs(tree) == cutoffs
     return tree, oracle, profile
 
 
@@ -145,12 +179,20 @@ def test_case_d_wins_tie_with_case_b():
 def test_duplicate_point_keeps_parent_edge():
     oracle = euclidean_oracle([(0.0, 0.0), (0.0, 0.0)])
     ct = tighten(build(oracle), oracle)
-    profile, cutoffs = make_profile(ct, eps1=0.25)
-    assert cutoffs == [INF, 0.0]
+    profile = make_profile(ct, eps1=0.25)
+    assert profile.cutoffs(ct) == [INF, 0.0]
     matrix = sparsify(ct, oracle, profile)
     assert matrix.edges == [(0, 1, 0.0)]
     imp = implied_lengths(ct, oracle, profile)
     assert matrix.edges == imp.kept_edges()
+
+
+def test_duplicate_point_connected_at_eps1_zero():
+    oracle = euclidean_oracle([(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+    ct = tighten(build(oracle), oracle)
+    profile = make_profile(ct, eps1=0.0)
+    assert profile.cutoffs(ct) == [INF, INF, INF]
+    assert len(sparsify(ct, oracle, profile).edges) == 3
 
 
 # --- structural invariants ---------------------------------------------------------
@@ -158,7 +200,7 @@ def test_duplicate_point_keeps_parent_edge():
 @pytest.mark.parametrize("seed,eps1", [(0, 0.25), (1, 0.25), (0, 1.0), (2, 0.5)])
 def test_pruned_traversal_equals_full_recursion(seed, eps1):
     ct, oracle = cloud_tree(40, seed)
-    profile, _ = make_profile(ct, eps1=eps1)
+    profile = make_profile(ct, eps1=eps1)
     matrix = sparsify(ct, oracle, profile)
     imp = implied_lengths(ct, oracle, profile)
     assert matrix.edges == imp.kept_edges()
@@ -166,7 +208,8 @@ def test_pruned_traversal_equals_full_recursion(seed, eps1):
 
 def test_edges_are_exact_distances_and_sparse():
     ct, oracle = cloud_tree(50, 3)
-    profile, cutoffs = make_profile(ct, eps1=0.25)
+    profile = make_profile(ct, eps1=0.25)
+    cutoffs = profile.cutoffs(ct)
     matrix = sparsify(ct, oracle, profile)
     for i, j, w in matrix.edges:
         assert i < j
@@ -177,7 +220,7 @@ def test_edges_are_exact_distances_and_sparse():
 def test_parent_edges_always_present():
     for keep in (50, 30):
         ct, oracle = cloud_tree(50, 6)
-        profile, _ = make_profile(ct, keep=keep, eps1=0.25)
+        profile = make_profile(ct, keep=keep, eps1=0.25)
         edge_set = {(i, j) for i, j, _w in sparsify(ct, oracle, profile).edges}
         for j in range(1, keep):
             assert (ct.parent[j], j) in edge_set
@@ -185,14 +228,14 @@ def test_parent_edges_always_present():
 
 def test_eps1_zero_keeps_all_edges():
     ct, oracle = cloud_tree(30, 7)
-    profile, _ = make_profile(ct, eps1=0.0)
+    profile = make_profile(ct, eps1=0.0)
     matrix = sparsify(ct, oracle, profile)
     assert len(matrix.edges) == 30 * 29 // 2
 
 
 def test_lbar_below_sparse_lengths_and_radius_bound():
     ct, oracle = cloud_tree(40, 8)
-    profile, _ = make_profile(ct, eps1=0.5)
+    profile = make_profile(ct, eps1=0.5)
     imp = implied_lengths(ct, oracle, profile)
     for i, j, w in sparsify(ct, oracle, profile).edges:
         assert imp.lbar[i, j] == w
@@ -202,7 +245,7 @@ def test_lbar_below_sparse_lengths_and_radius_bound():
 
 def test_truncation_restricts_indices():
     ct, oracle = cloud_tree(40, 9)
-    profile, _ = make_profile(ct, keep=15, eps1=0.25)
+    profile = make_profile(ct, keep=15, eps1=0.25)
     matrix = sparsify(ct, oracle, profile)
     assert matrix.size == 15
     assert all(j < 15 for _i, j, _w in matrix.edges)
@@ -210,19 +253,20 @@ def test_truncation_restricts_indices():
 
 def test_threshold_drops_long_edges():
     ct, oracle = cloud_tree(40, 10)
-    base_profile, _ = make_profile(ct, eps1=0.25)
+    base_profile = make_profile(ct, eps1=0.25)
     t = 0.5 * base_profile.R
-    profile, _ = make_profile(ct, eps1=0.25, threshold=t)
+    profile = make_profile(ct, eps1=0.25, threshold=t)
     matrix = sparsify(ct, oracle, profile)
     assert all(w <= t for _i, _j, w in matrix.edges)
-    assert profile.psi(t * 1.01) == profile.R
+    assert profile.psi(t * 1.01) == math.nextafter(profile.R, INF)
 
 
 def test_truncated_complexes_agree_at_their_scale():
     """Restricted to points with cutoff >= r, the kept-edge graph below r and
     the implied-length graph below r coincide."""
     ct, oracle = cloud_tree(35, 11)
-    profile, cutoffs = make_profile(ct, eps1=0.5)
+    profile = make_profile(ct, eps1=0.5)
+    cutoffs = profile.cutoffs(ct)
     imp = implied_lengths(ct, oracle, profile)
     kept = {(i, j): w for i, j, w in sparsify(ct, oracle, profile).edges}
     edge_lengths = sorted({w for w in kept.values()})
@@ -264,7 +308,7 @@ def test_count_simplices_complete_graph():
 
 def test_sparse_file_roundtrip(tmp_path):
     ct, oracle = cloud_tree(30, 12)
-    profile, _ = make_profile(ct, keep=25, eps1=0.5)
+    profile = make_profile(ct, keep=25, eps1=0.5)
     matrix = sparsify(ct, oracle, profile)
     path = tmp_path / "edges.sparse"
     write_sparse(path, matrix, config={"eps1": 0.5})
