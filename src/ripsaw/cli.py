@@ -5,8 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 input error (an unreadable
 file too), 3 resource guard.  Every output embeds its subcommand's parsed
 arguments as a JSON "config" object in its metadata (``_config``; a ``.tree``
 adds the input's digest), and reruns on identical inputs are byte-identical.
-The only truncation of the filtration is ``sparsify --threshold``, which the
-profile records as ``T``.
 """
 
 from __future__ import annotations
@@ -80,7 +78,7 @@ def cmd_sparsify(args):
     if ctree.size != oracle.size:
         raise InputError(f"tree has {ctree.size} nodes but input has "
                          f"{oracle.size} points")
-    profile = make_profile(ctree, keep=keep, eps1=args.eps1, threshold=args.threshold)
+    profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify_matrix(ctree, oracle, profile)
     write_sparse(args.out, matrix, config=_config(args))
     full = matrix.full_edge_count()
@@ -121,7 +119,7 @@ def cmd_plot(args):
         if profile is None:
             raise InputError("overlay requires profile metadata in the diagram")
         overlay = dataclasses.replace(profile, eps0=args.overlay_eps0 or 0.0,
-                                      eps1=args.overlay_eps1 or 0.0, T=None)
+                                      eps1=args.overlay_eps1 or 0.0)
     text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, clip=args.clip,
                               overlay=overlay, config=_config(args))
     with open(args.out, "w") as fh:
@@ -189,8 +187,6 @@ def _parser():
     spa.add_argument("--eps1", type=float, default=0.0)
     spa.add_argument("--keep", default="all",
                      help='number of points to retain, or "all"')
-    spa.add_argument("--threshold", type=float, default=None,
-                     help="drop edges longer than this; recorded as T")
     spa.add_argument("--out", required=True)
     spa.set_defaults(func=cmd_sparsify)
 

@@ -12,8 +12,8 @@ Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
 born at 0.  Zero-length pairs (birth == death) are dropped.  Homology is
 reported for dimensions strictly below the enumerated simplex-dimension cap
-(computing dimension k needs the k+1 simplices as killers); dimension 0 is
-always reported.
+(computing dimension k needs the k+1 simplices as killers), which is at
+least 1.
 """
 
 from __future__ import annotations
@@ -46,9 +46,7 @@ def is_prime(p):
     return True
 
 
-def _simplex_budget(max_simplices):
-    if max_simplices is not None:
-        return max_simplices
+def _simplex_budget():
     env = os.environ.get(MAX_SIMPLICES_ENV)
     if not env:
         return DEFAULT_MAX_SIMPLICES
@@ -67,8 +65,8 @@ class Filtration:
     """The flag filtration of an edge graph up to ``dim_cap``-simplices.
 
     Only the simplices below the top dimension, the reducer's columns, are
-    stored: ``columns`` holds the cliques with at most max(1, dim_cap)
-    vertices as (vertex tuple, diameter), sorted by (diameter, dimension,
+    stored: ``columns`` holds the cliques with at most dim_cap vertices as
+    (vertex tuple, diameter), sorted by (diameter, dimension,
     vertex order).  ``weight`` maps each edge (i, j), i < j, of the
     filtration to its length; the top dimension is implicit in it.
     """
@@ -89,7 +87,7 @@ class Filtration:
         return out
 
 
-def _edge_data(lengths, threshold):
+def _edge_data(lengths):
     """Normalize input to (point count, {(i, j): length} with i < j)."""
     if isinstance(lengths, SparseLengthMatrix):
         n = lengths.size
@@ -108,8 +106,6 @@ def _edge_data(lengths, threshold):
             for j in range(i + 1, n)
             if math.isfinite(rows[i][j])
         }
-    if threshold is not None:
-        pairs = {e: w for e, w in pairs.items() if w <= threshold}
     return n, pairs
 
 
@@ -120,15 +116,14 @@ def _cliques(n, weight, dim_cap):
     vertices above the last one adjacent to all of them, so a clique with
     dim_cap vertices has exactly len(extensions) top-dimension cofaces.
     Every vertex comes first, then a depth-first growth from each vertex."""
-    if dim_cap < 0:
-        raise InputError("dim_cap must be nonnegative")
-    most = max(1, dim_cap)
+    if dim_cap < 1:
+        raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
     above = [set() for _ in range(n)]
     for (i, j) in weight:
         above[i].add(j)
     for v in range(n):
         yield (v,), 0.0, above[v]
-    stack = [((v,), 0.0, above[v]) for v in range(n)] if most > 1 else []
+    stack = [((v,), 0.0, above[v]) for v in range(n)] if dim_cap > 1 else []
     while stack:
         verts, diam, cands = stack.pop()
         for v in cands:
@@ -140,23 +135,20 @@ def _cliques(n, weight, dim_cap):
             new = verts + (v,)
             ext = cands & above[v]
             yield new, d, ext
-            if len(new) < most:
+            if len(new) < dim_cap:
                 stack.append((new, d, ext))
 
 
-def build_filtration(lengths, dim_cap, threshold=None, max_simplices=None) -> Filtration:
+def build_filtration(lengths, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices.
 
     Missing (infinite) edges block cliques.  Top-dimension simplices are
     counted from the extension sets of their largest faces, not enumerated.
     Refuses with ``ResourceGuardError`` once the count of every simplex up
-    to dim_cap exceeds the cap given by ``max_simplices`` or the
-    RIPSAW_MAX_SIMPLICES environment variable.
+    to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
     """
-    budget = _simplex_budget(max_simplices)
-    n, weight = _edge_data(lengths, threshold)
-    if dim_cap == 0:
-        weight = {}  # vertices only: no edge is in the filtration
+    budget = _simplex_budget()
+    n, weight = _edge_data(lengths)
     columns = []
     count = 0
     for verts, d, ext in _cliques(n, weight, dim_cap):
@@ -174,7 +166,7 @@ def count_simplices(lengths, dim_cap):
     """Clique counts of the edge graph, per dimension 0..dim_cap, streamed
     from the enumeration ``build_filtration`` stores; the top dimension is
     counted from extension sets, and nothing is stored."""
-    n, weight = _edge_data(lengths, None)
+    n, weight = _edge_data(lengths)
     counts = [0] * (dim_cap + 1)
     for verts, _d, ext in _cliques(n, weight, dim_cap):
         counts[len(verts) - 1] += 1
@@ -278,11 +270,11 @@ def _sorted_entries(entries):
 def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     """Persistence pairs over Z_p by coboundary reduction with clearing.
 
-    Dimensions d = 0 .. report_cap are reduced in increasing order, where
-    report_cap is ``filtration.dim_cap - 1`` (0 when the cap is 0).  Within
-    dimension d the d-simplices are visited in reverse filtration order, and
-    a d-simplex that was a pivot in dimension d - 1 is skipped (clearing):
-    it kills a (d-1)-class and can pair with nothing in dimension d.
+    Dimensions d = 0 .. ``filtration.dim_cap - 1`` are reduced in increasing
+    order.  Within dimension d the d-simplices are visited in reverse
+    filtration order, and a d-simplex that was a pivot in dimension d - 1 is
+    skipped (clearing): it kills a (d-1)-class and can pair with nothing in
+    dimension d.
 
     Each coboundary column is generated from the edge graph when its simplex
     is visited: its rows are the (d+1)-simplices formed with the common
@@ -310,11 +302,10 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     adj = [{} for _ in range(n)]
     for (i, j), w in filtration.weight.items():
         adj[i][j] = adj[j][i] = rank[w]
-    report_cap = max(0, filtration.dim_cap - 1)
 
     entries = []
     cleared = set()
-    for dim in range(report_cap + 1):
+    for dim in range(filtration.dim_cap):
         scale = n ** (dim + 2)
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
         pivots = {}

@@ -47,8 +47,7 @@ class PrecisionProfile:
 
     ``n`` is the original point count and ``N`` the retained count.  A
     profile is valid or is never built: ``InputError`` unless R >= 0, eps0
-    and eps1 are finite and >= 0, T is None or finite and >= 0, and
-    1 <= N <= n.
+    and eps1 are finite and >= 0, and 1 <= N <= n.
     """
 
     R: float
@@ -56,13 +55,11 @@ class PrecisionProfile:
     eps1: float
     N: int
     n: int
-    T: float | None = None
 
     def __post_init__(self):
-        T = 0.0 if self.T is None else self.T
         # `not R >= 0` also holds for nan
         if not (self.R >= 0.0
-                and all(math.isfinite(v) and v >= 0.0 for v in (self.eps0, self.eps1, T))
+                and all(math.isfinite(v) and v >= 0.0 for v in (self.eps0, self.eps1))
                 and 1 <= self.N <= self.n):
             raise InputError(f"profile out of range: {self.as_meta()}")
 
@@ -70,10 +67,7 @@ class PrecisionProfile:
         """Shift map: how far scales may move under sparsification."""
         if r == INF:
             return INF
-        cap = math.nextafter(self.R, INF)
-        if self.T is not None and r > self.T:
-            return cap
-        return min(cap, r + max(self.eps0, self.eps1 * r))
+        return min(math.nextafter(self.R, INF), r + max(self.eps0, self.eps1 * r))
 
     def psi_inv(self, x):
         """Smallest preimage of x under the uncapped shift map (0 below eps0)."""
@@ -90,6 +84,8 @@ class PrecisionProfile:
         eps1 == 0, which keeps every pair (duplicates, at time 0, too)."""
         if self.eps1 == 0.0:
             return INF
+        if r == 0.0:  # 2/eps1 overflows for subnormal eps1, and inf * 0 is nan
+            return 0.0
         return (2.0 + 2.0 / self.eps1) * r
 
     def q_inv(self, r):
@@ -120,21 +116,20 @@ class PrecisionProfile:
             "eps0": self.eps0,
             "eps1": self.eps1,
             "R": self.R,
-            "T": self.T,
         }
 
     @classmethod
     def from_meta(cls, meta):
         """The profile ``as_meta`` wrote; ``InputError`` when a key is
-        missing, a value is not a number or the profile is out of range."""
+        missing, a value is not a number, the profile is out of range, or
+        it records a truncation ``T`` (older files wrote ``"T": null``)."""
         try:
-            return cls(
+            profile = cls(
                 R=float(meta["R"]),
                 eps0=float(meta["eps0"]),
                 eps1=float(meta["eps1"]),
                 N=int(meta["N"]),
                 n=int(meta["n"]),
-                T=None if meta.get("T") is None else float(meta["T"]),
             )
         except KeyError as exc:
             raise InputError(f"profile has no {exc} key") from None
@@ -142,9 +137,12 @@ class PrecisionProfile:
             raise
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed profile: {exc}") from None
+        if meta.get("T") is not None:
+            raise InputError(f"truncated profile (T = {meta['T']!r}) is not supported")
+        return profile
 
 
-def make_profile(ctree: ContractionTree, keep=None, eps1=0.0, threshold=None):
+def make_profile(ctree: ContractionTree, keep=None, eps1=0.0):
     """Profile for retaining the ``keep`` most significant points of a tree.
 
     ``eps0`` is twice the contraction time of the first discarded point (0
@@ -155,8 +153,7 @@ def make_profile(ctree: ContractionTree, keep=None, eps1=0.0, threshold=None):
     n_keep = size if keep is None else int(keep)
     radius = ctree.times[1] if size > 1 else 0.0
     eps0 = 2.0 * ctree.times[n_keep] if 0 < n_keep < size else 0.0
-    return PrecisionProfile(R=radius, eps0=eps0, eps1=float(eps1),
-                            N=n_keep, n=size, T=threshold)
+    return PrecisionProfile(R=radius, eps0=eps0, eps1=float(eps1), N=n_keep, n=size)
 
 
 @dataclass
@@ -197,8 +194,6 @@ def sparsify(ctree: ContractionTree, oracle, profile: PrecisionProfile) -> Spars
             for c in children[a]:
                 if b < c < n_keep:
                     _consider(b, c, dab, cutoff, order, oracle, edges, stack)
-    if profile.T is not None:
-        edges = [e for e in edges if e[2] <= profile.T]
     edges.sort()
     return SparseLengthMatrix(size=n_keep, edges=edges, profile=profile)
 
@@ -219,7 +214,7 @@ def _meta_path(path):
 
 
 def write_sparse(path, matrix: SparseLengthMatrix, config=None):
-    """Write "i j d" lines plus the {n, N, eps0, eps1, R, T} sidecar."""
+    """Write "i j d" lines plus the {n, N, eps0, eps1, R} sidecar."""
     with open(path, "w") as fh:
         for i, j, w in matrix.edges:
             fh.write(f"{i} {j} {w!r}\n")

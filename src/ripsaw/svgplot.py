@@ -14,6 +14,7 @@ import json
 import math
 
 from .diagram import approximate
+from .errors import InputError
 
 INF = math.inf
 
@@ -55,7 +56,10 @@ def _fmt(v):
 
 def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
                overlay=None, config=None):
-    """Render a diagram (plus optional profile / overlay profile) to SVG text."""
+    """Render a diagram (plus optional profile / overlay profile) to SVG text;
+    ``InputError`` unless ``clip`` is None or finite and > 0."""
+    if clip is not None and not (0.0 < clip < INF):  # nan fails both
+        raise InputError(f"clip must be finite and > 0, got {clip!r}")
     if profile is not None:
         approx = approximate(diagram, profile).entries
         finite = [v for e in approx for v in (e.rect[0], e.birth, e.rect[2], e.death)

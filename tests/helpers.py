@@ -241,10 +241,10 @@ def boundary_reduce(filtration, p):
     Homology without clearing, the textbook algorithm: every simplex gets a
     boundary column and the pivot is the latest face.  Pairs equal those of
     ``ripsaw.persistence.reduce``, which reduces coboundaries instead.
-    Reports dimensions up to ``filtration.dim_cap - 1`` (0 when the cap is 0).
+    Reports dimensions up to ``filtration.dim_cap - 1``.
     """
     simplices = filtration.simplices
-    report_cap = max(0, filtration.dim_cap - 1)
+    report_cap = filtration.dim_cap - 1
     index = {verts: k for k, (verts, _d) in enumerate(simplices)}
     cols = [
         {index[verts[:k] + verts[k + 1:]]: (-1) ** k % p for k in range(len(verts))}

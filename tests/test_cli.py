@@ -262,12 +262,12 @@ def _parsed(argv):
 
 def test_outputs_embed_config(tmp_path):
     """Each output's config is its command line as parsed; a .tree adds the
-    input digest, and the sparsify threshold is also the profile's T."""
+    input digest, and no profile records a truncation T."""
     p = {name: tmp_path / name for name in ("c.csv", "c.tree", "c.sparse", "c.json", "c.svg")}
     steps = [
         ["tree", "--input", p["c.csv"], "--format", "circle", "--out", p["c.tree"]],
         ["sparsify", "--input", p["c.csv"], "--format", "circle", "--tree", p["c.tree"],
-         "--eps1", 0.5, "--keep", 24, "--threshold", 0.25, "--out", p["c.sparse"]],
+         "--eps1", 0.5, "--keep", 24, "--out", p["c.sparse"]],
         ["persist", "--input", p["c.sparse"], "--dim", 1, "--field", 3, "--out", p["c.json"]],
         ["plot", "--input", p["c.json"], "--out", p["c.svg"], "--log-plot",
          "--overlay-eps0", 0.01],
@@ -284,7 +284,7 @@ def test_outputs_embed_config(tmp_path):
     recorded = [tree_config, sidecar["config"], diagram_meta["config"],
                 json.loads(svg_config[len("<!-- config "):-len(" -->")])]
     assert recorded == [_parsed(argv) for argv in steps]
-    assert sidecar["T"] == diagram_meta["profile"]["T"] == 0.25
+    assert "T" not in sidecar and "T" not in diagram_meta["profile"]
 
 
 def test_lower_distance_format(tmp_path):
@@ -372,11 +372,25 @@ def test_readme_commands_parse():
             pytest.fail("README command does not parse: ripsaw " + " ".join(argv))
 
 
-def test_persist_has_no_threshold_option(circle_files, tmp_path):
+@pytest.mark.parametrize("command", ["persist", "sparsify"])
+def test_persist_has_no_threshold_option(circle_files, tmp_path, command):
+    """The filtration is never truncated: neither command takes a threshold."""
+    source = {"persist": ["--input", circle_files["sparse"]],
+              "sparsify": ["--input", circle_files["csv"], "--format", "circle",
+                           "--tree", circle_files["tree"]]}[command]
+    before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
-        run("persist", "--input", circle_files["sparse"], "--threshold", 0.1,
-            "--out", tmp_path / "x.json")
+        run(command, *source, "--threshold", 0.25, "--out", tmp_path / "x.out")
     assert exc.value.code == 2
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_persist_rejects_negative_dim(circle_files, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run("persist", "--input", circle_files["sparse"], "--dim", -1,
+               "--out", out) == 2
+    assert "dim_cap must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _bad_diagram(case, data):
@@ -388,6 +402,9 @@ def _bad_diagram(case, data):
         return "field: 2\n"
     elif case == "profile-without-eps1":
         del data["meta"]["profile"]["eps1"]
+    elif case == "truncated-profile":
+        # a truncation T, which older versions could record, needs another psi
+        data["meta"]["profile"]["T"] = 0.25
     elif case == "nan-death":
         h1["death"] = math.nan
     elif case == "death-below-birth":
@@ -396,7 +413,7 @@ def _bad_diagram(case, data):
 
 
 @pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
-                                  "nan-death", "death-below-birth"])
+                                  "truncated-profile", "nan-death", "death-below-birth"])
 def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))
@@ -426,10 +443,8 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--threshold", -1], ["--threshold", "nan"], ["--eps1", "nan"], ["--eps1", "inf"],
-    ["--keep", 0], ["--keep", -100],
-], ids=["threshold-negative", "threshold-nan", "eps1-nan", "eps1-inf", "keep-0",
-        "keep-negative"])
+    ["--eps1", "nan"], ["--eps1", "inf"], ["--keep", 0], ["--keep", -100],
+], ids=["eps1-nan", "eps1-inf", "keep-0", "keep-negative"])
 def test_sparsify_rejects_bad_profile(circle_files, tmp_path, capsys, argv):
     out = tmp_path / "x.sparse"
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
@@ -441,11 +456,14 @@ def test_sparsify_rejects_bad_profile(circle_files, tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["--overlay-eps1", -1], ["--overlay-eps1", -1, "--overlay-eps0", "nan"],
     ["--overlay-eps0", "inf"],
+    ["--log-plot", "--clip", 0], ["--log-plot", "--clip", -1],
+    ["--log-plot", "--clip", "nan"], ["--log-plot", "--clip", "inf"],
 ])
 def test_plot_rejects_bad_overlay(circle_files, tmp_path, capsys, argv):
     svg = tmp_path / "x.svg"
     assert run("plot", "--input", circle_files["diag"], *argv, "--out", svg) == 2
-    assert "profile out of range" in capsys.readouterr().err
+    expected = "clip must be finite and > 0" if "--clip" in argv else "profile out of range"
+    assert expected in capsys.readouterr().err
     assert not svg.exists()
 
 

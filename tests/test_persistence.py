@@ -76,12 +76,6 @@ def test_filtration_order_is_linear_extension():
                         max(dist[a, b] for a in verts for b in verts))
 
 
-def test_filtration_threshold():
-    dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
-    filt = build_filtration(dist, 1, threshold=1.0)
-    assert all(d <= 1.0 for _v, d in filt.simplices)
-
-
 def test_filtration_list_equals_ndarray():
     dist = full_distance_matrix(euclidean_oracle(random_cloud(8, 2, 4)))
     assert build_filtration(dist.tolist(), 2) == build_filtration(dist, 2)
@@ -97,13 +91,6 @@ def test_filtration_list_equals_ndarray():
 def test_filtration_rejects_non_square(bad):
     with pytest.raises(InputError):
         build_filtration(bad, 1)
-
-
-def test_memory_guard():
-    dist = full_distance_matrix(euclidean_oracle(random_cloud(30, 2, 1)))
-    with pytest.raises(ResourceGuardError) as err:
-        build_filtration(dist, 3, max_simplices=1000)
-    assert err.value.count > 1000
 
 
 def test_top_dimension_is_never_stored():
@@ -125,10 +112,12 @@ def test_top_dimension_is_never_stored():
 
 
 def test_memory_guard_env(monkeypatch):
-    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "50")
-    dist = full_distance_matrix(euclidean_oracle(random_cloud(20, 2, 2)))
-    with pytest.raises(ResourceGuardError):
-        build_filtration(dist, 2)
+    for cap, n, seed, dim_cap in [(50, 20, 2, 2), (1000, 30, 1, 3)]:
+        monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(cap))
+        dist = full_distance_matrix(euclidean_oracle(random_cloud(n, 2, seed)))
+        with pytest.raises(ResourceGuardError) as err:
+            build_filtration(dist, dim_cap)
+        assert err.value.count > cap
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6"])
@@ -304,7 +293,7 @@ def test_diagram_json_roundtrip(tmp_path):
     diag = reduce(build_filtration(dist, 2), 2)
     path = tmp_path / "diag.json"
     dump_diagram(path, diag, meta={"profile": {"n": 12, "N": 12, "eps0": 0.0,
-                                               "eps1": 0.0, "R": 1.0, "T": None}})
+                                               "eps1": 0.0, "R": 1.0}})
     back, meta = load_diagram(path)
     assert back == diag
     assert meta["profile"]["n"] == 12

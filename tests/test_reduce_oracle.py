@@ -4,8 +4,9 @@ Both pair simplices by the filtration's total order alone, so the entry
 lists must be equal, not merely close.  Inputs are seeded random: Euclidean
 clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
 with eps1 > 0, and integer-valued lower-distance matrices that break the
-triangle inequality, tie heavily and miss some edges.  The unthresholded
-cases also check ``count_simplices`` against the filtration's simplices.
+triangle inequality, tie heavily and miss some edges (some cut at a drawn
+length).  Every case also checks ``count_simplices`` against the
+filtration's simplices.
 A last case scatters small clusters over 2**15 vertex ids, so the reducer's
 packed tetrahedron keys exceed 2**63 and cannot use 64-bit storage.
 """
@@ -39,11 +40,11 @@ def _size(rng, dim_cap):
 
 def _cloud(rng, dim_cap):
     points = random_cloud(_size(rng, dim_cap), rng.choice((2, 3)), rng.randrange(10**6))
-    return full_distance_matrix(euclidean_oracle(points)), None
+    return full_distance_matrix(euclidean_oracle(points))
 
 
 def _circle(rng, dim_cap):
-    return full_distance_matrix(circle_oracle(circle_sample(_size(rng, dim_cap)))), None
+    return full_distance_matrix(circle_oracle(circle_sample(_size(rng, dim_cap))))
 
 
 def _sparsified(rng, dim_cap):
@@ -52,18 +53,20 @@ def _sparsified(rng, dim_cap):
     ctree = tighten(build(oracle), oracle)
     profile = make_profile(ctree, keep=rng.randint(n - 4, n),
                            eps1=rng.choice((0.25, 0.5, 1.0)))
-    return sparsify(ctree, oracle, profile), None
+    return sparsify(ctree, oracle, profile)
 
 
 def _integer(rng, dim_cap):
-    """Lengths 1..4 or missing, as a plain list of lists; often non-metric."""
+    """Lengths 1..4 or missing, as a plain list of lists; often non-metric.
+    Some draws also cut every length above 2 or 3 (made missing)."""
     n = _size(rng, dim_cap)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i):
             w = rng.choice((1, 2, 2, 3, 3, 4, math.inf))
             rows[i][j] = rows[j][i] = float(w)
-    return rows, rng.choice((None, 2.0, 3.0))
+    cut = rng.choice((math.inf, 2.0, 3.0))
+    return [[w if w <= cut else math.inf for w in row] for row in rows]
 
 
 MAKERS = {"cloud": _cloud, "circle": _circle, "sparsified": _sparsified,
@@ -75,16 +78,15 @@ MAKERS = {"cloud": _cloud, "circle": _circle, "sparsified": _sparsified,
 def test_reduce_matches_boundary_reduction(kind, p):
     rng = random.Random(f"{kind}-{p}")
     for case in range(20):
-        dim_cap = case % 4
-        lengths, threshold = MAKERS[kind](rng, dim_cap)
-        filt = build_filtration(lengths, dim_cap, threshold=threshold)
+        dim_cap = case % 3 + 1
+        lengths = MAKERS[kind](rng, dim_cap)
+        filt = build_filtration(lengths, dim_cap)
         got = reduce(filt, p)
         assert got.entries == boundary_reduce(filt, p).entries, (case, dim_cap)
         assert got.field_char == p
-        if threshold is None:
-            by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
-            assert count_simplices(lengths, dim_cap) == [
-                by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
+        by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
+        assert count_simplices(lengths, dim_cap) == [
+            by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
 
 
 def _wide(rng, n):

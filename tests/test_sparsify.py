@@ -62,14 +62,13 @@ def test_make_profile_rejects_bad_keep():
         make_profile(rad_tree(), keep=5)
 
 
-VALID = dict(R=5.0, eps0=0.5, eps1=0.25, N=3, n=4, T=2.0)
+VALID = dict(R=5.0, eps0=0.5, eps1=0.25, N=3, n=4)
 
 
 @pytest.mark.parametrize("field,value", [
     ("R", -1.0), ("R", math.nan),
     ("eps0", -0.1), ("eps0", math.nan), ("eps0", INF),
     ("eps1", -1.0), ("eps1", math.nan), ("eps1", INF),
-    ("T", -1.0), ("T", math.nan), ("T", INF),
     ("N", 0), ("N", 5),
 ])
 def test_profile_rejects_out_of_range(field, value):
@@ -80,11 +79,20 @@ def test_profile_rejects_out_of_range(field, value):
         dataclasses.replace(PrecisionProfile(**VALID), **{field: value})
 
 
-@pytest.mark.parametrize("keep,eps1,threshold", [
+@pytest.mark.parametrize("keep,eps1,T", [
     (None, 0.0, None), (None, 0.25, None), (3, 0.5, 2.0), (1, 100.0, 0.0)])
-def test_profile_meta_roundtrip(keep, eps1, threshold):
-    p = make_profile(rad_tree(), keep=keep, eps1=eps1, threshold=threshold)
+def test_profile_meta_roundtrip(keep, eps1, T):
+    """A profile reads back from its meta, also with the "T": null that files
+    written before truncation was removed carry; a meta recording a numeric
+    truncation T would need another psi, so it is refused."""
+    p = make_profile(rad_tree(), keep=keep, eps1=eps1)
     assert PrecisionProfile.from_meta(p.as_meta()) == p
+    meta = dict(p.as_meta(), T=T)
+    if T is None:
+        assert PrecisionProfile.from_meta(meta) == p
+    else:
+        with pytest.raises(InputError, match="truncated profile"):
+            PrecisionProfile.from_meta(meta)
 
 
 def test_cutoffs_refuse_other_tree():
@@ -249,16 +257,6 @@ def test_truncation_restricts_indices():
     matrix = sparsify(ct, oracle, profile)
     assert matrix.size == 15
     assert all(j < 15 for _i, j, _w in matrix.edges)
-
-
-def test_threshold_drops_long_edges():
-    ct, oracle = cloud_tree(40, 10)
-    base_profile = make_profile(ct, eps1=0.25)
-    t = 0.5 * base_profile.R
-    profile = make_profile(ct, eps1=0.25, threshold=t)
-    matrix = sparsify(ct, oracle, profile)
-    assert all(w <= t for _i, _j, w in matrix.edges)
-    assert profile.psi(t * 1.01) == math.nextafter(profile.R, INF)
 
 
 def test_truncated_complexes_agree_at_their_scale():
