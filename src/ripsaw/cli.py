@@ -98,6 +98,10 @@ def cmd_persist(args):
         return 0
     if args.out is None:
         raise InputError("--out is required unless --export-only is given")
+    if args.dim < 0:
+        raise InputError(f"--dim must be at least 0, got {args.dim}")
+    if not persistence.is_prime(args.field):
+        raise InputError(f"--field must be a prime, got {args.field}")
     filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
     diag = persistence.reduce(filtration, args.field)
     meta = {"profile": matrix.profile.as_meta(), "config": _config(args)}

@@ -3,7 +3,8 @@
 ``normal_form`` decomposes a module given by its spaces and maps into
 intervals, and ``ranks_from_barcode`` / ``barcode_from_ranks`` convert
 between interval multiplicities and the rank table.  This is the only part
-of ripsaw that needs numpy; the pipeline and the CLI never import it.
+of ripsaw that needs numpy (the ``modules`` extra); the pipeline and the
+CLI never import it.
 """
 
 from __future__ import annotations

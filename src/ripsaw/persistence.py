@@ -2,9 +2,10 @@
 
 ``build_filtration`` enumerates the flag filtration of a (sparse or full)
 length matrix up to a simplex-dimension cap, storing only the simplices
-below the top dimension; ``reduce`` pairs its simplices by reducing
-coboundary columns with clearing, dimension by dimension, with every coface
-an implicit integer key, and reports one diagram entry per persistence pair.
+below the top dimension; ``reduce`` pairs its simplices, dimension 0 by
+union-find and the rest by reducing coboundary columns with clearing, with
+every coface an implicit integer key and every pivot that needed no addition
+kept as its simplex alone, and reports one diagram entry per persistence pair.
 The explicit-module algebra (``normal_form`` and the rank-table
 conversions) lives in ``ripsaw.modules``.
 
@@ -268,13 +269,17 @@ def _sorted_entries(entries):
 
 
 def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
-    """Persistence pairs over Z_p by coboundary reduction with clearing.
+    """Persistence pairs over Z_p: union-find for dimension 0, coboundary
+    reduction with clearing above it.
 
-    Dimensions d = 0 .. ``filtration.dim_cap - 1`` are reduced in increasing
-    order.  Within dimension d the d-simplices are visited in reverse
-    filtration order, and a d-simplex that was a pivot in dimension d - 1 is
-    skipped (clearing): it kills a (d-1)-class and can pair with nothing in
-    dimension d.
+    Dimension 0 is Kruskal's algorithm over the edges in filtration order:
+    an edge that merges two components kills a vertex class, the components
+    left are essential, and the merging edges (a dimension-0 reduction's
+    pivots) are cleared in dimension 1.  Dimensions d = 1 ..
+    ``filtration.dim_cap - 1`` follow in increasing order, each visiting its
+    d-simplices in reverse filtration order and skipping those that were
+    pivots in dimension d - 1 (clearing): such a simplex kills a
+    (d-1)-class and can pair with nothing in dimension d.
 
     Each coboundary column is generated from the edge graph when its simplex
     is visited: its rows are the (d+1)-simplices formed with the common
@@ -282,9 +287,11 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     added vertex sits at position k.  A row is never stored as a simplex:
     it is the key rank(diameter) * n**(d+2) + base-n code of its vertices,
     rank indexing the sorted distinct lengths, so keys order like the
-    filtration and the pivot is the smallest key.  A reduced column is kept
-    only when it becomes a pivot, as row and coefficient arrays (64-bit when
-    every key fits, tuples otherwise).
+    filtration and the pivot is the smallest key.  A column whose pivot is
+    still free needs no addition and is kept as its index in
+    ``filtration.columns`` alone, its coboundary regenerated when a later
+    column reaches that pivot; one that needed additions is kept reduced,
+    as row and coefficient arrays (64-bit when every key fits).
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
     simplex, diameter of tau]; one whose column reduces to zero is an
@@ -296,6 +303,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     from array import array  # here, not at module level: `ripsaw gen` never needs it
 
     n = filtration.n
+    columns = filtration.columns
     lengths = sorted({0.0, *filtration.weight.values()})
     rank = {w: k for k, w in enumerate(lengths)}
     # adj[u][v] is the rank of the length of edge uv
@@ -303,56 +311,98 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     for (i, j), w in filtration.weight.items():
         adj[i][j] = adj[j][i] = rank[w]
 
-    entries = []
-    cleared = set()
-    for dim in range(filtration.dim_cap):
+    merging = _merging_edges(n, filtration.weight, rank)
+    entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(merging))
+    entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
+                for key in merging if key >= n * n]  # zero-length merges are dropped
+    cleared = set(merging)
+    for dim in range(1, filtration.dim_cap):
         scale = n ** (dim + 2)
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
         pivots = {}
-        for verts, birth in reversed(filtration.columns):
+        for idx in range(len(columns) - 1, -1, -1):
+            verts, birth = columns[idx]
             if len(verts) != dim + 1:
                 continue
-            code = 0
-            for u in verts:
-                code = code * n + u
+            code = _code(verts, n)
             # its key as a row of dimension dim - 1
             if rank[birth] * (scale // n) + code in cleared:
                 continue
             col = _coboundary(verts, code, rank[birth], adj, n, p)
-            # every row of col is in the heap; rows cancelled since are
-            # dropped lazily when they reach the top
-            heap = list(col)
-            heapify(heap)
-            while heap:
-                low = heap[0]
-                if low not in col:
-                    heappop(heap)
-                    continue
-                other = pivots.get(low)
-                if other is None:
-                    break
-                factor = col[low]
-                for row, c in zip(*other):
-                    if row in col:
-                        v = (col[row] - factor * c) % p
-                        if v:
-                            col[row] = v
-                        else:
-                            del col[row]
-                    else:
-                        col[row] = -factor * c % p
-                        heappush(heap, row)
-            if col:
-                # stored scaled so that the pivot coefficient is 1
-                inv = pow(col[low], -1, p)
-                pivots[low] = (pack(col), pack([c * inv % p for c in col.values()]))
-                death = lengths[low // scale]
-                if birth != death:
-                    entries.append(DiagramEntry(dim=dim, birth=birth, death=death))
-            else:
+            low = min(col, default=None)
+            if low in pivots:
+                low = _reduce_column(col, pivots, columns, rank, adj, n, p)
+                if col:
+                    # stored scaled so that the pivot coefficient is 1
+                    inv = pow(col[low], -1, p)
+                    pivots[low] = (pack(col), pack([c * inv % p for c in col.values()]))
+            elif col:
+                # a free pivot needs no addition: keep only the simplex
+                pivots[low] = idx
+            if not col:
                 entries.append(DiagramEntry(dim=dim, birth=birth, death=INF))
+            elif birth != lengths[low // scale]:
+                entries.append(DiagramEntry(dim=dim, birth=birth, death=lengths[low // scale]))
         cleared = set(pivots)
     return PersistenceDiagram(field_char=p, entries=_sorted_entries(entries))
+
+
+def _merging_edges(n, weight, rank):
+    """Kruskal's algorithm over the edges in filtration order: the keys
+    rank(length) * n**2 + i * n + j of the edges that merge two components."""
+    parent = list(range(n))
+    merging = []
+    for key in sorted(rank[w] * n * n + i * n + j for (i, j), w in weight.items()):
+        i, j = divmod(key % (n * n), n)
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i != j:
+            parent[i] = j
+            merging.append(key)
+    return merging
+
+
+def _reduce_column(col, pivots, columns, rank, adj, n, p):
+    """Add pivot columns to ``col`` in place until its lowest row is a free
+    pivot or it is zero; returns that lowest row."""
+    # every row of col is in the heap; rows cancelled since are dropped
+    # lazily when they reach the top
+    heap = list(col)
+    heapify(heap)
+    while heap:
+        low = heap[0]
+        if low not in col:
+            heappop(heap)
+            continue
+        other = pivots.get(low)
+        if other is None:
+            return low
+        factor = col[low]
+        if type(other) is int:
+            # a pivot kept as its simplex: regenerate its column, scaled to
+            # pivot coefficient 1 through the factor
+            verts, birth = columns[other]
+            gen = _coboundary(verts, _code(verts, n), rank[birth], adj, n, p)
+            factor = factor * pow(gen[low], -1, p) % p
+            other = (gen, gen.values())
+        for row, c in zip(*other):
+            if row in col:
+                v = (col[row] - factor * c) % p
+                if v:
+                    col[row] = v
+                else:
+                    del col[row]
+            else:
+                col[row] = -factor * c % p
+                heappush(heap, row)
+    return None
+
+
+def _code(verts, n):
+    """The base-n code of a vertex tuple."""
+    return sum(u * n**k for k, u in enumerate(reversed(verts)))
 
 
 def _coboundary(verts, code, r, adj, n, p):

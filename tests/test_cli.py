@@ -389,7 +389,19 @@ def test_persist_rejects_negative_dim(circle_files, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run("persist", "--input", circle_files["sparse"], "--dim", -1,
                "--out", out) == 2
-    assert "dim_cap must be at least 1" in capsys.readouterr().err
+    assert "--dim must be at least 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_persist_rejects_composite_field_before_building(circle_files, tmp_path,
+                                                         monkeypatch, capsys):
+    """A bad --field is an input error (2), found before the filtration is
+    built, so a cap the filtration would exceed never turns it into 3."""
+    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "10")
+    out = tmp_path / "x.json"
+    assert run("persist", "--input", circle_files["sparse"], "--field", 4,
+               "--out", out) == 2
+    assert "--field must be a prime, got 4" in capsys.readouterr().err
     assert not out.exists()
 
 

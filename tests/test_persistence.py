@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    boundary_reduce,
     brute_force_diagram,
     diagram_to_multisets,
     full_distance_matrix,
@@ -109,6 +110,40 @@ def test_top_dimension_is_never_stored():
     assert peak < 6.25e6
     assert max(len(verts) for verts, _d in filt.columns) == 2
     assert sum(len(verts) == 3 for verts, _d in filt.simplices) == 41664
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_free_pivots_keep_only_their_simplex(p):
+    """The exact 64-point cloud at dim_cap 2: dimension 0 comes from
+    union-find and 1,949 of the 1,953 edge columns reach a free pivot with no
+    addition, so they keep no coboundary arrays; building plus reducing
+    peaked at 3.2-3.6 MB when every pivot column was stored."""
+    dist = full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))
+    tracemalloc.start()
+    try:
+        reduce(build_filtration(dist, 2), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6
+
+
+def test_union_find_h0_two_components_and_a_duplicate():
+    """Points 0-3 (3 a copy of 0, so edge 03 has length 0) and points 4-5,
+    with no edge between the groups: two essential H0 classes, and the
+    zero-length merge is dropped; the H1 cycle 0-1-2 dies as it is born."""
+    dist = [[INF] * 6 for _ in range(6)]
+    for (i, j), w in {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 2.5, (0, 3): 0.0,
+                      (1, 3): 1.0, (2, 3): 2.5, (4, 5): 1.5}.items():
+        dist[i][j] = dist[j][i] = w
+    for k in range(6):
+        dist[k][k] = 0.0
+    filt = build_filtration(dist, 2)
+    for p in (2, 3):
+        diag = reduce(filt, p)
+        assert diag == boundary_reduce(filt, p)
+        assert diagram_to_multisets(diag, 1) == {
+            0: [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0), (0.0, INF), (0.0, INF)], 1: []}
 
 
 def test_memory_guard_env(monkeypatch):
