@@ -6,107 +6,45 @@ prescribed relative/absolute error budget, compute persistent homology of
 the sparse flag filtration, and report diagrams whose entries carry error
 rectangles together with tooling that verifies the interleaving guarantee
 against an exact diagram.
+
+``_EXPORTS`` maps each stage module to the public names it owns, and a
+name's module is imported the first time the name is used (PEP 562).
 """
 
-from .covertree import (
-    ContractionTree,
-    CoverTree,
-    build,
-    contraction_violations,
-    density_violations,
-    find_parent,
-    read_tree,
-    tighten,
-    write_tree,
-)
-from .diagram import (
-    ApproxDiagram,
-    InterleavingReport,
-    MatchResult,
-    alive,
-    approximate,
-    match_diagrams,
-    rank_at,
-    related,
-    verify_interleaving,
-)
-from .errors import InputError, ResourceGuardError
-from .generators import SolenoidParams, circle_sample, random_cloud, solenoid_sample
-from .metric import circle_oracle, euclidean_oracle, matrix_oracle
-from .persistence import (
-    DiagramEntry,
-    Filtration,
-    PersistenceDiagram,
-    build_filtration,
-    count_simplices,
-    reduce,
-)
-from .sparsify import (
-    PrecisionProfile,
-    SparseLengthMatrix,
-    make_profile,
-    read_sparse,
-    sparsify,
-    write_sparse,
-)
+import importlib
+
+# Eager, unlike every other name: importing the submodule `sparsify` binds the
+# module on the package, so `__getattr__` would never be asked for the function.
+from .sparsify import sparsify
 
 __version__ = "0.1.0"
 
-# The explicit-module algebra needs numpy, which the pipeline does not; it is
-# imported on first access so that ``import ripsaw.cli`` stays numpy-free.
-_MODULE_ALGEBRA = ("ExplicitModule", "barcode_from_ranks", "normal_form",
-                   "ranks_from_barcode")
+_EXPORTS = {
+    "covertree": ("ContractionTree", "CoverTree", "build", "contraction_violations",
+                  "density_violations", "find_parent", "read_tree", "tighten",
+                  "write_tree"),
+    "diagram": ("ApproxDiagram", "InterleavingReport", "MatchResult", "alive",
+                "approximate", "match_diagrams", "rank_at", "related",
+                "verify_interleaving"),
+    "errors": ("InputError", "ResourceGuardError"),
+    "generators": ("SolenoidParams", "circle_sample", "random_cloud", "solenoid_sample"),
+    "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),
+    "modules": ("ExplicitModule", "barcode_from_ranks", "normal_form",
+                "ranks_from_barcode"),
+    "persistence": ("DiagramEntry", "Filtration", "PersistenceDiagram",
+                    "build_filtration", "count_simplices", "reduce"),
+    "sparsify": ("PrecisionProfile", "SparseLengthMatrix", "make_profile",
+                 "read_sparse", "sparsify", "write_sparse"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name):
-    if name in _MODULE_ALGEBRA:
-        from . import modules
-        return getattr(modules, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
 
 
-__all__ = [
-    "ApproxDiagram",
-    "ContractionTree",
-    "CoverTree",
-    "DiagramEntry",
-    "ExplicitModule",
-    "Filtration",
-    "InputError",
-    "InterleavingReport",
-    "MatchResult",
-    "PersistenceDiagram",
-    "PrecisionProfile",
-    "ResourceGuardError",
-    "SolenoidParams",
-    "SparseLengthMatrix",
-    "alive",
-    "approximate",
-    "barcode_from_ranks",
-    "build",
-    "build_filtration",
-    "circle_oracle",
-    "circle_sample",
-    "contraction_violations",
-    "count_simplices",
-    "density_violations",
-    "euclidean_oracle",
-    "find_parent",
-    "make_profile",
-    "match_diagrams",
-    "matrix_oracle",
-    "normal_form",
-    "random_cloud",
-    "rank_at",
-    "ranks_from_barcode",
-    "read_sparse",
-    "read_tree",
-    "reduce",
-    "related",
-    "solenoid_sample",
-    "sparsify",
-    "tighten",
-    "verify_interleaving",
-    "write_sparse",
-    "write_tree",
-]
+def __dir__():
+    return __all__

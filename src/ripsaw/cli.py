@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import covertree, diagram, generators, metric, persistence, svgplot
+from . import covertree, generators, metric
 from .errors import InputError, ResourceGuardError
 from .sparsify import PrecisionProfile, make_profile, read_sparse, write_sparse
 from .sparsify import sparsify as sparsify_matrix
@@ -91,6 +91,8 @@ def cmd_sparsify(args):
 
 
 def cmd_persist(args):
+    from . import persistence  # here, not at module level: `ripsaw gen` never needs it
+
     matrix = read_sparse(args.input)
     if args.export_only:
         print(f"{args.input} is ready for an external persistence engine; "
@@ -112,6 +114,8 @@ def cmd_persist(args):
 
 
 def cmd_plot(args):
+    from . import persistence, svgplot
+
     diag, meta = persistence.load_diagram(args.input)
     profile = None
     if meta.get("profile"):
@@ -133,6 +137,8 @@ def cmd_plot(args):
 
 
 def cmd_verify(args):
+    from . import diagram, persistence
+
     full_diag, _meta = persistence.load_diagram(args.full)
     sparse_diag, sparse_meta = persistence.load_diagram(args.sparse)
     if full_diag.field_char != sparse_diag.field_char:

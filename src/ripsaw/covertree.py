@@ -167,8 +167,8 @@ def tighten(tree: CoverTree, oracle) -> ContractionTree:
     return ContractionTree(order=order, parent=parent, times=times)
 
 
-def density_violations(ctree: ContractionTree, oracle, rho=4.0, limit=10):
-    """Pairs i < j with d(x_i, x_j) < times[j] / rho.
+def density_violations(ctree: ContractionTree, oracle, limit=10):
+    """Pairs i < j with d(x_i, x_j) < times[j] / 4, at most ``limit`` of them.
 
     Empty for any input satisfying the triangle inequality; general weighted
     graphs may violate it, which callers should surface as a warning.
@@ -176,7 +176,7 @@ def density_violations(ctree: ContractionTree, oracle, rho=4.0, limit=10):
     out = []
     order = ctree.order
     for j in range(1, ctree.size):
-        bound = ctree.times[j] / rho
+        bound = ctree.times[j] / 4
         for i in range(j):
             if oracle.eval(order[i], order[j]) < bound:
                 out.append((i, j))

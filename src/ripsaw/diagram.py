@@ -203,16 +203,12 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
 
 # --- rank queries and interleaving verification ------------------------------
 
-def rank_at(entries, s, t, dim=None):
-    """Number of entries with birth < s and death >= t (features persisting
-    from s to t); ``entries`` is a PersistenceDiagram or an iterable of
-    (birth, death) pairs."""
+def rank_at(pairs, s, t):
+    """Number of (birth, death) pairs with birth < s and death >= t
+    (features persisting from s to t)."""
     if s > t:
         raise InputError("need s <= t")
-    if isinstance(entries, PersistenceDiagram):
-        entries = [(e.birth, e.death) for e in entries.entries
-                   if dim is None or e.dim == dim]
-    return sum(1 for b, d in entries if b < s and d >= t)
+    return sum(1 for b, d in pairs if b < s and d >= t)
 
 
 @dataclass

@@ -37,13 +37,25 @@ DEFAULT_MAX_SIMPLICES = 2_000_000
 
 
 def is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    """Deterministic Miller-Rabin over the prime bases up to 37, exact for
+    every p < 2**64; a larger p raises InputError."""
+    if p >= 2**64:
+        raise InputError(f"field characteristic {p} is not below 2**64")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if p < 2 or any(p % a == 0 for a in bases):
+        return p in bases
+    d = p - 1
+    s = (d & -d).bit_length() - 1  # d = odd * 2**s
+    for a in bases:
+        x = pow(a, d >> s, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

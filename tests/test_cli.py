@@ -140,6 +140,27 @@ def test_persist_rejects_composite_field(circle_files, tmp_path):
                "--out", tmp_path / "x.json") == 2
 
 
+def test_persist_over_a_61_bit_prime_field(circle_files, tmp_path):
+    """2**61 - 1 is prime, and the primality test answers at once."""
+    entries = {}
+    for p in (3, 2**61 - 1):
+        out = tmp_path / f"z{p}.json"
+        assert run("persist", "--input", circle_files["sparse"], "--field", p,
+                   "--out", out) == 0
+        entries[p] = json.loads(out.read_text())["entries"]
+    assert entries[2**61 - 1] == entries[3]
+
+
+@pytest.mark.parametrize("field, message", [
+    (2**61 + 1, "--field must be a prime, got 2305843009213693953"),  # 3 divides it
+    (2**64 + 13, "field characteristic 18446744073709551629 is not below 2**64"),
+])
+def test_persist_rejects_large_bad_field(circle_files, tmp_path, capsys, field, message):
+    assert run("persist", "--input", circle_files["sparse"], "--field", field,
+               "--out", tmp_path / "x.json") == 2
+    assert message in capsys.readouterr().err
+
+
 def test_persist_memory_guard(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "100")
     csv, tree, sparse = tmp_path / "p.csv", tmp_path / "p.tree", tmp_path / "p.sparse"

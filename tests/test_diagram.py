@@ -265,10 +265,10 @@ def test_rank_at_validates():
         rank_at([], 2.0, 1.0)
 
 
-def test_rank_at_accepts_diagram():
+def test_rank_at_on_diagram_pairs():
     d = diag([(0, 0.0, 2.0), (1, 0.5, 3.0)])
-    assert rank_at(d, 1.0, 1.5) == 2
-    assert rank_at(d, 1.0, 1.5, dim=1) == 1
+    assert rank_at(d.pairs(0), 1.0, 1.5) == 1
+    assert rank_at(d.pairs(1), 1.0, 1.5) == 1
 
 
 # --- interleaving verification --------------------------------------------------------

@@ -1,7 +1,9 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -9,19 +11,29 @@ import pytest
 import ripsaw
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """numpy costs the CLI start-up time and memory and is never used there."""
+@pytest.mark.parametrize("module", ["numpy", "ripsaw.modules", "ripsaw.persistence",
+                                    "ripsaw.diagram", "ripsaw.svgplot"])
+def test_cli_import_leaves_module_unloaded(module):
+    """`ripsaw gen` pays for neither numpy nor the stages after sparsify."""
     src = str(Path(ripsaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ripsaw.cli; sys.exit('numpy' in sys.modules)"
+    code = f"import sys, ripsaw.cli; sys.exit({module!r} in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_module_algebra_names_resolve_lazily():
-    from ripsaw import modules
-    assert ripsaw.normal_form is modules.normal_form
-    assert ripsaw.ExplicitModule is modules.ExplicitModule
+    """Every public name, the numpy-backed ones too, is its home module's."""
+    for module, names in ripsaw._EXPORTS.items():
+        home = importlib.import_module(f"ripsaw.{module}")
+        for name in names:
+            assert getattr(ripsaw, name) is getattr(home, name), name
+    assert isinstance(ripsaw.sparsify, types.FunctionType)
+    assert len(ripsaw.__all__) == 43
+    namespace = {}
+    exec("from ripsaw import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
+    assert set(ripsaw.__all__) <= set(dir(ripsaw))
     with pytest.raises(AttributeError):
         ripsaw.no_such_name
 

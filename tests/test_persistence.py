@@ -29,7 +29,7 @@ from ripsaw import (
     reduce,
 )
 from ripsaw.modules import rref_mod
-from ripsaw.persistence import dump_diagram, load_diagram
+from ripsaw.persistence import dump_diagram, is_prime, load_diagram
 
 INF = math.inf
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -189,6 +189,23 @@ def test_reduce_rejects_composite_field():
     dist = np.zeros((2, 2))
     with pytest.raises(InputError):
         reduce(build_filtration(dist, 1), 4)
+
+
+def test_reduce_rejects_field_beyond_64_bits():
+    with pytest.raises(InputError, match=r"2\*\*64"):
+        reduce(build_filtration(np.zeros((2, 2)), 1), 2**64 + 13)
+
+
+def test_is_prime_agrees_with_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+    assert [p for p in range(-2, 10**4) if is_prime(p) != trial(p)] == []
+
+
+@pytest.mark.parametrize("p", [561, 3215031751])  # Carmichael; strong pseudoprime to 2, 3, 5, 7
+def test_is_prime_rejects_pseudoprimes(p):
+    assert not is_prime(p)
 
 
 @pytest.mark.parametrize("points,hom_cap,p", [
