@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import sys
 
-from . import covertree, generators, metric
+from . import generators, metric
 from .errors import InputError, ResourceGuardError
 from .sparsify import PrecisionProfile, make_profile, read_sparse, write_sparse
 from .sparsify import sparsify as sparsify_matrix
@@ -24,7 +24,11 @@ def _load_oracle(path, fmt):
     if fmt == "points":
         values, make = metric.load_points(path), metric.euclidean_oracle
     elif fmt == "circle":
-        values, make = [p[0] for p in metric.load_points(path)], metric.circle_oracle
+        rows = metric.load_points(path)
+        for k, row in enumerate(rows):
+            if len(row) != 1:
+                raise InputError(f"{path}: row {k} holds {len(row)} values, not one angle")
+        values, make = [row[0] for row in rows], metric.circle_oracle
     elif fmt == "lower-distance":
         values, make = metric.load_lower_distance(path), metric.matrix_oracle
     else:
@@ -35,9 +39,8 @@ def _load_oracle(path, fmt):
 
 
 def _quartiles(values):
+    """Min, quartiles and max of a nonempty list."""
     vals = sorted(values)
-    if not vals:
-        return []
     return [vals[0], vals[len(vals) // 4], vals[len(vals) // 2],
             vals[(3 * len(vals)) // 4], vals[-1]]
 
@@ -48,6 +51,8 @@ def _config(args):
 
 
 def cmd_tree(args):
+    from . import covertree  # here, not at module level: `ripsaw gen` never needs it
+
     config = _config(args)
     oracle, config["digest"] = _load_oracle(args.input, args.format)
     tree = covertree.build(oracle)
@@ -69,6 +74,8 @@ def cmd_tree(args):
 
 
 def cmd_sparsify(args):
+    from . import covertree
+
     try:
         keep = None if args.keep == "all" else int(args.keep)
     except ValueError:

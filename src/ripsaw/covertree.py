@@ -261,7 +261,7 @@ def read_tree(path, digest=None) -> ContractionTree:
                 continue
             if declared is None:
                 head = text.split()
-                if len(head) != 2 or head[0] != "n" or not head[1].isdigit():
+                if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
                     raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
                 declared = int(head[1])
                 if declared < 1:

@@ -10,6 +10,9 @@ reproduce bit-for-bit across platforms and languages.  The draw for counter
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB mod 2^64
     z = z ^ (z >> 31)
     u = (z >> 11) / 2^53        # uniform in [0, 1)
+
+A sample's draws are computed in one batch, stage by stage over all its
+counters; each equals the per-counter formula above.
 """
 
 from __future__ import annotations
@@ -25,13 +28,18 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+def unit_doubles(seed: int, count: int, start: int = 0) -> list:
+    """The draws for counters ``start .. start + count - 1``, in order."""
+    first = seed + (start + 1) * _GAMMA
+    zs = [z & _MASK for z in range(first, first + count * _GAMMA, _GAMMA)]
+    zs = [((z ^ (z >> 30)) * _MIX1) & _MASK for z in zs]
+    zs = [((z ^ (z >> 27)) * _MIX2) & _MASK for z in zs]
+    return [((z ^ (z >> 31)) >> 11) / 2.0 ** 53 for z in zs]
+
+
 def unit_double(seed: int, counter: int) -> float:
     """The counter-based uniform draw in [0, 1) described in the module docs."""
-    z = (seed + (counter + 1) * _GAMMA) & _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    z ^= z >> 31
-    return (z >> 11) / float(1 << 53)
+    return unit_doubles(seed, 1, counter)[0]
 
 
 def circle_sample(n: int):
@@ -45,10 +53,8 @@ def random_cloud(n: int, dim: int, seed: int):
     """n uniform points in the unit cube [0,1)^dim, deterministic per seed."""
     if n < 1 or dim < 1:
         raise InputError("need n >= 1 and dim >= 1")
-    return [
-        tuple(unit_double(seed, i * dim + k) for k in range(dim))
-        for i in range(n)
-    ]
+    draws = unit_doubles(seed, n * dim)
+    return [tuple(draws[k:k + dim]) for k in range(0, n * dim, dim)]
 
 
 @dataclass
@@ -80,27 +86,16 @@ def solenoid_sample(params: SolenoidParams):
     attractor itself; after the default 12 iterations the per-slice structure
     is far finer than desk-scale subsampling resolves.
     """
+    cos, sin = math.cos, math.sin
+    two_pi = 2.0 * math.pi
+    draws = unit_doubles(params.seed, 3 * params.n)
     points = []
-    for i in range(params.n):
-        phi = unit_double(params.seed, 3 * i)
-        x = 3.0 * unit_double(params.seed, 3 * i + 1) - 1.5
-        z = 3.0 * unit_double(params.seed, 3 * i + 2) - 1.5
+    for phi, x, z in zip(draws[0::3], draws[1::3], draws[2::3]):
+        x, z = 3.0 * x - 1.5, 3.0 * z - 1.5
         for _ in range(params.iterations):
-            phi, x, z = solenoid_step(phi, x, z)
-        points.append(solenoid_embed(phi, x, z))
+            angle = two_pi * phi
+            phi, x, z = (2.0 * phi) % 1.0, x / 3.0 + cos(angle), z / 3.0 + sin(angle)
+        angle = two_pi * phi
+        radial = 1.0 + x / 3.0
+        points.append((cos(angle) * radial, sin(angle) * radial, z))
     return points
-
-
-def solenoid_step(phi, x, z):
-    two_pi_phi = 2.0 * math.pi * phi
-    return (
-        (2.0 * phi) % 1.0,
-        x / 3.0 + math.cos(two_pi_phi),
-        z / 3.0 + math.sin(two_pi_phi),
-    )
-
-
-def solenoid_embed(phi, x, z):
-    two_pi_phi = 2.0 * math.pi * phi
-    radial = 1.0 + x / 3.0
-    return (math.cos(two_pi_phi) * radial, math.sin(two_pi_phi) * radial, z)

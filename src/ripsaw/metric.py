@@ -116,10 +116,9 @@ def load_points(path):
 
 
 def write_points_csv(path, points):
+    text = "".join([",".join(map(repr, map(float, p))) + "\n" for p in points])
     with open(path, "w") as fh:
-        for p in points:
-            fh.write(",".join(repr(float(c)) for c in p))
-            fh.write("\n")
+        fh.write(text)
 
 
 def load_lower_distance(path):

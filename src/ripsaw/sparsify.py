@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .covertree import ContractionTree
 from .errors import InputError
 
 INF = math.inf
@@ -102,7 +101,7 @@ class PrecisionProfile:
             return half_eps0
         return r
 
-    def cutoffs(self, ctree: ContractionTree):
+    def cutoffs(self, ctree):
         """Edge cutoffs of the retained points of ``ctree``: their contraction
         times scaled by q (index 0 is the root's, always infinite)."""
         if ctree.size != self.n:
@@ -142,7 +141,7 @@ class PrecisionProfile:
         return profile
 
 
-def make_profile(ctree: ContractionTree, keep=None, eps1=0.0):
+def make_profile(ctree, keep=None, eps1=0.0):
     """Profile for retaining the ``keep`` most significant points of a tree.
 
     ``eps0`` is twice the contraction time of the first discarded point (0
@@ -172,7 +171,7 @@ class SparseLengthMatrix:
         return self.size * (self.size - 1) // 2
 
 
-def sparsify(ctree: ContractionTree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
+def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
     """Emit the kept edges of the pair-tree traversal, sorted by (i, j)."""
     cutoff = profile.cutoffs(ctree)
     n_keep = profile.N

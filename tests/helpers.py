@@ -26,6 +26,49 @@ def brute_force_parent(tree, oracle, x):
     return best, best_d
 
 
+# --- generators: scalar splitmix64 and a step-by-step solenoid sampler -------
+
+def splitmix_draw(seed, counter):
+    """One splitmix64 output for ``counter``, reduced to its top 53 bits as a
+    fraction of 2**53; computed one value at a time, modulo 2**64."""
+    z = (seed + (counter + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    z = z ^ (z >> 31)
+    return math.ldexp(z >> 11, -53)
+
+
+def solenoid_step(phi, x, z):
+    """One application of the solenoid's contracting doubling map."""
+    two_pi_phi = 2.0 * math.pi * phi
+    return (
+        (2.0 * phi) % 1.0,
+        x / 3.0 + math.cos(two_pi_phi),
+        z / 3.0 + math.sin(two_pi_phi),
+    )
+
+
+def solenoid_embed(phi, x, z):
+    """The point of R^3 that the solenoid coordinates (phi, x, z) stand for."""
+    two_pi_phi = 2.0 * math.pi * phi
+    radial = 1.0 + x / 3.0
+    return (math.cos(two_pi_phi) * radial, math.sin(two_pi_phi) * radial, z)
+
+
+def solenoid_reference(n, seed, iterations):
+    """The solenoid sample point by point: three scalar draws per point, then
+    ``iterations`` steps of the map, then the embedding."""
+    points = []
+    for i in range(n):
+        phi = splitmix_draw(seed, 3 * i)
+        x = 3.0 * splitmix_draw(seed, 3 * i + 1) - 1.5
+        z = 3.0 * splitmix_draw(seed, 3 * i + 2) - 1.5
+        for _ in range(iterations):
+            phi, x, z = solenoid_step(phi, x, z)
+        points.append(solenoid_embed(phi, x, z))
+    return points
+
+
 # --- mod-p linear algebra (fresh implementation) ------------------------------
 
 def _eliminate(rows, p):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -255,6 +256,31 @@ def test_gen_solenoid_and_cloud(tmp_path):
     assert cloud.read_bytes() == first
 
 
+GEN_SHA256 = [
+    (["solenoid", "--n", 8000, "--seed", 0],
+     "9a1294f1c8b85b4a7beaaeea0bd651f1d16720ff2fcbf022c0bc4398988e58f5"),
+    (["solenoid", "--n", 2000, "--seed", 0],
+     "41e1d41cfd3a7fd8d3cccb0ca148192831b129ace749846afe71f1504e341f21"),
+    (["solenoid", "--n", 500, "--seed", 7, "--iterations", 5],
+     "ad3c16383122dd1c92f6c1b389a511b2309623b25209de7283b4d67f77d8f6d7"),
+    (["cloud", "--n", 64, "--dim", 2, "--seed", 0],
+     "d3da398bacdd9867391c42289458363ffc9295e9beceb344bd2942ff21e28f10"),
+    (["cloud", "--n", 17, "--dim", 3, "--seed", 1],
+     "de1c79c94747090c7011f2d70b2c47bcd85d55f4f0e0bbe7abcd15e54a5e1180"),
+    (["circle", "--n", 32],
+     "063b492efb0c85f9b0f84ac1981c48ccaaee2f34ac9e4ced66f64bbeca28fb55"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", GEN_SHA256,
+                         ids=["-".join(map(str, a)) for a, _d in GEN_SHA256])
+def test_gen_writes_golden_bytes(tmp_path, argv, digest):
+    """Every sample is pinned byte for byte, draws, map and formatting alike."""
+    out = tmp_path / "gen.csv"
+    assert run("gen", *argv, "--out", out) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_keep_parse_error(tmp_path):
     csv, tree = tmp_path / "p.csv", tmp_path / "p.tree"
     write_points_csv(csv, random_cloud(10, 2, 0))
@@ -369,6 +395,39 @@ def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys, index, t
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
                "--tree", tree, "--out", tmp_path / "x.sparse") == 2
     assert f"contraction time is {time}" in capsys.readouterr().err
+
+
+def test_sparsify_rejects_non_ascii_tree_count(circle_files, tmp_path, capsys):
+    """'²' passes str.isdigit() but is no count that int() reads."""
+    tree = circle_files["tree"]
+    assert tree.read_text().splitlines()[0] == "n 32"
+    _replace_line(tree, 0, "n \u00b2")
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", tree, "--out", tmp_path / "x.sparse") == 2
+    assert "expected header 'n <count>'" in capsys.readouterr().err
+
+
+def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):
+    csv = tmp_path / "cloud.csv"
+    assert run("gen", "cloud", "--n", 10, "--dim", 2, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--format", "circle",
+               "--out", tmp_path / "x.tree") == 2
+    assert "row 0 holds 2 values, not one angle" in capsys.readouterr().err
+    assert not (tmp_path / "x.tree").exists()
+
+
+def test_sparsify_refuses_circle_rows_of_two_values(tmp_path, capsys):
+    """The tree is built from the x column alone, so its digest matches the
+    one a circle reading of the two-column file would take."""
+    angles, cloud, tree = tmp_path / "x.csv", tmp_path / "cloud.csv", tmp_path / "x.tree"
+    points = [(0.125, 0.5), (0.5, 0.25), (0.75, 0.75), (0.875, 0.0)]
+    write_points_csv(angles, [p[:1] for p in points])
+    write_points_csv(cloud, points)
+    assert run("tree", "--input", angles, "--format", "circle", "--out", tree) == 0
+    capsys.readouterr()
+    assert run("sparsify", "--input", cloud, "--format", "circle", "--tree", tree,
+               "--out", tmp_path / "x.sparse") == 2
+    assert "row 0 holds 2 values, not one angle" in capsys.readouterr().err
 
 
 def _readme_commands():

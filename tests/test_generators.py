@@ -1,7 +1,10 @@
 import pytest
 
+from helpers import solenoid_embed, solenoid_reference, solenoid_step, splitmix_draw
 from ripsaw import SolenoidParams, circle_oracle, circle_sample, random_cloud, solenoid_sample
-from ripsaw.generators import solenoid_embed, solenoid_step
+from ripsaw.generators import unit_double, unit_doubles
+
+SEEDS = [0, 1, 7, -3, 2**64 + 5]
 
 
 def test_circle_sample_n4():
@@ -40,6 +43,27 @@ def test_solenoid_step_half_turn():
     assert phi == 0.0
     assert x == pytest.approx(-1.0)
     assert z == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("iterations", [1, 5, 12])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solenoid_sample_equals_step_by_step_reference(seed, iterations):
+    """The batched draws and the inline map give exactly the reference floats."""
+    for n in (1, 2, 500):
+        params = SolenoidParams(n=n, seed=seed, iterations=iterations)
+        assert solenoid_sample(params) == solenoid_reference(n, seed, iterations)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_unit_doubles_from_an_offset_equal_scalar_draws(seed):
+    start = 3 * 2**40 + 17
+    assert unit_doubles(seed, 40, start) == [splitmix_draw(seed, c)
+                                             for c in range(start, start + 40)]
+    assert unit_double(seed, start) == splitmix_draw(seed, start)
+    assert unit_doubles(seed, 0, start) == []
+    cloud = random_cloud(6, 3, seed)
+    assert cloud == [tuple(splitmix_draw(seed, 3 * i + k) for k in range(3))
+                     for i in range(6)]
 
 
 def test_solenoid_deterministic():

@@ -11,15 +11,33 @@ import pytest
 import ripsaw
 
 
-@pytest.mark.parametrize("module", ["numpy", "ripsaw.modules", "ripsaw.persistence",
-                                    "ripsaw.diagram", "ripsaw.svgplot"])
-def test_cli_import_leaves_module_unloaded(module):
-    """`ripsaw gen` pays for neither numpy nor the stages after sparsify."""
+GEN_UNUSED = ["numpy", "ripsaw.covertree", "ripsaw.modules", "ripsaw.persistence",
+              "ripsaw.diagram", "ripsaw.svgplot"]
+
+
+def _run_python(code):
     src = str(Path(ripsaw.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", GEN_UNUSED)
+def test_cli_import_leaves_module_unloaded(module):
+    """`ripsaw gen` pays for neither numpy, the tree nor the stages after sparsify."""
     code = f"import sys, ripsaw.cli; sys.exit({module!r} in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert _run_python(code).returncode == 0
+
+
+def test_gen_run_leaves_modules_unloaded(tmp_path):
+    out = tmp_path / "sol.csv"
+    code = (f"import sys\nfrom ripsaw import cli\n"
+            f"assert cli.main(['gen', 'solenoid', '--n', '50', '--out', {str(out)!r}]) == 0\n"
+            f"print(sorted(set({GEN_UNUSED!r}) & set(sys.modules)))")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["wrote " + str(out) + " (50 points)", "[]"]
 
 
 def test_module_algebra_names_resolve_lazily():
