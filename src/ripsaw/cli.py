@@ -25,9 +25,8 @@ def _load_oracle(path, fmt):
         values, make = metric.load_points(path), metric.euclidean_oracle
     elif fmt == "circle":
         rows = metric.load_points(path)
-        for k, row in enumerate(rows):
-            if len(row) != 1:
-                raise InputError(f"{path}: row {k} holds {len(row)} values, not one angle")
+        if len(rows[0]) != 1:
+            raise InputError(f"{path}: each row holds {len(rows[0])} values, not one angle")
         values, make = [row[0] for row in rows], metric.circle_oracle
     elif fmt == "lower-distance":
         values, make = metric.load_lower_distance(path), metric.matrix_oracle

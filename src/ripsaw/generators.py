@@ -28,18 +28,13 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def unit_doubles(seed: int, count: int, start: int = 0) -> list:
-    """The draws for counters ``start .. start + count - 1``, in order."""
-    first = seed + (start + 1) * _GAMMA
+def unit_doubles(seed: int, count: int) -> list:
+    """The draws for counters ``0 .. count - 1``, in order."""
+    first = seed + _GAMMA
     zs = [z & _MASK for z in range(first, first + count * _GAMMA, _GAMMA)]
     zs = [((z ^ (z >> 30)) * _MIX1) & _MASK for z in zs]
     zs = [((z ^ (z >> 27)) * _MIX2) & _MASK for z in zs]
     return [((z ^ (z >> 31)) >> 11) / 2.0 ** 53 for z in zs]
-
-
-def unit_double(seed: int, counter: int) -> float:
-    """The counter-based uniform draw in [0, 1) described in the module docs."""
-    return unit_doubles(seed, 1, counter)[0]
 
 
 def circle_sample(n: int):

@@ -98,7 +98,8 @@ def matrix_oracle(lower_triangle) -> MatrixOracle:
 
 
 def load_points(path):
-    """Parse a point CSV: one point per line, comma or whitespace separated."""
+    """Parse a point CSV: one point per line, comma or whitespace separated,
+    every line holding as many values as the first."""
     points = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -109,6 +110,9 @@ def load_points(path):
                 coords = tuple(float(tok) for tok in text.replace(",", " ").split())
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
+            if points and len(coords) != len(points[0]):
+                raise InputError(f"{path}:{lineno}: {len(coords)} values, "
+                                 f"where the first point has {len(points[0])}")
             points.append(coords)
     if not points:
         raise InputError(f"{path}: no points")
@@ -116,9 +120,8 @@ def load_points(path):
 
 
 def write_points_csv(path, points):
-    text = "".join([",".join(map(repr, map(float, p))) + "\n" for p in points])
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.writelines(",".join(map(repr, map(float, p))) + "\n" for p in points)
 
 
 def load_lower_distance(path):

@@ -412,7 +412,7 @@ def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):
     assert run("gen", "cloud", "--n", 10, "--dim", 2, "--out", csv) == 0
     assert run("tree", "--input", csv, "--format", "circle",
                "--out", tmp_path / "x.tree") == 2
-    assert "row 0 holds 2 values, not one angle" in capsys.readouterr().err
+    assert "each row holds 2 values, not one angle" in capsys.readouterr().err
     assert not (tmp_path / "x.tree").exists()
 
 
@@ -427,7 +427,7 @@ def test_sparsify_refuses_circle_rows_of_two_values(tmp_path, capsys):
     capsys.readouterr()
     assert run("sparsify", "--input", cloud, "--format", "circle", "--tree", tree,
                "--out", tmp_path / "x.sparse") == 2
-    assert "row 0 holds 2 values, not one angle" in capsys.readouterr().err
+    assert "each row holds 2 values, not one angle" in capsys.readouterr().err
 
 
 def _readme_commands():

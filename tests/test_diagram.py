@@ -198,7 +198,7 @@ def test_cover_matching_against_exhaustive_feasibility():
     from itertools import permutations
 
     from ripsaw.diagram import cover_matching
-    from ripsaw.generators import unit_double
+    from helpers import splitmix_draw
 
     def feasible(adjacency, alive_v, alive_w, n_w):
         # brute force: try all injective maps from V vertices to W slots
@@ -229,14 +229,14 @@ def test_cover_matching_against_exhaustive_feasibility():
         return best
 
     for seed in range(120):
-        n_v = 1 + int(unit_double(seed, 0) * 5)
-        n_w = 1 + int(unit_double(seed, 1) * 5)
+        n_v = 1 + int(splitmix_draw(seed, 0) * 5)
+        n_w = 1 + int(splitmix_draw(seed, 1) * 5)
         adjacency = [
-            [w for w in range(n_w) if unit_double(seed, 10 + v * n_w + w) < 0.4]
+            [w for w in range(n_w) if splitmix_draw(seed, 10 + v * n_w + w) < 0.4]
             for v in range(n_v)
         ]
-        alive_v = [v for v in range(n_v) if unit_double(seed, 99 + v) < 0.5]
-        alive_w = [w for w in range(n_w) if unit_double(seed, 777 + w) < 0.5]
+        alive_v = [v for v in range(n_v) if splitmix_draw(seed, 99 + v) < 0.5]
+        alive_w = [w for w in range(n_w) if splitmix_draw(seed, 777 + w) < 0.5]
         res = cover_matching(adjacency, alive_v, alive_w, n_w)
         assert res.ok == feasible(adjacency, alive_v, alive_w, n_w), seed
         assert len(res.pairs) == max_matching_size(adjacency, n_w), seed

@@ -2,8 +2,9 @@ import math
 
 import pytest
 
+from helpers import splitmix_draw
 from ripsaw import InputError, circle_oracle, euclidean_oracle, matrix_oracle
-from ripsaw.generators import random_cloud, unit_double
+from ripsaw.generators import random_cloud
 from ripsaw.metric import load_lower_distance, load_points, write_points_csv
 
 
@@ -68,13 +69,13 @@ def test_symmetry_and_zero_diagonal(seed):
     pts = random_cloud(30, 3, seed)
     oracles = [
         euclidean_oracle(pts),
-        circle_oracle([unit_double(seed, k) for k in range(30)]),
-        matrix_oracle([unit_double(seed ^ 99, k) for k in range(30 * 29 // 2)]),
+        circle_oracle([splitmix_draw(seed, k) for k in range(30)]),
+        matrix_oracle([splitmix_draw(seed ^ 99, k) for k in range(30 * 29 // 2)]),
     ]
     for o in oracles:
         for k in range(100):
-            i = int(unit_double(seed + 1, 2 * k) * o.size)
-            j = int(unit_double(seed + 1, 2 * k + 1) * o.size)
+            i = int(splitmix_draw(seed + 1, 2 * k) * o.size)
+            j = int(splitmix_draw(seed + 1, 2 * k + 1) * o.size)
             assert o.eval(i, j) == o.eval(j, i)
             assert o.eval(i, i) == 0.0
 
@@ -83,9 +84,9 @@ def test_euclidean_triangle_inequality():
     pts = random_cloud(40, 2, 5)
     o = euclidean_oracle(pts)
     for k in range(300):
-        i = int(unit_double(7, 3 * k) * 40)
-        j = int(unit_double(7, 3 * k + 1) * 40)
-        m = int(unit_double(7, 3 * k + 2) * 40)
+        i = int(splitmix_draw(7, 3 * k) * 40)
+        j = int(splitmix_draw(7, 3 * k + 1) * 40)
+        m = int(splitmix_draw(7, 3 * k + 2) * 40)
         assert o.eval(i, j) <= o.eval(i, m) + o.eval(m, j) + 1e-12
 
 
@@ -100,6 +101,13 @@ def test_load_points_reports_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,0\n1,x\n")
     with pytest.raises(InputError, match="2"):
+        load_points(path)
+
+
+def test_load_points_reports_line_of_ragged_row(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("# angles\n0.25\n0.5, 0.125\n")
+    with pytest.raises(InputError, match=r"ragged\.csv:3: 2 values, where the first point has 1"):
         load_points(path)
 
 
