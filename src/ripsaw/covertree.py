@@ -238,7 +238,7 @@ def write_tree(path, ctree: ContractionTree, config=None):
 
 
 def read_tree(path, digest=None) -> ContractionTree:
-    """Parse a file written by ``write_tree``.
+    """Parse a file written by ``write_tree``, whose node indices are 0..n-1.
 
     When ``digest`` is given and the file's config line records a different
     input digest, the tree was built for another input and is refused.
@@ -283,9 +283,9 @@ def read_tree(path, digest=None) -> ContractionTree:
         raise InputError(f"{path}: empty tree file")
     if len(order) != declared:
         raise InputError(f"{path}: header says {declared} nodes, found {len(order)}")
+    if sorted(order) != list(range(declared)):
+        raise InputError(f"{path}: node indices are not exactly 0..{declared - 1}")
     pos = {orig: k for k, orig in enumerate(order)}
-    if len(pos) != len(order):
-        raise InputError(f"{path}: duplicate node index")
     parent = [-1]
     for k in range(1, len(order)):
         p = parent_orig[k]

@@ -1,10 +1,12 @@
 """Explicit persistence modules over prime fields.
 
-``normal_form`` decomposes a module given by its spaces and maps into
-intervals, and ``ranks_from_barcode`` / ``barcode_from_ranks`` convert
-between interval multiplicities and the rank table.  This is the only part
-of ripsaw that needs numpy (the ``modules`` extra); the pipeline and the
-CLI never import it.
+A module indexed by the line 0..L is determined up to isomorphism by its
+rank invariant r[s, t] = rank of the composed map V(s) -> V(t) (Carlsson and
+Zomorodian 2009; Chazal, de Silva, Glisse and Oudot 2016).  So
+``normal_form`` computes that table by elimination over Z_p and inverts it
+with ``barcode_from_ranks``; ``ranks_from_barcode`` goes the other way.
+This is the only part of ripsaw that needs numpy (the ``modules`` extra);
+the pipeline and the CLI never import it.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
+from .persistence import is_prime
 
 
 @dataclass
 class ExplicitModule:
-    """Spaces V(0..L) over Z_p given by dims, with maps[c]: V(c) -> V(c+1)."""
+    """Spaces V(0..L) over Z_p given by dims, with maps[c]: V(c) -> V(c+1).
+
+    p must be prime and ``max(dims) * p**2 < 2**63``, so that every product
+    and sum the int64 elimination forms stays exact.
+    """
 
     dims: list
     maps: list
@@ -27,6 +34,9 @@ class ExplicitModule:
     def __post_init__(self):
         if len(self.maps) != len(self.dims) - 1:
             raise InputError("need one map per consecutive pair of spaces")
+        if not is_prime(self.p) or max(1, *self.dims) * self.p**2 >= 2**63:
+            raise InputError(f"cannot compute over Z_{self.p} with dims {self.dims}: "
+                             "need p prime and max(dims) * p**2 < 2**63")
         for c, m in enumerate(self.maps):
             m = np.asarray(m, dtype=np.int64) % self.p
             if m.shape != (self.dims[c + 1], self.dims[c]):
@@ -65,82 +75,24 @@ def rref_mod(mat, p):
     return a, pivots
 
 
-def kernel_mod(mat, p):
-    """Basis vectors (as rows) of the kernel of ``mat`` over Z_p."""
-    a = np.asarray(mat, dtype=np.int64)
-    cols = a.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if a.shape[0] == 0:
-        return np.eye(cols, dtype=np.int64)
-    red, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[k, pc] = (-red[r, fc]) % p
-    return basis
-
-
-class _Span:
-    """Incremental span membership over Z_p via a growing echelon basis."""
-
-    def __init__(self, dim, p):
-        self.p = p
-        self.rows = np.zeros((0, dim), dtype=np.int64)
-        self.pivots = []
-
-    def add_if_independent(self, vec):
-        v = np.array(vec, dtype=np.int64) % self.p
-        for row, piv in zip(self.rows, self.pivots):
-            if v[piv]:
-                v = (v - v[piv] * row) % self.p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        piv = int(nz[0])
-        v = v * pow(int(v[piv]), -1, self.p) % self.p
-        self.rows = np.vstack([self.rows, v])
-        self.pivots.append(piv)
-        return True
-
-
 def normal_form(module: ExplicitModule):
     """Interval multiplicities N[(b, d)] of an explicit module.
 
-    Sweeps births b ascending (b = -1 is "present from the start") and
-    deaths d ascending; at (b, d) it extracts vectors of V(b+1) that die
-    after step d (kernel of the composed map into V(d+1), everything when
-    d is the final index), are independent of the vectors already collected
-    in V(b+1), and records their forward orbits.
+    An interval (b, d) is born at b + 1 (b = -1 is "present from the
+    start") and alive through d.  Over a line the rank invariant is
+    complete, so the intervals are ``barcode_from_ranks`` of the table of
+    ranks of the composed maps V(s) -> V(t), 0 <= s <= t <= L, each
+    composed one map at a time and ranked by ``rref_mod``.
     """
-    p = module.p
-    length = module.length
-    spans = [_Span(dim, p) for dim in module.dims]
-    counts = {}
-    for b in range(-1, length):
-        start = b + 1
-        dim_start = module.dims[start]
-        if dim_start == 0:
-            continue
-        # composed[c] = map from V(start) to V(c), c >= start
-        composed = {start: np.eye(dim_start, dtype=np.int64)}
-        for c in range(start + 1, length + 1):
-            composed[c] = module.maps[c - 1] @ composed[c - 1] % p
-        for d in range(start, length + 1):
-            if d < length:
-                killer = module.maps[d] @ composed[d] % p
-                candidates = kernel_mod(killer, p)
-            else:
-                candidates = np.eye(dim_start, dtype=np.int64)
-            for vec in candidates:
-                if not spans[start].add_if_independent(vec):
-                    continue
-                counts[(b, d)] = counts.get((b, d), 0) + 1
-                for c in range(start + 1, d + 1):
-                    spans[c].add_if_independent(composed[c] @ vec % p)
-    return counts
+    p, length = module.p, module.length
+    ranks = np.zeros((length + 1, length + 1), dtype=np.int64)
+    for s in range(length + 1):
+        composed = np.eye(module.dims[s], dtype=np.int64)
+        for t in range(s, length + 1):
+            if t > s:
+                composed = module.maps[t - 1] @ composed % p
+            ranks[s, t] = len(rref_mod(composed, p)[1])
+    return barcode_from_ranks(ranks)
 
 
 def ranks_from_barcode(intervals, length):

@@ -28,7 +28,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
-from .sparsify import SparseLengthMatrix
+from .sparsify import SparseLengthMatrix, json_int
 
 INF = math.inf
 
@@ -226,13 +226,13 @@ class PersistenceDiagram:
     @classmethod
     def from_json_dict(cls, data):
         """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
-        missing, a value is not a number, or an entry is not a finite birth
-        with a death at or after it."""
+        missing, a value is not a number (field and dim not JSON integers),
+        or an entry is not a finite birth with a death at or after it."""
         try:
-            field_char = int(data["field"])
+            field_char = json_int(data["field"])
             entries = [
                 DiagramEntry(
-                    dim=int(e["dim"]),
+                    dim=json_int(e["dim"]),
                     birth=float(e["birth"]),
                     death=INF if e["death"] == "inf" else float(e["death"]),
                 )

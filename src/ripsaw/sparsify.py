@@ -40,6 +40,13 @@ from .errors import InputError
 INF = math.inf
 
 
+def json_int(value):
+    """``value`` if it is a JSON integer (an int, not a bool); TypeError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 @dataclass
 class PrecisionProfile:
     """Interleaving budget plus the evaluable maps psi, psi_inv, q, q_inv.
@@ -120,15 +127,16 @@ class PrecisionProfile:
     @classmethod
     def from_meta(cls, meta):
         """The profile ``as_meta`` wrote; ``InputError`` when a key is
-        missing, a value is not a number, the profile is out of range, or
-        it records a truncation ``T`` (older files wrote ``"T": null``)."""
+        missing, a value is not a number (a count not a JSON integer), the
+        profile is out of range, or it records a truncation ``T`` (older
+        files wrote ``"T": null``)."""
         try:
             profile = cls(
                 R=float(meta["R"]),
                 eps0=float(meta["eps0"]),
                 eps1=float(meta["eps1"]),
-                N=int(meta["N"]),
-                n=int(meta["n"]),
+                N=json_int(meta["N"]),
+                n=json_int(meta["n"]),
             )
         except KeyError as exc:
             raise InputError(f"profile has no {exc} key") from None

@@ -407,6 +407,27 @@ def test_sparsify_rejects_non_ascii_tree_count(circle_files, tmp_path, capsys):
     assert "expected header 'n <count>'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["9", "-3"])
+def test_sparsify_refuses_tree_with_relabelled_node(tmp_path, capsys, label):
+    """Node 4 of a 5-point tree renamed in its own line and as a parent.  An
+    index past the points cannot be evaluated, and a negative one silently
+    names another point, so the tree is refused either way."""
+    csv, tree = tmp_path / "c.csv", tmp_path / "c.tree"
+    assert run("gen", "cloud", "--n", 5, "--seed", 0, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    lines = tree.read_text().splitlines()
+    assert lines[0] == "n 5"
+    for k in range(2, len(lines)):
+        _replace_line(tree, k, " ".join(label if tok == "4" else tok
+                                        for tok in lines[k].split()))
+    assert tree.read_text() != "\n".join(lines) + "\n"
+    capsys.readouterr()
+    assert run("sparsify", "--input", csv, "--tree", tree, "--out",
+               tmp_path / "c.sparse") == 2
+    assert "node indices are not exactly 0..4" in capsys.readouterr().err
+    assert not (tmp_path / "c.sparse").exists()
+
+
 def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):
     csv = tmp_path / "cloud.csv"
     assert run("gen", "cloud", "--n", 10, "--dim", 2, "--out", csv) == 0
@@ -501,11 +522,14 @@ def _bad_diagram(case, data):
         h1["death"] = math.nan
     elif case == "death-below-birth":
         h1["death"] = h1["birth"] / 2
+    elif case == "fractional-dim":
+        h1["dim"] = 1.7
     return json.dumps(data)
 
 
 @pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
-                                  "truncated-profile", "nan-death", "death-below-birth"])
+                                  "truncated-profile", "nan-death", "death-below-birth",
+                                  "fractional-dim"])
 def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))
@@ -516,7 +540,7 @@ def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",
-                                  "N-above-n"])
+                                  "N-above-n", "fractional-N"])
 def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     meta_path = circle_files["sparse"].with_suffix(".meta.json")
     meta = json.loads(meta_path.read_text())
@@ -528,6 +552,8 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
         meta["eps1"] = math.nan
     elif case == "N-above-n":
         meta["N"] = meta["n"] + 1
+    elif case == "fractional-N":
+        meta["N"] = meta["N"] + 0.5
     meta_path.write_text("n = 32\n" if case == "not-json" else json.dumps(meta))
     assert run("persist", "--input", circle_files["sparse"],
                "--out", tmp_path / "x.json") == 2

@@ -82,6 +82,31 @@ def test_module_binds_no_unused_import(path):
     assert _unused_imports(source) == []
 
 
+def _orphaned_private_defs(source):
+    """Private top-level functions and classes (``_name``, not dunders) that
+    nothing in ``source`` reads."""
+    tree = ast.parse(source)
+    defined = {node.name: node.lineno for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.endswith("__")}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in defined.items() if name not in read)
+
+
+def test_orphan_check_flags_an_unread_private_helper():
+    assert _orphaned_private_defs("def _used(): pass\nclass _Stray: x = _used()\n") == \
+        [(2, "_Stray")]
+    assert _orphaned_private_defs("def __getattr__(name): pass\ndef public(): pass\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_module_reads_every_private_helper(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _orphaned_private_defs(source) == []
+
+
 @pytest.mark.parametrize("path", sorted(p.name for p in Path(__file__).parent.glob("*.py")))
 def test_test_file_binds_no_unused_import(path):
     source = (Path(__file__).parent / path).read_text()

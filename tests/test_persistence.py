@@ -238,16 +238,28 @@ def test_field_independence_on_torsion_free_examples():
 def test_normal_form_identity_line():
     mod = ExplicitModule(dims=[1, 1], maps=[[[1]]], p=2)
     assert normal_form(mod) == {(-1, 1): 1}
+    assert normal_form(ExplicitModule(dims=[3], maps=[], p=5)) == {(-1, 0): 3}
 
 
 def test_normal_form_zero_map():
     mod = ExplicitModule(dims=[1, 1], maps=[[[0]]], p=2)
     assert normal_form(mod) == {(-1, 0): 1, (0, 1): 1}
+    through_zero = [np.zeros((0, 2), dtype=int), np.zeros((2, 0), dtype=int)]
+    mod = ExplicitModule(dims=[2, 0, 2], maps=through_zero, p=3)
+    assert normal_form(mod) == {(-1, 0): 2, (1, 2): 2}
 
 
 def test_normal_form_shape_validation():
     with pytest.raises(InputError):
         ExplicitModule(dims=[2, 1], maps=[[[1, 0], [0, 1]]], p=2)
+
+
+@pytest.mark.parametrize("p", [1, 4, 2**61 - 1])
+def test_explicit_module_refuses_field_it_cannot_compute_in(p):
+    """Z_1 and Z_4 are not fields; over Z_(2**61-1) int64 products overflow."""
+    maps = [[[p - 1, p - 1], [0, 1]], [[p - 1, p - 1], [p - 1, 1]]]
+    with pytest.raises(InputError, match="p prime"):
+        ExplicitModule(dims=[2, 2, 2], maps=maps, p=p)
 
 
 def random_module(rng, p, max_len=6, max_dim=5):
@@ -270,7 +282,7 @@ def composed_ranks(mod):
     return table
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_normal_form_reproduces_ranks(p):
     rng = np.random.default_rng(p)
     for _ in range(40):
