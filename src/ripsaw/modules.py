@@ -37,12 +37,12 @@ class ExplicitModule:
         if not is_prime(self.p) or max(1, *self.dims) * self.p**2 >= 2**63:
             raise InputError(f"cannot compute over Z_{self.p} with dims {self.dims}: "
                              "need p prime and max(dims) * p**2 < 2**63")
+        # a new list: the caller's maps are left as they were
+        self.maps = [np.asarray(m, dtype=np.int64) % self.p for m in self.maps]
         for c, m in enumerate(self.maps):
-            m = np.asarray(m, dtype=np.int64) % self.p
             if m.shape != (self.dims[c + 1], self.dims[c]):
                 raise InputError(f"map {c} has shape {m.shape}, "
                                  f"expected {(self.dims[c + 1], self.dims[c])}")
-            self.maps[c] = m
 
     @property
     def length(self):

@@ -1,8 +1,9 @@
 """Desk-scale persistent homology over prime fields.
 
-``build_filtration`` enumerates the flag filtration of a (sparse or full)
-length matrix up to a simplex-dimension cap, storing only the simplices
-below the top dimension; ``reduce`` pairs its simplices, dimension 0 by
+``build_filtration`` turns a (sparse or full) length matrix into one graph
+with edges labelled by length rank and enumerates its flag filtration up
+to a simplex-dimension cap, storing only the simplices below the top
+dimension; ``reduce`` pairs its simplices on that graph, dimension 0 by
 union-find and the rest by reducing coboundary columns with clearing, with
 every coface an implicit integer key and every pivot that needed no addition
 kept as its simplex alone, and reports one diagram entry per persistence pair.
@@ -38,7 +39,11 @@ DEFAULT_MAX_SIMPLICES = 2_000_000
 
 def is_prime(p):
     """Deterministic Miller-Rabin over the prime bases up to 37, exact for
-    every p < 2**64; a larger p raises InputError."""
+    every p < 2**64; a larger p, or one that is not an int, raises InputError."""
+    try:
+        json_int(p)
+    except TypeError:
+        raise InputError(f"field characteristic {p!r} is not an integer") from None
     if p >= 2**64:
         raise InputError(f"field characteristic {p} is not below 2**64")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -75,36 +80,37 @@ def _filtration_order(simplex):
 
 @dataclass
 class Filtration:
-    """The flag filtration of an edge graph up to ``dim_cap``-simplices.
+    """The flag filtration of a ranked graph up to ``dim_cap``-simplices.
 
-    Only the simplices below the top dimension, the reducer's columns, are
-    stored: ``columns`` holds the cliques with at most dim_cap vertices as
-    (vertex tuple, diameter), sorted by (diameter, dimension,
-    vertex order).  ``weight`` maps each edge (i, j), i < j, of the
-    filtration to its length; the top dimension is implicit in it.
+    ``lengths`` lists the distinct edge lengths in increasing order, 0.0
+    included, and ``adj[u][v]`` is the rank in it of the length of edge uv;
+    the top dimension is implicit in this graph.  Only the simplices below
+    the top dimension, the reducer's columns, are stored: ``columns`` holds
+    the cliques with at most dim_cap vertices as (vertex tuple, diameter
+    rank), sorted by (diameter, dimension, vertex order).
     """
 
-    columns: list
-    weight: dict
+    lengths: list
+    adj: list
     dim_cap: int
-    n: int
+    columns: list
 
     @property
     def simplices(self):
         """Every simplex, top dimension included, as (vertex tuple, diameter)
         sorted by (diameter, dimension, vertex order); every face precedes
         its cofaces.  Built on each read."""
-        out = [(verts, d) for verts, d, _ext
-               in _cliques(self.n, self.weight, self.dim_cap + 1)]
+        out = [(verts, r) for verts, r, _ext in _cliques(self.adj, self.dim_cap + 1)]
         out.sort(key=_filtration_order)
-        return out
+        return [(verts, self.lengths[r]) for verts, r in out]
 
 
-def _edge_data(lengths):
-    """Normalize input to (point count, {(i, j): length} with i < j)."""
+def _graph(lengths):
+    """Normalize input to (sorted distinct lengths, 0.0 included; adjacency
+    ``adj[u][v]`` = rank in them of the length of edge uv)."""
     if isinstance(lengths, SparseLengthMatrix):
         n = lengths.size
-        pairs = {(i, j): w for i, j, w in lengths.edges}
+        edges = lengths.edges
     else:
         try:
             rows = [[float(x) for x in row] for row in lengths]
@@ -113,38 +119,37 @@ def _edge_data(lengths):
         n = len(rows or ())
         if rows is None or any(len(row) != n for row in rows):
             raise InputError("expected a square matrix or SparseLengthMatrix")
-        pairs = {
-            (i, j): rows[i][j]
-            for i in range(n)
-            for j in range(i + 1, n)
-            if math.isfinite(rows[i][j])
-        }
-    return n, pairs
+        edges = [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n)
+                 if math.isfinite(rows[i][j])]
+    values = sorted({0.0, *(w for _i, _j, w in edges)})
+    rank = {w: k for k, w in enumerate(values)}
+    adj = [{} for _ in range(n)]
+    for i, j, w in edges:
+        adj[i][j] = adj[j][i] = rank[w]
+    return values, adj
 
 
-def _cliques(n, weight, dim_cap):
-    """Every vertex and every clique below dimension dim_cap of the graph on
-    0..n-1 whose edges are the keys (i, j), i < j, of ``weight``, yielded as
-    (increasing vertex tuple, diameter, extensions): the extensions are the
-    vertices above the last one adjacent to all of them, so a clique with
-    dim_cap vertices has exactly len(extensions) top-dimension cofaces.
-    Every vertex comes first, then a depth-first growth from each vertex."""
+def _cliques(adj, dim_cap):
+    """Every vertex and every clique below dimension dim_cap of the ranked
+    graph ``adj``, yielded as (increasing vertex tuple, diameter rank,
+    extensions): the extensions are the vertices above the last one adjacent
+    to all of them, so a clique with dim_cap vertices has exactly
+    len(extensions) top-dimension cofaces.  Every vertex comes first, then a
+    depth-first growth from each vertex."""
     if dim_cap < 1:
         raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
-    above = [set() for _ in range(n)]
-    for (i, j) in weight:
-        above[i].add(j)
-    for v in range(n):
-        yield (v,), 0.0, above[v]
-    stack = [((v,), 0.0, above[v]) for v in range(n)] if dim_cap > 1 else []
+    above = [{u for u in ranks if u > v} for v, ranks in enumerate(adj)]
+    for v in range(len(adj)):
+        yield (v,), 0, above[v]
+    stack = [((v,), 0, above[v]) for v in range(len(adj))] if dim_cap > 1 else []
     while stack:
         verts, diam, cands = stack.pop()
         for v in cands:
             d = diam
             for u in verts:
-                w = weight[(u, v)]
-                if w > d:
-                    d = w
+                r = adj[u][v]
+                if r > d:
+                    d = r
             new = verts + (v,)
             ext = cands & above[v]
             yield new, d, ext
@@ -161,10 +166,10 @@ def build_filtration(lengths, dim_cap) -> Filtration:
     to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
     """
     budget = _simplex_budget()
-    n, weight = _edge_data(lengths)
+    values, adj = _graph(lengths)
     columns = []
     count = 0
-    for verts, d, ext in _cliques(n, weight, dim_cap):
+    for verts, d, ext in _cliques(adj, dim_cap):
         columns.append((verts, d))
         count += 1 + (len(ext) if len(verts) == dim_cap else 0)
         if count > budget:
@@ -172,16 +177,15 @@ def build_filtration(lengths, dim_cap) -> Filtration:
                 f"simplex count exceeds cap {budget} "
                 f"(aborted after {count} simplices)", count=count)
     columns.sort(key=_filtration_order)
-    return Filtration(columns=columns, weight=weight, dim_cap=dim_cap, n=n)
+    return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
 
 def count_simplices(lengths, dim_cap):
     """Clique counts of the edge graph, per dimension 0..dim_cap, streamed
     from the enumeration ``build_filtration`` stores; the top dimension is
     counted from extension sets, and nothing is stored."""
-    n, weight = _edge_data(lengths)
     counts = [0] * (dim_cap + 1)
-    for verts, _d, ext in _cliques(n, weight, dim_cap):
+    for verts, _d, ext in _cliques(_graph(lengths)[1], dim_cap):
         counts[len(verts) - 1] += 1
         if len(verts) == dim_cap:
             counts[dim_cap] += len(ext)
@@ -298,12 +302,11 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     neighbours of the simplex's vertices, with coefficient (-1)^k when the
     added vertex sits at position k.  A row is never stored as a simplex:
     it is the key rank(diameter) * n**(d+2) + base-n code of its vertices,
-    rank indexing the sorted distinct lengths, so keys order like the
-    filtration and the pivot is the smallest key.  A column whose pivot is
-    still free needs no addition and is kept as its index in
-    ``filtration.columns`` alone, its coboundary regenerated when a later
-    column reaches that pivot; one that needed additions is kept reduced,
-    as row and coefficient arrays (64-bit when every key fits).
+    so keys order like the filtration and the pivot is the smallest key.
+    A column whose pivot is still free needs no addition and is kept as its
+    index in ``filtration.columns`` alone, its coboundary regenerated when a
+    later column reaches that pivot; one that needed additions is kept
+    reduced, as row and coefficient arrays (64-bit when every key fits).
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
     simplex, diameter of tau]; one whose column reduces to zero is an
@@ -314,16 +317,9 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         raise InputError(f"field characteristic {p} is not prime")
     from array import array  # here, not at module level: `ripsaw gen` never needs it
 
-    n = filtration.n
-    columns = filtration.columns
-    lengths = sorted({0.0, *filtration.weight.values()})
-    rank = {w: k for k, w in enumerate(lengths)}
-    # adj[u][v] is the rank of the length of edge uv
-    adj = [{} for _ in range(n)]
-    for (i, j), w in filtration.weight.items():
-        adj[i][j] = adj[j][i] = rank[w]
-
-    merging = _merging_edges(n, filtration.weight, rank)
+    lengths, adj, columns = filtration.lengths, filtration.adj, filtration.columns
+    n = len(adj)
+    merging = _merging_edges(adj)
     entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(merging))
     entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
                 for key in merging if key >= n * n]  # zero-length merges are dropped
@@ -333,17 +329,17 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
         pivots = {}
         for idx in range(len(columns) - 1, -1, -1):
-            verts, birth = columns[idx]
+            verts, r = columns[idx]
             if len(verts) != dim + 1:
                 continue
             code = _code(verts, n)
             # its key as a row of dimension dim - 1
-            if rank[birth] * (scale // n) + code in cleared:
+            if r * (scale // n) + code in cleared:
                 continue
-            col = _coboundary(verts, code, rank[birth], adj, n, p)
+            col = _coboundary(verts, code, r, adj, n, p)
             low = min(col, default=None)
             if low in pivots:
-                low = _reduce_column(col, pivots, columns, rank, adj, n, p)
+                low = _reduce_column(col, pivots, columns, adj, n, p)
                 if col:
                     # stored scaled so that the pivot coefficient is 1
                     inv = pow(col[low], -1, p)
@@ -351,20 +347,22 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
             elif col:
                 # a free pivot needs no addition: keep only the simplex
                 pivots[low] = idx
-            if not col:
-                entries.append(DiagramEntry(dim=dim, birth=birth, death=INF))
-            elif birth != lengths[low // scale]:
-                entries.append(DiagramEntry(dim=dim, birth=birth, death=lengths[low // scale]))
+            if not col or r != low // scale:  # zero-length pairs are dropped
+                death = lengths[low // scale] if col else INF
+                entries.append(DiagramEntry(dim=dim, birth=lengths[r], death=death))
         cleared = set(pivots)
     return PersistenceDiagram(field_char=p, entries=_sorted_entries(entries))
 
 
-def _merging_edges(n, weight, rank):
-    """Kruskal's algorithm over the edges in filtration order: the keys
-    rank(length) * n**2 + i * n + j of the edges that merge two components."""
+def _merging_edges(adj):
+    """Kruskal's algorithm over the edges ij, i < j, of the ranked graph in
+    filtration order: the keys rank * n**2 + i * n + j of the edges that
+    merge two components."""
+    n = len(adj)
     parent = list(range(n))
     merging = []
-    for key in sorted(rank[w] * n * n + i * n + j for (i, j), w in weight.items()):
+    for key in sorted(r * n * n + i * n + j
+                      for i, ranks in enumerate(adj) for j, r in ranks.items() if j > i):
         i, j = divmod(key % (n * n), n)
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
@@ -376,7 +374,7 @@ def _merging_edges(n, weight, rank):
     return merging
 
 
-def _reduce_column(col, pivots, columns, rank, adj, n, p):
+def _reduce_column(col, pivots, columns, adj, n, p):
     """Add pivot columns to ``col`` in place until its lowest row is a free
     pivot or it is zero; returns that lowest row."""
     # every row of col is in the heap; rows cancelled since are dropped
@@ -395,8 +393,8 @@ def _reduce_column(col, pivots, columns, rank, adj, n, p):
         if type(other) is int:
             # a pivot kept as its simplex: regenerate its column, scaled to
             # pivot coefficient 1 through the factor
-            verts, birth = columns[other]
-            gen = _coboundary(verts, _code(verts, n), rank[birth], adj, n, p)
+            verts, r = columns[other]
+            gen = _coboundary(verts, _code(verts, n), r, adj, n, p)
             factor = factor * pow(gen[low], -1, p) % p
             other = (gen, gen.values())
         for row, c in zip(*other):

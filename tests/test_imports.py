@@ -107,6 +107,38 @@ def test_module_reads_every_private_helper(path):
     assert _orphaned_private_defs(source) == []
 
 
+def _unused_parameters(source):
+    """(line, function, parameter) for each parameter of a function or lambda
+    in ``source`` that its body never reads; ``self``, ``cls`` and names
+    that start with ``_`` are skipped."""
+    unused = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unused += [(node.lineno, getattr(node, "name", "<lambda>"), x.arg) for x in params
+                   if x.arg not in read and x.arg not in ("self", "cls")
+                   and not x.arg.startswith("_")]
+    return sorted(unused)
+
+
+def test_unused_parameter_check_flags_an_unread_parameter():
+    assert _unused_parameters("def f(self, a, b, _c): return a\ng = lambda x, *y: 1\n") == \
+        [(1, "f", "b"), (2, "<lambda>", "x"), (2, "<lambda>", "y")]
+    assert _unused_parameters("def f(a, **k):\n    return lambda: (a, k)\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_module_reads_every_parameter(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _unused_parameters(source) == []
+
+
 @pytest.mark.parametrize("path", sorted(p.name for p in Path(__file__).parent.glob("*.py")))
 def test_test_file_binds_no_unused_import(path):
     source = (Path(__file__).parent / path).read_text()

@@ -19,14 +19,19 @@ from ripsaw import (
     PersistenceDiagram,
     ResourceGuardError,
     barcode_from_ranks,
+    build,
     build_filtration,
     circle_oracle,
     circle_sample,
+    count_simplices,
     euclidean_oracle,
+    make_profile,
     normal_form,
     random_cloud,
     ranks_from_barcode,
     reduce,
+    sparsify,
+    tighten,
 )
 from ripsaw.modules import rref_mod
 from ripsaw.persistence import dump_diagram, is_prime, load_diagram
@@ -155,6 +160,28 @@ def test_memory_guard_env(monkeypatch):
         assert err.value.count > cap
 
 
+def _guard_inputs():
+    oracle = euclidean_oracle(random_cloud(40, 2, 7))
+    ct = tighten(build(oracle), oracle)
+    sparse = sparsify(ct, oracle, make_profile(ct, eps1=0.5))
+    k7 = np.ones((7, 7)) - np.eye(7)
+    return [("K7", k7), ("cloud40-sparse", sparse)]
+
+
+@pytest.mark.parametrize("dim_cap", [1, 2, 3])
+def test_memory_guard_counts_what_count_simplices_counts(monkeypatch, dim_cap):
+    """The guard trips exactly one simplex below the total count_simplices
+    reports: both read the same graph."""
+    for name, lengths in _guard_inputs():
+        total = sum(count_simplices(lengths, dim_cap))
+        monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total))
+        assert build_filtration(lengths, dim_cap).dim_cap == dim_cap, name
+        monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total - 1))
+        with pytest.raises(ResourceGuardError) as err:
+            build_filtration(lengths, dim_cap)
+        assert err.value.count > total - 1, name
+
+
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6"])
 def test_malformed_memory_guard_env_is_input_error(monkeypatch, value):
     monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", value)
@@ -194,6 +221,16 @@ def test_reduce_rejects_composite_field():
 def test_reduce_rejects_field_beyond_64_bits():
     with pytest.raises(InputError, match=r"2\*\*64"):
         reduce(build_filtration(np.zeros((2, 2)), 1), 2**64 + 13)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
+def test_non_integer_field_is_input_error(p):
+    """2.0 and 3.0 used to pass as primes and write a diagram its own reader
+    refuses; 2.5 ended in a TypeError."""
+    with pytest.raises(InputError, match="not an integer"):
+        reduce(build_filtration(np.zeros((2, 2)), 1), p)
+    with pytest.raises(InputError, match="not an integer"):
+        ExplicitModule(dims=[2, 2], maps=[[[1, 1], [0, 1]]], p=p)
 
 
 def test_is_prime_agrees_with_trial_division():
@@ -247,6 +284,13 @@ def test_normal_form_zero_map():
     through_zero = [np.zeros((0, 2), dtype=int), np.zeros((2, 0), dtype=int)]
     mod = ExplicitModule(dims=[2, 0, 2], maps=through_zero, p=3)
     assert normal_form(mod) == {(-1, 0): 2, (1, 2): 2}
+
+
+def test_explicit_module_leaves_callers_maps_alone():
+    maps = [[[3]]]
+    mod = ExplicitModule(dims=[1, 1], maps=maps, p=2)
+    assert maps == [[[3]]]
+    assert mod.maps[0].tolist() == [[1]]
 
 
 def test_normal_form_shape_validation():

@@ -109,7 +109,7 @@ def test_reduce_matches_boundary_reduction_beyond_64_bit_keys(p):
     filt = build_filtration(_wide(random.Random(f"wide-{p}"), n), 3)
     # the key of a tetrahedron: rank of its diameter among the distinct
     # lengths, times n**4, plus its base-n vertex code
-    rank = {w: k for k, w in enumerate(sorted({0.0, *filt.weight.values()}))}
+    rank = {w: k for k, w in enumerate(filt.lengths)}
     keys = [rank[d] * n**4 + sum(v * n**(3 - i) for i, v in enumerate(verts))
             for verts, d in filt.simplices if len(verts) == 4]
     assert max(keys) > 2**63
