@@ -38,7 +38,10 @@ class ExplicitModule:
             raise InputError(f"cannot compute over Z_{self.p} with dims {self.dims}: "
                              "need p prime and max(dims) * p**2 < 2**63")
         # a new list: the caller's maps are left as they were
-        self.maps = [np.asarray(m, dtype=np.int64) % self.p for m in self.maps]
+        try:
+            self.maps = [np.asarray(m, dtype=np.int64) % self.p for m in self.maps]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"maps are not integer matrices: {exc}") from None
         for c, m in enumerate(self.maps):
             if m.shape != (self.dims[c + 1], self.dims[c]):
                 raise InputError(f"map {c} has shape {m.shape}, "

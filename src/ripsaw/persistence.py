@@ -3,10 +3,12 @@
 ``build_filtration`` turns a (sparse or full) length matrix into one graph
 with edges labelled by length rank and enumerates its flag filtration up
 to a simplex-dimension cap, storing only the simplices below the top
-dimension; ``reduce`` pairs its simplices on that graph, dimension 0 by
-union-find and the rest by reducing coboundary columns with clearing, with
-every coface an implicit integer key and every pivot that needed no addition
-kept as its simplex alone, and reports one diagram entry per persistence pair.
+dimension, each as one integer key, rank(diameter) * n**(d+1) + base-n
+code of its d+1 vertices, whose order is the filtration order; ``reduce``
+pairs its simplices on that graph, dimension 0 by union-find and the rest
+by reducing coboundary columns with clearing, with every simplex and
+coface named by its key alone and every pivot that needed no addition kept
+as that key, and reports one diagram entry per persistence pair.
 The explicit-module algebra (``normal_form`` and the rank-table
 conversions) lives in ``ripsaw.modules``.
 
@@ -23,13 +25,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
-from .sparsify import SparseLengthMatrix, json_int
+from .sparsify import SparseLengthMatrix, json_int, json_number
 
 INF = math.inf
 
@@ -73,11 +76,6 @@ def _simplex_budget():
     return int(env)
 
 
-def _filtration_order(simplex):
-    verts, diam = simplex
-    return diam, len(verts), verts
-
-
 @dataclass
 class Filtration:
     """The flag filtration of a ranked graph up to ``dim_cap``-simplices.
@@ -85,9 +83,10 @@ class Filtration:
     ``lengths`` lists the distinct edge lengths in increasing order, 0.0
     included, and ``adj[u][v]`` is the rank in it of the length of edge uv;
     the top dimension is implicit in this graph.  Only the simplices below
-    the top dimension, the reducer's columns, are stored: ``columns`` holds
-    the cliques with at most dim_cap vertices as (vertex tuple, diameter
-    rank), sorted by (diameter, dimension, vertex order).
+    the top dimension, the reducer's columns, are stored, each as one
+    integer key: ``columns[d]``, for d < dim_cap, lists the keys
+    rank(diameter) * n**(d+1) + base-n code of the d+1 vertices of the
+    d-simplices in increasing order, which is their filtration order.
     """
 
     lengths: list
@@ -100,9 +99,9 @@ class Filtration:
         """Every simplex, top dimension included, as (vertex tuple, diameter)
         sorted by (diameter, dimension, vertex order); every face precedes
         its cofaces.  Built on each read."""
-        out = [(verts, r) for verts, r, _ext in _cliques(self.adj, self.dim_cap + 1)]
-        out.sort(key=_filtration_order)
-        return [(verts, self.lengths[r]) for verts, r in out]
+        out = sorted((r, len(verts), verts)
+                     for verts, _code, r, _ext in _cliques(self.adj, self.dim_cap + 1))
+        return [(verts, self.lengths[r]) for r, _m, verts in out]
 
 
 def _graph(lengths):
@@ -131,19 +130,21 @@ def _graph(lengths):
 
 def _cliques(adj, dim_cap):
     """Every vertex and every clique below dimension dim_cap of the ranked
-    graph ``adj``, yielded as (increasing vertex tuple, diameter rank,
-    extensions): the extensions are the vertices above the last one adjacent
-    to all of them, so a clique with dim_cap vertices has exactly
-    len(extensions) top-dimension cofaces.  Every vertex comes first, then a
-    depth-first growth from each vertex."""
+    graph ``adj`` on n vertices, yielded as (increasing vertex tuple, its
+    base-n code, diameter rank, extensions): the code reads the vertices as
+    digits, the last one least significant, and the extensions are the
+    vertices above the last one adjacent to all of them, so a clique with
+    dim_cap vertices has exactly len(extensions) top-dimension cofaces.
+    Every vertex comes first, then a depth-first growth from each vertex."""
     if dim_cap < 1:
         raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
+    n = len(adj)
     above = [{u for u in ranks if u > v} for v, ranks in enumerate(adj)]
-    for v in range(len(adj)):
-        yield (v,), 0, above[v]
-    stack = [((v,), 0, above[v]) for v in range(len(adj))] if dim_cap > 1 else []
+    for v in range(n):
+        yield (v,), v, 0, above[v]
+    stack = [((v,), v, 0, above[v]) for v in range(n)] if dim_cap > 1 else []
     while stack:
-        verts, diam, cands = stack.pop()
+        verts, code, diam, cands = stack.pop()
         for v in cands:
             d = diam
             for u in verts:
@@ -152,9 +153,9 @@ def _cliques(adj, dim_cap):
                     d = r
             new = verts + (v,)
             ext = cands & above[v]
-            yield new, d, ext
+            yield new, code * n + v, d, ext
             if len(new) < dim_cap:
-                stack.append((new, d, ext))
+                stack.append((new, code * n + v, d, ext))
 
 
 def build_filtration(lengths, dim_cap) -> Filtration:
@@ -167,16 +168,19 @@ def build_filtration(lengths, dim_cap) -> Filtration:
     """
     budget = _simplex_budget()
     values, adj = _graph(lengths)
-    columns = []
+    n = len(adj)
+    columns = [[] for _ in range(dim_cap)]
     count = 0
-    for verts, d, ext in _cliques(adj, dim_cap):
-        columns.append((verts, d))
-        count += 1 + (len(ext) if len(verts) == dim_cap else 0)
+    for verts, code, d, ext in _cliques(adj, dim_cap):
+        m = len(verts)
+        columns[m - 1].append(d * n**m + code)
+        count += 1 + (len(ext) if m == dim_cap else 0)
         if count > budget:
             raise ResourceGuardError(
                 f"simplex count exceeds cap {budget} "
                 f"(aborted after {count} simplices)", count=count)
-    columns.sort(key=_filtration_order)
+    for keys in columns:
+        keys.sort()
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
 
@@ -185,7 +189,7 @@ def count_simplices(lengths, dim_cap):
     from the enumeration ``build_filtration`` stores; the top dimension is
     counted from extension sets, and nothing is stored."""
     counts = [0] * (dim_cap + 1)
-    for verts, _d, ext in _cliques(_graph(lengths)[1], dim_cap):
+    for verts, _code, _d, ext in _cliques(_graph(lengths)[1], dim_cap):
         counts[len(verts) - 1] += 1
         if len(verts) == dim_cap:
             counts[dim_cap] += len(ext)
@@ -230,15 +234,16 @@ class PersistenceDiagram:
     @classmethod
     def from_json_dict(cls, data):
         """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
-        missing, a value is not a number (field and dim not JSON integers),
-        or an entry is not a finite birth with a death at or after it."""
+        missing, a value is not a JSON number (field and dim not JSON
+        integers; an infinite death the string "inf"), or an entry is not a
+        finite birth with a death at or after it."""
         try:
             field_char = json_int(data["field"])
             entries = [
                 DiagramEntry(
                     dim=json_int(e["dim"]),
-                    birth=float(e["birth"]),
-                    death=INF if e["death"] == "inf" else float(e["death"]),
+                    birth=json_number(e["birth"]),
+                    death=INF if e["death"] == "inf" else json_number(e["death"]),
                 )
                 for e in data["entries"]
             ]
@@ -302,10 +307,12 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     neighbours of the simplex's vertices, with coefficient (-1)^k when the
     added vertex sits at position k.  A row is never stored as a simplex:
     it is the key rank(diameter) * n**(d+2) + base-n code of its vertices,
-    so keys order like the filtration and the pivot is the smallest key.
+    the encoding of ``filtration.columns``, so keys order like the
+    filtration, the pivot is the smallest key, and a d-simplex is cleared
+    when its own key was a pivot in dimension d - 1.
     A column whose pivot is still free needs no addition and is kept as its
-    index in ``filtration.columns`` alone, its coboundary regenerated when a
-    later column reaches that pivot; one that needed additions is kept
+    simplex's key alone, its coboundary regenerated when a later column
+    reaches that pivot; one that needed additions is kept
     reduced, as row and coefficient arrays (64-bit when every key fits).
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
@@ -315,8 +322,6 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     """
     if not is_prime(p):
         raise InputError(f"field characteristic {p} is not prime")
-    from array import array  # here, not at module level: `ripsaw gen` never needs it
-
     lengths, adj, columns = filtration.lengths, filtration.adj, filtration.columns
     n = len(adj)
     merging = _merging_edges(adj)
@@ -328,25 +333,21 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         scale = n ** (dim + 2)
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
         pivots = {}
-        for idx in range(len(columns) - 1, -1, -1):
-            verts, r = columns[idx]
-            if len(verts) != dim + 1:
+        for key in reversed(columns[dim]):
+            if key in cleared:
                 continue
-            code = _code(verts, n)
-            # its key as a row of dimension dim - 1
-            if r * (scale // n) + code in cleared:
-                continue
-            col = _coboundary(verts, code, r, adj, n, p)
+            col = _coboundary(key, dim + 1, adj, n, p)
             low = min(col, default=None)
             if low in pivots:
-                low = _reduce_column(col, pivots, columns, adj, n, p)
+                low = _reduce_column(col, pivots, dim + 1, adj, n, p)
                 if col:
                     # stored scaled so that the pivot coefficient is 1
                     inv = pow(col[low], -1, p)
                     pivots[low] = (pack(col), pack([c * inv % p for c in col.values()]))
             elif col:
-                # a free pivot needs no addition: keep only the simplex
-                pivots[low] = idx
+                # a free pivot needs no addition: keep only the simplex's key
+                pivots[low] = key
+            r = key // (scale // n)
             if not col or r != low // scale:  # zero-length pairs are dropped
                 death = lengths[low // scale] if col else INF
                 entries.append(DiagramEntry(dim=dim, birth=lengths[r], death=death))
@@ -374,9 +375,10 @@ def _merging_edges(adj):
     return merging
 
 
-def _reduce_column(col, pivots, columns, adj, n, p):
-    """Add pivot columns to ``col`` in place until its lowest row is a free
-    pivot or it is zero; returns that lowest row."""
+def _reduce_column(col, pivots, m, adj, n, p):
+    """Add pivot columns to ``col``, the coboundary of a simplex with ``m``
+    vertices, in place until its lowest row is a free pivot or it is zero;
+    returns that lowest row."""
     # every row of col is in the heap; rows cancelled since are dropped
     # lazily when they reach the top
     heap = list(col)
@@ -391,10 +393,9 @@ def _reduce_column(col, pivots, columns, adj, n, p):
             return low
         factor = col[low]
         if type(other) is int:
-            # a pivot kept as its simplex: regenerate its column, scaled to
+            # a pivot kept as its simplex's key: regenerate its column, scaled to
             # pivot coefficient 1 through the factor
-            verts, r = columns[other]
-            gen = _coboundary(verts, _code(verts, n), r, adj, n, p)
+            gen = _coboundary(other, m, adj, n, p)
             factor = factor * pow(gen[low], -1, p) % p
             other = (gen, gen.values())
         for row, c in zip(*other):
@@ -410,22 +411,18 @@ def _reduce_column(col, pivots, columns, adj, n, p):
     return None
 
 
-def _code(verts, n):
-    """The base-n code of a vertex tuple."""
-    return sum(u * n**k for k, u in enumerate(reversed(verts)))
-
-
-def _coboundary(verts, code, r, adj, n, p):
-    """Coboundary column {row key: coefficient} of the simplex ``verts``
-    with vertex code ``code`` and diameter rank ``r``."""
+def _coboundary(key, m, adj, n, p):
+    """Coboundary column {row key: coefficient} of the simplex with ``m``
+    vertices and key ``key`` = rank(diameter) * n**m + base-n vertex code."""
+    # the code of verts with v inserted at position k is fixed[k] + v * place[k]
+    place = [n ** (m - k) for k in range(m + 1)]
+    r, code = divmod(key, place[0])
+    verts = [code // pw % n for pw in place[1:]]
     nbrs = [adj[u] for u in verts]
     common = set(nbrs[0]).intersection(*nbrs[1:])
     if not common:
         return {}
-    m = len(verts)
     scale = n ** (m + 1)
-    # the code of verts with v inserted at position k is fixed[k] + v * place[k]
-    place = [n ** (m - k) for k in range(m + 1)]
     fixed = [code // pw * pw * n + code % pw for pw in place]
     col = {}
     for v in common:

@@ -47,6 +47,17 @@ def json_int(value):
     return value
 
 
+def json_number(value):
+    """``value`` as a float if it is a JSON number (an int or a float, not a
+    bool); TypeError otherwise, ValueError for an int beyond float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{value} is beyond float range") from None
+
+
 @dataclass
 class PrecisionProfile:
     """Interleaving budget plus the evaluable maps psi, psi_inv, q, q_inv.
@@ -127,14 +138,14 @@ class PrecisionProfile:
     @classmethod
     def from_meta(cls, meta):
         """The profile ``as_meta`` wrote; ``InputError`` when a key is
-        missing, a value is not a number (a count not a JSON integer), the
-        profile is out of range, or it records a truncation ``T`` (older
+        missing, a value is not a JSON number (a count not a JSON integer),
+        the profile is out of range, or it records a truncation ``T`` (older
         files wrote ``"T": null``)."""
         try:
             profile = cls(
-                R=float(meta["R"]),
-                eps0=float(meta["eps0"]),
-                eps1=float(meta["eps1"]),
+                R=json_number(meta["R"]),
+                eps0=json_number(meta["eps0"]),
+                eps1=json_number(meta["eps1"]),
                 N=json_int(meta["N"]),
                 n=json_int(meta["n"]),
             )

@@ -276,7 +276,19 @@ def implied_lengths(ctree, oracle, profile):
     return ImpliedLengths(lbar=lbar, missing=missing)
 
 
-# --- persistence: textbook boundary-matrix reduction ---------------------------
+# --- persistence: simplex keys and textbook boundary-matrix reduction ----------
+
+def decode_simplex_key(key, m, n):
+    """(vertex tuple, diameter rank) of the simplex with ``m`` of ``n``
+    vertices whose key is rank * n**m plus its vertices read as base-n
+    digits, the first most significant."""
+    rank, code = divmod(key, n**m)
+    digits = []
+    for _ in range(m):
+        code, digit = divmod(code, n)
+        digits.append(digit)
+    return tuple(digits[::-1]), rank
+
 
 def boundary_reduce(filtration, p):
     """Column-reduce the full boundary matrix over Z_p, in filtration order.

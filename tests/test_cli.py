@@ -524,12 +524,17 @@ def _bad_diagram(case, data):
         h1["death"] = h1["birth"] / 2
     elif case == "fractional-dim":
         h1["dim"] = 1.7
+    elif case == "boolean-birth":
+        # on an essential class, so that a birth read as 1.0 passes every other check
+        next(e for e in data["entries"] if e["death"] == "inf")["birth"] = True
+    elif case == "string-death":
+        h1["death"] = "2.5"
     return json.dumps(data)
 
 
 @pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
                                   "truncated-profile", "nan-death", "death-below-birth",
-                                  "fractional-dim"])
+                                  "fractional-dim", "boolean-birth", "string-death"])
 def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))
@@ -540,7 +545,8 @@ def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",
-                                  "N-above-n", "fractional-N"])
+                                  "N-above-n", "fractional-N", "boolean-R", "string-eps1",
+                                  "R-beyond-float"])
 def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     meta_path = circle_files["sparse"].with_suffix(".meta.json")
     meta = json.loads(meta_path.read_text())
@@ -554,6 +560,12 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
         meta["N"] = meta["n"] + 1
     elif case == "fractional-N":
         meta["N"] = meta["N"] + 0.5
+    elif case == "boolean-R":
+        meta["R"] = True
+    elif case == "string-eps1":
+        meta["eps1"] = " 0.5 "
+    elif case == "R-beyond-float":
+        meta["R"] = 10**400
     meta_path.write_text("n = 32\n" if case == "not-json" else json.dumps(meta))
     assert run("persist", "--input", circle_files["sparse"],
                "--out", tmp_path / "x.json") == 2

@@ -82,6 +82,39 @@ def test_module_binds_no_unused_import(path):
     assert _unused_imports(source) == []
 
 
+def _imports_in_functions(source):
+    """Lines of the import statements inside a function body of ``source``."""
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(func) if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
+def test_function_import_check_flags_a_deferred_import():
+    source = "import a\ndef f():\n    import b\n    def g():\n        from c import d\n"
+    assert _imports_in_functions(source) == [3, 5]
+    assert _imports_in_functions("import a\nclass C:\n    from b import c\n") == []
+
+
+@pytest.fixture(scope="module")
+def cli_modules():
+    """The modules ``import ripsaw.cli`` loads, read in a fresh interpreter."""
+    run = _run_python("import sys, ripsaw.cli; print(*sorted(sys.modules))")
+    assert run.returncode == 0, run.stderr
+    return set(run.stdout.split())
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_function_imports_only_where_cli_loads(path, cli_modules):
+    """Importing inside a function defers a cost for `ripsaw gen` only in a
+    module that `import ripsaw.cli` loads; every other module is loaded by
+    the stage that needs it, and imports at module level."""
+    module = "ripsaw" if path == "__init__.py" else f"ripsaw.{path[:-3]}"
+    if module not in cli_modules:
+        source = (Path(ripsaw.__file__).parent / path).read_text()
+        assert _imports_in_functions(source) == []
+
+
 def _orphaned_private_defs(source):
     """Private top-level functions and classes (``_name``, not dunders) that
     nothing in ``source`` reads."""

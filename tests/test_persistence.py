@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import pytest
 from helpers import (
     boundary_reduce,
     brute_force_diagram,
+    decode_simplex_key,
     diagram_to_multisets,
     full_distance_matrix,
     gauss_rank,
@@ -35,6 +37,7 @@ from ripsaw import (
 )
 from ripsaw.modules import rref_mod
 from ripsaw.persistence import dump_diagram, is_prime, load_diagram
+from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
@@ -82,6 +85,37 @@ def test_filtration_order_is_linear_extension():
                         max(dist[a, b] for a in verts for b in verts))
 
 
+def _far_apart_clusters(n, seed):
+    """Three 7-vertex cliques on random vertex ids out of n, with lengths k/4
+    for k in 1..40; their tetrahedra reach diameter ranks past 8."""
+    rng = np.random.default_rng(seed)
+    ids = rng.choice(n, size=21, replace=False)
+    edges = [(int(a), int(b), int(rng.integers(1, 41)) / 4) for g in range(3)
+             for a, b in itertools.combinations(sorted(ids[7 * g:7 * g + 7]), 2)]
+    profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=n, n=n)
+    return SparseLengthMatrix(size=n, edges=sorted(edges), profile=profile)
+
+
+@pytest.mark.parametrize("lengths,dim_cap,past_64_bits", [
+    (full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0))), 3, False),
+    (full_distance_matrix(circle_oracle(circle_sample(32))), 2, False),
+    (_far_apart_clusters(2**15, 0), 4, True),
+], ids=["cloud64", "circle32", "sparse-2**15"])
+def test_columns_hold_the_simplex_keys_in_filtration_order(lengths, dim_cap, past_64_bits):
+    """``columns[d]`` decodes to the d-simplices of ``simplices``, in order;
+    at n = 2**15 the stored tetrahedron keys pass 2**63."""
+    filt = build_filtration(lengths, dim_cap)
+    n = len(filt.adj)
+    by_dim = [[] for _ in range(dim_cap + 1)]
+    for verts, w in filt.simplices:
+        by_dim[len(verts) - 1].append((verts, w))
+    assert len(filt.columns) == dim_cap
+    for d, keys in enumerate(filt.columns):
+        decoded = [decode_simplex_key(key, d + 1, n) for key in keys]
+        assert [(verts, filt.lengths[r]) for verts, r in decoded] == by_dim[d]
+    assert (max(filt.columns[-1]) > 2**63) == past_64_bits
+
+
 def test_filtration_list_equals_ndarray():
     dist = full_distance_matrix(euclidean_oracle(random_cloud(8, 2, 4)))
     assert build_filtration(dist.tolist(), 2) == build_filtration(dist, 2)
@@ -113,7 +147,7 @@ def test_top_dimension_is_never_stored():
     finally:
         tracemalloc.stop()
     assert peak < 6.25e6
-    assert max(len(verts) for verts, _d in filt.columns) == 2
+    assert len(filt.columns) == 2
     assert sum(len(verts) == 3 for verts, _d in filt.simplices) == 41664
 
 
@@ -296,6 +330,17 @@ def test_explicit_module_leaves_callers_maps_alone():
 def test_normal_form_shape_validation():
     with pytest.raises(InputError):
         ExplicitModule(dims=[2, 1], maps=[[[1, 0], [0, 1]]], p=2)
+
+
+@pytest.mark.parametrize("dims,maps", [
+    ([1, 2], [[[1], [1, 2]]]),
+    ([1, 1], [[[2**70]]]),
+    ([1, 1], [[["a"]]]),
+], ids=["ragged", "beyond-int64", "not-a-number"])
+def test_explicit_module_refuses_maps_that_are_not_integer_matrices(dims, maps):
+    """These used to escape as numpy's ValueError or OverflowError."""
+    with pytest.raises(InputError, match="not integer matrices"):
+        ExplicitModule(dims=dims, maps=maps, p=2)
 
 
 @pytest.mark.parametrize("p", [1, 4, 2**61 - 1])
