@@ -23,9 +23,8 @@ _EXPORTS = {
     "covertree": ("ContractionTree", "CoverTree", "build", "contraction_violations",
                   "density_violations", "find_parent", "read_tree", "tighten",
                   "write_tree"),
-    "diagram": ("ApproxDiagram", "InterleavingReport", "MatchResult", "alive",
-                "approximate", "match_diagrams", "rank_at", "related",
-                "verify_interleaving"),
+    "diagram": ("InterleavingReport", "MatchResult", "alive", "approximate",
+                "match_diagrams", "rank_at", "related", "verify_interleaving"),
     "errors": ("InputError", "ResourceGuardError"),
     "generators": ("SolenoidParams", "circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),

@@ -180,70 +180,66 @@ def cmd_gen(args):
     return 0
 
 
-def _parser():
+_SOURCE = [("--input", dict(required=True)),
+           ("--format", dict(choices=["points", "circle", "lower-distance"],
+                             default="points"))]
+
+# subcommand: (help line, handler, its arguments as (name, add_argument keywords))
+_COMMANDS = {
+    "tree": ("build and tighten a contraction tree", cmd_tree,
+             _SOURCE + [("--out", dict(required=True))]),
+    "sparsify": ("emit the sparse length matrix", cmd_sparsify, _SOURCE + [
+        ("--tree", dict(required=True)),
+        ("--eps1", dict(type=float, default=0.0)),
+        ("--keep", dict(default="all", help='number of points to retain, or "all"')),
+        ("--out", dict(required=True))]),
+    "persist": ("compute the persistence diagram", cmd_persist, [
+        ("--input", dict(required=True, help="sparse 'i j d' file")),
+        ("--dim", dict(type=int, default=1, help="largest homology dimension to report")),
+        ("--field", dict(type=int, default=2)),
+        ("--out", dict()),
+        ("--export-only", dict(action="store_true",
+                               help="stop after validating the sparse matrix file"))]),
+    "plot": ("render a diagram (with error boxes) to SVG", cmd_plot, [
+        ("--input", dict(required=True, help="diagram JSON")),
+        ("--out", dict(required=True)),
+        ("--log-plot", dict(action="store_true")),
+        ("--clip", dict(type=float)),
+        ("--overlay-eps0", dict(type=float)),
+        ("--overlay-eps1", dict(type=float))]),
+    "verify": ("check a sparse diagram against an exact one", cmd_verify, [
+        ("full", dict(help="exact diagram JSON")),
+        ("sparse", dict(help="sparsified diagram JSON (with profile)"))]),
+    "gen": ("write a sample dataset as point CSV", cmd_gen, [
+        ("dataset", dict(choices=["circle", "solenoid", "cloud"])),
+        ("--n", dict(type=int, required=True)),
+        ("--dim", dict(type=int, default=2)),
+        ("--seed", dict(type=int, default=0)),
+        ("--iterations", dict(type=int, default=12)),
+        ("--out", dict(required=True))]),
+}
+
+
+def _parser(argv):
+    """The parser for ``argv``: every subcommand is listed, and only the one
+    ``argv`` names gets its arguments."""
     ap = argparse.ArgumentParser(
         prog="ripsaw",
         description="Sparsify Vietoris-Rips filtrations via contraction trees "
                     "and compute/verify approximate persistence diagrams.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--input", required=True)
-    source.add_argument("--format", choices=["points", "circle", "lower-distance"],
-                        default="points")
-
-    tree = sub.add_parser("tree", parents=[source],
-                          help="build and tighten a contraction tree")
-    tree.add_argument("--out", required=True)
-    tree.set_defaults(func=cmd_tree)
-
-    spa = sub.add_parser("sparsify", parents=[source],
-                         help="emit the sparse length matrix")
-    spa.add_argument("--tree", required=True)
-    spa.add_argument("--eps1", type=float, default=0.0)
-    spa.add_argument("--keep", default="all",
-                     help='number of points to retain, or "all"')
-    spa.add_argument("--out", required=True)
-    spa.set_defaults(func=cmd_sparsify)
-
-    per = sub.add_parser("persist", help="compute the persistence diagram")
-    per.add_argument("--input", required=True, help="sparse 'i j d' file")
-    per.add_argument("--dim", type=int, default=1,
-                     help="largest homology dimension to report")
-    per.add_argument("--field", type=int, default=2)
-    per.add_argument("--out", default=None)
-    per.add_argument("--export-only", action="store_true",
-                     help="stop after validating the sparse matrix file")
-    per.set_defaults(func=cmd_persist)
-
-    plo = sub.add_parser("plot", help="render a diagram (with error boxes) to SVG")
-    plo.add_argument("--input", required=True, help="diagram JSON")
-    plo.add_argument("--out", required=True)
-    plo.add_argument("--log-plot", action="store_true")
-    plo.add_argument("--clip", type=float, default=None)
-    plo.add_argument("--overlay-eps0", type=float, default=None)
-    plo.add_argument("--overlay-eps1", type=float, default=None)
-    plo.set_defaults(func=cmd_plot)
-
-    ver = sub.add_parser("verify", help="check a sparse diagram against an exact one")
-    ver.add_argument("full", help="exact diagram JSON")
-    ver.add_argument("sparse", help="sparsified diagram JSON (with profile)")
-    ver.set_defaults(func=cmd_verify)
-
-    gen = sub.add_parser("gen", help="write a sample dataset as point CSV")
-    gen.add_argument("dataset", choices=["circle", "solenoid", "cloud"])
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--dim", type=int, default=2)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--iterations", type=int, default=12)
-    gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
-
+    for name, (help_line, func, arguments) in _COMMANDS.items():
+        parser = sub.add_parser(name, help=help_line)
+        if argv[:1] == [name]:
+            for arg, keywords in arguments:
+                parser.add_argument(arg, **keywords)
+            parser.set_defaults(func=func)
     return ap
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (InputError, OSError) as exc:

@@ -13,13 +13,16 @@ W(r) includes into V(r) and V(r) into W(psi(r)): the rank inequalities
     rank_W(s -> psi(t)) <= rank_V(s -> t) <= rank_W(psi(s) -> t)
 
 over a grid of critical scales, plus the existence of a matching that covers
-every alive entry on both sides, built from the relatedness predicate with
-shift pair (psi1, psi2) = (psi, identity).
+every alive entry on both sides.  One shift map psi does all of it: an entry
+(b, d) of V is related to (bw, dw) of W when b <= bw <= psi(b) and
+d <= dw <= psi(d), and an entry must be matched when psi(b) <= d.  Every
+psi here, ``PrecisionProfile.psi`` included, maps inf to inf.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -29,10 +32,6 @@ INF = math.inf
 
 # rank-inequality failures reported per dimension before the grid scan stops
 MAX_WITNESSES = 20
-
-
-def _apply(psi, x):
-    return INF if x == INF else psi(x)
 
 
 # --- error rectangles -------------------------------------------------------
@@ -50,62 +49,36 @@ class ApproxEntry:
         return self.death == INF
 
 
-@dataclass
-class ApproxDiagram:
-    base: PersistenceDiagram
-    profile: object
-    entries: list
-
-    def to_json_dict(self, meta=None):
-        data = self.base.to_json_dict(meta)
-        for out, e in zip(data["entries"], self.entries):
-            out["rect"] = ["inf" if v == INF else v for v in e.rect]
-            out["class"] = "definite" if e.definite else "possible"
-        return data
-
-
-def approximate(diagram: PersistenceDiagram, profile) -> ApproxDiagram:
-    """Attach error rectangles and the definite/possible classification.
+def approximate(diagram: PersistenceDiagram, profile) -> list:
+    """The entries of ``diagram`` as ``ApproxEntry`` values, in order, with
+    error rectangles and the definite/possible classification.
 
     Entries with infinite death keep a degenerate, half-open death side
     (their true class is essential as well) and are always definite.
     """
-    entries = []
-    for e in diagram.entries:
-        b_lo = profile.psi_inv(e.birth)
-        d_lo = profile.psi_inv(e.death)
-        definite = e.death > _apply(profile.psi, e.birth)
-        entries.append(ApproxEntry(
-            dim=e.dim, birth=e.birth, death=e.death,
-            rect=(b_lo, e.birth, d_lo, e.death), definite=definite))
-    return ApproxDiagram(base=diagram, profile=profile, entries=entries)
+    lo = profile.psi_inv
+    return [ApproxEntry(dim=e.dim, birth=e.birth, death=e.death,
+                        rect=(lo(e.birth), e.birth, lo(e.death), e.death),
+                        definite=e.death > profile.psi(e.birth))
+            for e in diagram.entries]
 
 
 # --- relatedness and aliveness ----------------------------------------------
 
-def related(entry_v, entry_w, psi1, psi2):
-    """May these two entries describe the same feature?
-
-    ``entry_v`` lives in the module whose scales shift forward by psi1 into
-    the other module; ``entry_w`` shifts forward by psi2 back.  On real-valued
-    diagrams the strictness is chosen so that with psi1 = psi2 = id the
-    predicate degenerates to exact interval equality.
-    """
+def related(entry_v, entry_w, psi):
+    """May these two entries describe the same feature?  ``entry_w`` lies
+    within the shift of ``entry_v``: its birth and death are no earlier and
+    at most psi later; with psi = id, the entries are equal."""
     b, d = entry_v
     bw, dw = entry_w
-    return (
-        bw <= _apply(psi1, b)
-        and b <= _apply(psi2, bw)
-        and _apply(psi2, dw) >= d
-        and dw <= _apply(psi1, d)
-    )
+    return b <= bw <= psi(b) and d <= dw <= psi(d)
 
 
-def alive(entry, psi1, psi2):
-    """Must this entry be matched?  True when it survives a round trip
-    through both shifts: psi1(psi2(b)) <= d for an entry of the psi1 side."""
+def alive(entry, psi):
+    """Must this entry be matched?  True when it survives the shift:
+    psi(b) <= d."""
     b, d = entry
-    return _apply(psi1, _apply(psi2, b)) <= d
+    return psi(b) <= d
 
 
 # --- matching ----------------------------------------------------------------
@@ -149,14 +122,12 @@ def _alternate(x, adjacency, match_x, match_y, keep, seen):
     return False
 
 
-def match_diagrams(entries_v, entries_w, psi1, psi2) -> MatchResult:
+def match_diagrams(entries_v, entries_w, psi) -> MatchResult:
     """Search for a matching of related pairs covering all alive entries."""
-    adjacency = [
-        [jw for jw, ew in enumerate(entries_w) if related(ev, ew, psi1, psi2)]
-        for ev in entries_v
-    ]
-    alive_v = [iv for iv, ev in enumerate(entries_v) if alive(ev, psi1, psi2)]
-    alive_w = [jw for jw, ew in enumerate(entries_w) if alive(ew, psi2, psi1)]
+    adjacency = [[jw for jw, ew in enumerate(entries_w) if related(ev, ew, psi)]
+                 for ev in entries_v]
+    alive_v = [iv for iv, ev in enumerate(entries_v) if alive(ev, psi)]
+    alive_w = [jw for jw, ew in enumerate(entries_w) if alive(ew, psi)]
     return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
 
 
@@ -211,6 +182,26 @@ def rank_at(pairs, s, t):
     return sum(1 for b, d in pairs if b < s and d >= t)
 
 
+def _ranks(pairs):
+    """``rank(s, t)``, equal to ``rank_at(pairs, s, t)`` for s <= t, by
+    bisection: the deaths of the pairs born before s are kept sorted, so s
+    must never decrease from one call to the next (InputError)."""
+    births, deaths = sorted(pairs), []
+    i, last = 0, -INF  # pairs moved into deaths, the last s
+
+    def rank(s, t):
+        nonlocal i, last
+        if s < last:
+            raise InputError(f"rank threshold went down from {last!r} to {s!r}: "
+                             "is the shift map nondecreasing?")
+        last = s
+        while i < len(births) and births[i][0] < s:
+            insort(deaths, births[i][1])
+            i += 1
+        return len(deaths) - bisect_left(deaths, t)
+    return rank
+
+
 @dataclass
 class RankWitness:
     inequality: int  # 1: rank_W(s->psi(t)) <= rank_V(s->t); 2: the reverse bound
@@ -263,10 +254,9 @@ class InterleavingReport:
 def _grid(values, psi_inv):
     pts = set()
     for v in values:
-        if v == INF:
-            continue
-        w = psi_inv(v)
-        pts.update((v, w, psi_inv(w)))
+        if v != INF:
+            w = psi_inv(v)
+            pts.update((v, w, psi_inv(w)))
     if pts:
         pts.add(max(pts) + 1.0)
     return sorted(pts)
@@ -284,38 +274,27 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
 
     The grid closure covers every distinct value the rank counts can take:
     counts change only where s or t crosses an entry value or a psi-preimage
-    of one.
+    of one.  The cells (s, t), s <= t, are visited with s ascending, so psi
+    must be nondecreasing (InputError otherwise).
     """
     psi, psi_inv = profile.psi, profile.psi_inv
     report = InterleavingReport()
     for dim in sorted(set(diag_v.dims()) | set(diag_w.dims())):
-        pv = diag_v.pairs(dim)
-        pw = diag_w.pairs(dim)
-        values = [b for b, _d in pv + pw] + [d for _b, d in pv + pw]
-        grid = _grid(values, psi_inv)
+        pv, pw = diag_v.pairs(dim), diag_w.pairs(dim)
+        grid = _grid([v for pair in pv + pw for v in pair], psi_inv)
         t_grid = grid + [INF]
+        shifted = [psi(t) for t in t_grid]
+        rank_v, rank_w, rank_w_shifted = _ranks(pv), _ranks(pw), _ranks(pw)
         violations = []
-        for s in grid:
-            for t in t_grid:
-                if s > t:
-                    continue
-                ps = _apply(psi, s)
-                pt = _apply(psi, t)
-                if s <= pt:
-                    lhs = rank_at(pw, s, pt)
-                    rhs = rank_at(pv, s, t)
-                    if lhs > rhs:
-                        violations.append(RankWitness(1, s, t, lhs, rhs))
-                if ps <= t:
-                    lhs = rank_at(pv, s, t)
-                    rhs = rank_at(pw, ps, t)
-                    if lhs > rhs:
-                        violations.append(RankWitness(2, s, t, lhs, rhs))
-                if len(violations) >= MAX_WITNESSES:
-                    break
+        for s, ps, t, pt in ((s, shifted[k], t, pt) for k, s in enumerate(grid)
+                             for t, pt in zip(t_grid[k:], shifted[k:])):
+            rv = rank_v(s, t)
+            if s <= pt and (lhs := rank_w(s, pt)) > rv:
+                violations.append(RankWitness(1, s, t, lhs, rv))
+            if ps <= t and rv > (rhs := rank_w_shifted(ps, t)):
+                violations.append(RankWitness(2, s, t, rv, rhs))
             if len(violations) >= MAX_WITNESSES:
                 break
-        matching = match_diagrams(pv, pw, psi, lambda r: r)
         report.dimensions[dim] = DimensionReport(
-            dim=dim, rank_violations=violations, matching=matching)
+            dim=dim, rank_violations=violations, matching=match_diagrams(pv, pw, psi))
     return report

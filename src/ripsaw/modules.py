@@ -24,7 +24,8 @@ class ExplicitModule:
     """Spaces V(0..L) over Z_p given by dims, with maps[c]: V(c) -> V(c+1).
 
     p must be prime and ``max(dims) * p**2 < 2**63``, so that every product
-    and sum the int64 elimination forms stays exact.
+    and sum the int64 elimination forms stays exact.  Map entries must be
+    ints or numpy integers, not bools; an empty map may have any dtype.
     """
 
     dims: list
@@ -39,7 +40,11 @@ class ExplicitModule:
                              "need p prime and max(dims) * p**2 < 2**63")
         # a new list: the caller's maps are left as they were
         try:
-            self.maps = [np.asarray(m, dtype=np.int64) % self.p for m in self.maps]
+            arrays = [np.asarray(m, dtype=object) for m in self.maps]
+            for x in (x for a in arrays for x in a.flat):
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise TypeError(f"entry {x!r} is not an integer")
+            self.maps = [a.astype(np.int64) % self.p for a in arrays]
         except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"maps are not integer matrices: {exc}") from None
         for c, m in enumerate(self.maps):

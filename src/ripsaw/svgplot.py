@@ -61,7 +61,7 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
     if clip is not None and not (0.0 < clip < INF):  # nan fails both
         raise InputError(f"clip must be finite and > 0, got {clip!r}")
     if profile is not None:
-        approx = approximate(diagram, profile).entries
+        approx = approximate(diagram, profile)
         finite = [v for e in approx for v in (e.rect[0], e.birth, e.rect[2], e.death)
                   if v != INF]
     else:

@@ -302,7 +302,8 @@ def test_plot_without_profile_warns(tmp_path, capsys):
 
 def _parsed(argv):
     """The arguments ``argv`` parses to, without the subcommand handler."""
-    args = vars(cli._parser().parse_args([str(a) for a in argv]))
+    argv = [str(a) for a in argv]
+    args = vars(cli._parser(argv).parse_args(argv))
     del args["func"]
     return args
 
@@ -463,12 +464,29 @@ def _readme_commands():
     return commands
 
 
+def test_parser_builds_only_the_named_subcommand(capsys):
+    """``ripsaw --help`` lists all six subcommands; a parser for one
+    subcommand's argv gives no other subcommand an argument beyond -h."""
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out
+    for name, (help_line, _func, _arguments) in cli._COMMANDS.items():
+        assert f"    {name}" in listed and help_line in listed
+    ap = cli._parser(["gen", "cloud"])
+    subparsers = next(a for a in ap._actions if a.dest == "command").choices
+    assert list(subparsers) == ["tree", "sparsify", "persist", "plot", "verify", "gen"]
+    for name, parser in subparsers.items():
+        flags = [a.dest for a in parser._actions]
+        assert (flags == ["help"]) == (name != "gen"), name
+
+
 def test_readme_commands_parse():
     commands = _readme_commands()
     assert len(commands) >= 10
     for argv in commands:
         try:
-            cli._parser().parse_args(argv)
+            cli._parser(argv).parse_args(argv)
         except SystemExit:
             pytest.fail("README command does not parse: ripsaw " + " ".join(argv))
 

@@ -44,7 +44,9 @@ def test_approximate_identity_profile_degenerates():
     profile = PrecisionProfile(R=INF, eps0=0.0, eps1=0.0, N=4, n=4)
     d = diag([(0, 0.0, 1.0), (1, 0.5, 2.0), (0, 0.0, INF)])
     approx = approximate(d, profile)
-    for e in approx.entries:
+    assert [(e.dim, e.birth, e.death) for e in approx] == \
+        [(e.dim, e.birth, e.death) for e in d.entries]
+    for e in approx:
         assert e.rect == (e.birth, e.birth, e.death, e.death)
         assert e.definite  # every surviving entry has death > birth
 
@@ -52,13 +54,12 @@ def test_approximate_identity_profile_degenerates():
 def test_approximate_possible_entry():
     profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=9, n=9)
     approx = approximate(diag([(1, 1.0, 1.2)]), profile)
-    assert not approx.entries[0].definite
+    assert not approx[0].definite
 
 
 def test_approximate_definite_entry_rectangle():
     profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=9, n=9)
-    approx = approximate(diag([(1, 1.0, 2.0)]), profile)
-    e = approx.entries[0]
+    (e,) = approximate(diag([(1, 1.0, 2.0)]), profile)
     assert e.definite
     # corners recomputed by inverting psi: psi(0.8) = 1.0 and psi(1.6) = 2.0
     assert e.rect == pytest.approx((0.8, 1.0, 1.6, 2.0))
@@ -68,51 +69,42 @@ def test_approximate_definite_entry_rectangle():
 
 def test_approximate_essential_entry():
     profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=9, n=9)
-    approx = approximate(diag([(0, 0.0, INF)]), profile)
-    e = approx.entries[0]
+    (e,) = approximate(diag([(0, 0.0, INF)]), profile)
     assert e.essential and e.definite
     assert e.rect[2] == INF and e.rect[3] == INF
-
-
-def test_approx_json_shape():
-    profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=9, n=9)
-    data = approximate(diag([(1, 1.0, 2.0), (1, 1.0, 1.1)]), profile).to_json_dict()
-    assert data["entries"][0]["class"] == "definite"
-    assert data["entries"][1]["class"] == "possible"
-    assert len(data["entries"][0]["rect"]) == 4
 
 
 # --- relatedness / aliveness ----------------------------------------------------
 
 def test_related_identity_means_equality():
-    assert related((1.0, 3.0), (1.0, 3.0), identity, identity)
-    assert not related((1.0, 3.0), (1.0, 3.1), identity, identity)
-    assert not related((1.0, 3.0), (0.9, 3.0), identity, identity)
+    assert related((1.0, 3.0), (1.0, 3.0), identity)
+    assert not related((1.0, 3.0), (1.0, 3.1), identity)
+    assert not related((1.0, 3.0), (0.9, 3.0), identity)
 
 
 def test_related_expansive():
-    assert related((1.0, 3.0), (1.1, 3.2), scale_125, scale_125)
+    assert related((1.0, 3.0), (1.1, 3.2), scale_125)
 
 
 def test_related_fails_on_late_death():
-    assert not related((1.0, 3.0), (1.1, 4.5), scale_125, scale_125)
+    assert not related((1.0, 3.0), (1.1, 4.5), scale_125)
 
 
 def test_alive():
-    assert alive((1.0, 1.0), identity, identity)
-    assert alive((1.0, 2.0), scale_125, scale_125)       # 1.5625 <= 2
-    assert not alive((1.0, 1.5), scale_125, scale_125)   # 1.5625 > 1.5
+    assert alive((1.0, 1.0), identity)
+    assert alive((1.0, 1.5), scale_125)       # 1.25 <= 1.5
+    assert not alive((1.0, 1.2), scale_125)   # 1.25 > 1.2
 
 
 def test_alive_infinite_death():
-    assert alive((1.0, INF), scale_125, scale_125)
+    assert alive((1.0, INF), scale_125)
 
 
 # --- matching ---------------------------------------------------------------------
 
 def test_match_identical_diagrams():
     entries = [(0.0, 1.0), (0.5, 2.0), (0.0, INF)]
-    res = match_diagrams(entries, entries, identity, identity)
+    res = match_diagrams(entries, entries, identity)
     assert res.ok
     assert sorted(res.pairs) == [(0, 0), (1, 1), (2, 2)]
 
@@ -121,7 +113,7 @@ def test_match_leaves_short_entry_unmatched():
     psi = lambda r: 1.5 * r + 0.2  # noqa: E731
     entries_v = [(1.0, 3.0), (0.4, 0.5)]  # second is below psi: not alive
     entries_w = [(1.2, 3.5)]
-    res = match_diagrams(entries_v, entries_w, psi, identity)
+    res = match_diagrams(entries_v, entries_w, psi)
     assert res.ok
     assert res.pairs == [(0, 0)]
     assert res.unmatched_v == [1]
@@ -131,7 +123,7 @@ def test_match_reports_uncovered_alive():
     psi = lambda r: r + 0.1  # noqa: E731
     entries_v = [(1.0, 5.0)]
     entries_w = [(3.0, 3.05)]
-    res = match_diagrams(entries_v, entries_w, psi, identity)
+    res = match_diagrams(entries_v, entries_w, psi)
     assert not res.ok
     assert res.uncovered_alive_v == [0]
 
@@ -149,7 +141,7 @@ def test_definite_rectangles_lower_bound_exact_ranks():
     approx = approximate(sparse, profile)
     for dim in (0, 1):
         exact_pairs = full.pairs(dim)
-        rects = [e for e in approx.entries if e.dim == dim and e.definite]
+        rects = [e for e in approx if e.dim == dim and e.definite]
         grid = sorted({v for b, d in exact_pairs for v in (b, d) if v != INF}
                       | {e.birth for e in rects} | {0.05, 0.2})
         for s in grid:
@@ -171,11 +163,11 @@ def test_match_properties_on_random_pipeline():
     sparse = reduce(build_filtration(sparsify(ct, oracle, profile), 2), 2)
     for dim in (0, 1):
         pv, pw = full.pairs(dim), sparse.pairs(dim)
-        res = match_diagrams(pv, pw, profile.psi, identity)
+        res = match_diagrams(pv, pw, profile.psi)
         assert res.ok
         seen_v, seen_w = set(), set()
         for iv, jw in res.pairs:
-            assert related(pv[iv], pw[jw], profile.psi, identity)
+            assert related(pv[iv], pw[jw], profile.psi)
             assert iv not in seen_v and jw not in seen_w
             seen_v.add(iv)
             seen_w.add(jw)
@@ -271,7 +263,97 @@ def test_rank_at_on_diagram_pairs():
     assert rank_at(d.pairs(1), 1.0, 1.5) == 1
 
 
+def _random_pairs(seed, salt=0):
+    """Up to 11 (birth, death) pairs on a quarter grid: tied values, and an
+    infinite death one time in ten."""
+    from helpers import splitmix_draw
+
+    pairs = []
+    for k in range(int(splitmix_draw(seed, salt) * 12)):
+        b = int(splitmix_draw(seed, salt + 2 * k + 1) * 8) / 4
+        gap = int(splitmix_draw(seed, salt + 2 * k + 2) * 10)
+        pairs.append((b, INF if gap == 9 else b + gap / 4))
+    return pairs
+
+
+def test_rank_closure_matches_rank_at_on_every_grid_query():
+    """``_ranks`` answers every cell verify asks, s ascending and t >= s,
+    exactly as ``rank_at`` counts, on random diagrams with tied values and
+    infinite deaths."""
+    from ripsaw.diagram import _grid, _ranks
+
+    psi_inv = lambda r: max(0.0, r / 1.5 - 0.25)  # noqa: E731
+    for seed in range(40):
+        pairs = _random_pairs(seed)
+        grid = _grid([v for pair in pairs for v in pair], psi_inv)
+        rank = _ranks(pairs)
+        for k, s in enumerate(grid):
+            for t in grid[k:] + [INF]:
+                assert rank(s, t) == rank_at(pairs, s, t), (seed, s, t)
+
+
+def test_rank_closure_refuses_a_threshold_that_goes_down():
+    from ripsaw.diagram import _ranks
+
+    rank = _ranks([(1.0, 3.0)])
+    assert rank(2.0, 2.5) == 1
+    with pytest.raises(InputError, match="nondecreasing"):
+        rank(1.5, 2.5)
+
+
 # --- interleaving verification --------------------------------------------------------
+
+def test_verify_refuses_a_decreasing_shift():
+    d = diag([(1, 1.0, 3.0)])
+    with pytest.raises(InputError, match="nondecreasing"):
+        verify_interleaving(d, d, SimpleNamespace(psi=lambda r: -r, psi_inv=identity))
+
+
+def test_verify_witnesses_equal_a_scan_with_rank_at():
+    """On random diagram pairs, most of them not interleaved, the witnesses
+    are those of the plain scan: every grid cell (s, t) with s <= t, s
+    ascending, then t, counted by ``rank_at``, stopping after the cell that
+    brings the count to MAX_WITNESSES."""
+    from ripsaw.diagram import MAX_WITNESSES, _grid
+
+    psi = lambda r: 1.25 * r + 0.125  # noqa: E731
+    psi_inv = lambda r: max(0.0, (r - 0.125) / 1.25)  # noqa: E731
+    capped = 0
+    for seed in range(40):
+        pv, pw = _random_pairs(seed), _random_pairs(seed, salt=100)
+        grid = _grid([v for pair in pv + pw for v in pair], psi_inv)
+        expected = []
+        for s, t in ((s, t) for s in grid for t in grid + [INF] if s <= t):
+            if s <= psi(t) and rank_at(pw, s, psi(t)) > rank_at(pv, s, t):
+                expected.append((1, s, t, rank_at(pw, s, psi(t)), rank_at(pv, s, t)))
+            if psi(s) <= t and rank_at(pv, s, t) > rank_at(pw, psi(s), t):
+                expected.append((2, s, t, rank_at(pv, s, t), rank_at(pw, psi(s), t)))
+            if len(expected) >= MAX_WITNESSES:
+                break
+        capped += len(expected) >= MAX_WITNESSES
+        report = verify_interleaving(diag([(1, b, d) for b, d in pv]),
+                                     diag([(1, b, d) for b, d in pw]),
+                                     SimpleNamespace(psi=psi, psi_inv=psi_inv))
+        rep = report.dimensions.get(1)
+        got = [(w.inequality, w.s, w.t, w.lhs, w.rhs) for w in rep.rank_violations] if rep else []
+        assert got == expected, seed
+    assert capped >= 10
+
+
+def test_verify_pins_the_witnesses_of_a_failing_case():
+    """Both inequalities fail, in grid order: s ascending, then t."""
+    delta = 0.125
+    dv = diag([(1, 1.0, 3.0), (1, 2.0, 2.5)])
+    dw = diag([(1, 1.25, 3.0), (1, 2.0, 2.75)])
+    report = verify_interleaving(
+        dv, dw, SimpleNamespace(psi=lambda r: r + delta, psi_inv=lambda r: r - delta))
+    rep = report.dimensions[1]
+    assert [(w.inequality, w.s, w.t, w.lhs, w.rhs) for w in rep.rank_violations] == (
+        [(2, 1.125, t, 1, 0)
+         for t in (1.25, 1.75, 1.875, 2.0, 2.25, 2.375, 2.5, 2.625, 2.75, 2.875, 3.0)]
+        + [(1, s, 2.625, 2, 1) for s in (2.25, 2.375, 2.5, 2.625)])
+    assert rep.matching.pairs == [] and rep.matching.uncovered_alive_w == [0, 1]
+
 
 def test_verify_self_identity():
     d = diag([(0, 0.0, 1.0), (0, 0.0, INF), (1, 0.3, 0.9)])

@@ -336,9 +336,15 @@ def test_normal_form_shape_validation():
     ([1, 2], [[[1], [1, 2]]]),
     ([1, 1], [[[2**70]]]),
     ([1, 1], [[["a"]]]),
-], ids=["ragged", "beyond-int64", "not-a-number"])
+    ([1, 1], [[[1.5]]]),
+    ([1, 1], [[["1"]]]),
+    ([1, 1], [[[True]]]),
+    ([1, 2], [[[1], [np.True_]]]),
+], ids=["ragged", "beyond-int64", "not-a-number", "float", "numeric-string", "bool",
+        "numpy-bool"])
 def test_explicit_module_refuses_maps_that_are_not_integer_matrices(dims, maps):
-    """These used to escape as numpy's ValueError or OverflowError."""
+    """These used to escape as numpy's ValueError or OverflowError, or to be
+    read as 1 (a float, a numeric string and a bool)."""
     with pytest.raises(InputError, match="not integer matrices"):
         ExplicitModule(dims=dims, maps=maps, p=2)
 

@@ -6,16 +6,23 @@ lower-distance matrices of L1 distances between integer points.  For each it
 draws eps1 in [0, 8], how many points to keep and a prime p, and checks that
 the sparse diagram is psi-interleaved into the exact one, as the profile
 ``sparsify`` would write states it, and that sparse files and diagrams read
-back equal to what was written.  Runs are derandomized and keep no example
-database, so every run checks the same cases.
+back equal to what was written.  A second suite checks the guarantee in
+dimension 2 on noisy samples of the unit sphere in R^3, and on the
+octahedron, whose one 2-class is born at sqrt(2) and dies at 2.  Runs are
+derandomized and keep no example database, so every run checks the same
+cases.
 """
 
+import math
+import random
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import boundary_reduce
 from ripsaw import (
     build,
     build_filtration,
@@ -72,16 +79,17 @@ def cases(draw):
     return kind, values, eps1, keep, p
 
 
-def _pipeline(case):
+def _pipeline(case, dim_cap=2):
     """The exact and the sparse diagram of a case, the sparse matrix and its
-    profile; homology in dimensions 0 and 1, as ``persist`` computes it."""
+    profile; homology below ``dim_cap``, by default in dimensions 0 and 1,
+    as ``persist`` computes it."""
     kind, values, eps1, keep, p = case
     oracle = MAKE_ORACLE[kind](values)
     tree = tighten(build(oracle), oracle)
     profile = make_profile(tree, keep=keep, eps1=eps1)
     matrix = sparsify(tree, oracle, profile)
-    exact = reduce(build_filtration(sparsify(tree, oracle, make_profile(tree)), 2), p)
-    return exact, reduce(build_filtration(matrix, 2), p), matrix, profile
+    exact = reduce(build_filtration(sparsify(tree, oracle, make_profile(tree)), dim_cap), p)
+    return exact, reduce(build_filtration(matrix, dim_cap), p), matrix, profile
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None)
@@ -109,3 +117,49 @@ def test_files_read_back_equal(case):
         meta = {"profile": profile.as_meta()}
         dump_diagram(path.with_suffix(".json"), sparse, meta=meta)
         assert load_diagram(path.with_suffix(".json")) == (sparse, meta)
+
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+SPHERE_EPS1 = [0.25, 0.5, 1.0, 4.0]
+
+
+@st.composite
+def sphere_spaces(draw):
+    """(points, eps1): 8 to 28 points near the unit sphere in R^3, in uniform
+    directions at radii 1 +- noise."""
+    n = draw(st.integers(8, 28))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    points = []
+    for _ in range(n):
+        v = [rng.gauss(0.0, 1.0) for _ in range(3)]
+        radius = (1.0 + noise * rng.uniform(-1.0, 1.0)) / math.hypot(*v)
+        points.append(tuple(radius * x for x in v))
+    return points, draw(st.sampled_from(SPHERE_EPS1))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@settings(PROPERTY, max_examples=12)
+@given(space=sphere_spaces())
+def test_sparse_diagram_is_interleaved_in_dimension_2(space, p):
+    """dim_cap 3: homology through dimension 2, with the tetrahedra as
+    killers, every point kept.  A reducer that errs alike on both sides
+    would still pass the interleaving, so the sparse diagram must also equal
+    the textbook boundary reduction of its filtration."""
+    points, eps1 = space
+    exact, sparse, matrix, profile = _pipeline(
+        ("cloud", points, eps1, len(points), p), dim_cap=3)
+    assert sparse == boundary_reduce(build_filtration(matrix, 3), p)
+    report = verify_interleaving(exact, sparse, profile)
+    assert report.passed, report.summary()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("eps1", SPHERE_EPS1)
+def test_octahedron_has_one_2_class(eps1, p):
+    """The 2-sphere of the octahedron's eight faces appears at sqrt(2), once
+    every edge but the three diagonals is in, and dies at 2 with them; the
+    sparse diagram keeps it within the interleaving."""
+    exact, sparse, _matrix, profile = _pipeline(("cloud", OCTAHEDRON, eps1, 6, p), dim_cap=3)
+    assert exact.pairs(2) == [(math.sqrt(2), 2.0)]
+    assert verify_interleaving(exact, sparse, profile).passed
