@@ -24,7 +24,7 @@ _EXPORTS = {
                   "density_violations", "find_parent", "read_tree", "tighten",
                   "write_tree"),
     "diagram": ("InterleavingReport", "MatchResult", "alive", "approximate",
-                "match_diagrams", "rank_at", "related", "verify_interleaving"),
+                "match_diagrams", "related", "verify_interleaving"),
     "errors": ("InputError", "ResourceGuardError"),
     "generators": ("SolenoidParams", "circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),

@@ -9,7 +9,11 @@ which is what makes the pruned search and the density bound work.
 
 Tightening replaces the geometric-series radii by exact subtree reaches and
 reorders nodes by decreasing reach, yielding a contraction tree: projecting
-any point onto the nodes with reach >= t moves it by at most t.
+any point onto the nodes with reach >= t moves it by at most t.  A
+``ContractionTree`` checks its own shape when it is built, whether by
+``tighten``, ``read_tree`` or by hand, so no consumer meets an invalid one;
+the contraction and density bounds need the oracle and are checked by
+``contraction_violations`` and ``density_violations``.
 """
 
 from __future__ import annotations
@@ -96,38 +100,46 @@ class ContractionTree:
 
     ``order[k]`` is the original point index of ordered node k, ``parent`` is
     the strictly decreasing parent map on ordered indices, and ``times`` are
-    the reach values, ``times[0] == inf``.
+    the reach values, ``times[0] == inf``.  A tree is valid or is never
+    built: ``InputError`` unless ``order`` is a permutation of 0..n-1, the
+    root's parent is -1 and every other node's parent comes before it, and
+    the times after the root's are finite, >= 0 and never increase.
     """
 
     order: list
     parent: list
     times: list
     children: list = field(init=False, repr=False, compare=False)
-    _neg_times: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n = len(self.order)
+        if n == 0 or len(self.parent) != n or len(self.times) != n:
+            raise InputError(f"{n} nodes, {len(self.parent)} parents and "
+                             f"{len(self.times)} times: need one of each per node, "
+                             "and at least one node")
+        if sorted(self.order) != list(range(n)):
+            raise InputError(f"node indices are not exactly 0..{n - 1}")
+        if self.parent[0] != -1 or self.times[0] != INF:
+            raise InputError(f"root has parent {self.parent[0]} and time "
+                             f"{self.times[0]!r}, not -1 and inf")
+        for k in range(1, n):
+            t = self.times[k]
+            if not 0 <= self.parent[k] < k:
+                raise InputError(f"node {self.order[k]} at position {k} has parent "
+                                 f"position {self.parent[k]}, not in 0..{k - 1}")
+            # `not t >= 0` also holds for nan
+            if not (t >= 0.0 and t != INF):
+                raise InputError(f"node {self.order[k]}: contraction time is {t!r}, "
+                                 "not finite and >= 0")
+            if t > self.times[k - 1]:
+                raise InputError(f"times increase at position {k}")
         self.children = [[] for _ in self.order]
-        for k in range(1, len(self.order)):
+        for k in range(1, n):
             self.children[self.parent[k]].append(k)
-        self._neg_times = [-t for t in self.times]
 
     @property
     def size(self):
         return len(self.order)
-
-    def project(self, x, n):
-        """First ancestor of x (or x itself) with ordered index <= n."""
-        if not 0 <= n < self.size:
-            raise InputError(f"truncation index {n} out of range")
-        while x > n:
-            x = self.parent[x]
-        return x
-
-    def n_of_t(self, t):
-        """Largest index k with times[k] >= t (the root always qualifies)."""
-        if t < 0:
-            raise InputError("scale must be nonnegative")
-        return bisect_right(self._neg_times, -t) - 1
 
 
 def tighten(tree: CoverTree, oracle) -> ContractionTree:
@@ -162,7 +174,6 @@ def tighten(tree: CoverTree, oracle) -> ContractionTree:
     for k, old in enumerate(order):
         pos[old] = k
     parent = [-1] + [pos[tree.parent[order[k]]] for k in range(1, n)]
-    assert all(parent[k] < k for k in range(1, n))
     times = [reach[order[k]] for k in range(n)]
     return ContractionTree(order=order, parent=parent, times=times)
 
@@ -186,7 +197,9 @@ def density_violations(ctree: ContractionTree, oracle, limit=10):
 
 
 def contraction_violations(ctree: ContractionTree, oracle, limit=10):
-    """Witnesses (x, t) from the time multiset with d(x, project(x, n(t))) > t.
+    """Witnesses (x, t) from the time multiset with d(x, y) > t, where n(t)
+    is the largest index k with times[k] >= t and y is the first ancestor of
+    x (or x itself) with index <= n(t).
 
     For each node the constraint binds only at the smallest multiset time
     mapping to each ancestor, so the scan is O(n * depth * log n).
@@ -212,14 +225,6 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
     return out
 
 
-def _format_time(t):
-    return "inf" if t == INF else repr(t)
-
-
-def _parse_time(tok):
-    return INF if tok == "inf" else float(tok)
-
-
 def write_tree(path, ctree: ContractionTree, config=None):
     """Serialize one node per line, in contraction order.
 
@@ -234,7 +239,8 @@ def write_tree(path, ctree: ContractionTree, config=None):
         for k in range(ctree.size):
             orig = ctree.order[k]
             par = -1 if k == 0 else ctree.order[ctree.parent[k]]
-            fh.write(f"{orig} {par} {_format_time(ctree.times[k])}\n")
+            time = ctree.times[k]
+            fh.write(f"{orig} {par} {'inf' if time == INF else repr(time)}\n")
 
 
 def read_tree(path, digest=None) -> ContractionTree:
@@ -264,8 +270,6 @@ def read_tree(path, digest=None) -> ContractionTree:
                 if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
                     raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
                 declared = int(head[1])
-                if declared < 1:
-                    raise InputError(f"{path}:{lineno}: need at least one node")
                 continue
             toks = text.split()
             if len(toks) != 3:
@@ -273,28 +277,20 @@ def read_tree(path, digest=None) -> ContractionTree:
             try:
                 order.append(int(toks[0]))
                 parent_orig.append(int(toks[1]))
-                times.append(_parse_time(toks[2]))
+                times.append(float(toks[2]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not times[-1] >= 0.0:
-                raise InputError(f"{path}:{lineno}: contraction time is "
-                                 f"{times[-1]!r}, not >= 0")
     if declared is None:
         raise InputError(f"{path}: empty tree file")
     if len(order) != declared:
         raise InputError(f"{path}: header says {declared} nodes, found {len(order)}")
-    if sorted(order) != list(range(declared)):
-        raise InputError(f"{path}: node indices are not exactly 0..{declared - 1}")
     pos = {orig: k for k, orig in enumerate(order)}
-    parent = [-1]
-    for k in range(1, len(order)):
-        p = parent_orig[k]
-        if p not in pos or pos[p] >= k:
-            raise InputError(f"{path}: node {order[k]} has invalid parent {p}")
-        parent.append(pos[p])
-    if times[0] != INF:
-        raise InputError(f"{path}: root time must be inf")
-    for k in range(1, len(order)):
-        if times[k] > times[k - 1]:
-            raise InputError(f"{path}: times increase at position {k}")
-    return ContractionTree(order=order, parent=parent, times=times)
+    pos[-1] = -1  # the root's parent
+    try:
+        parent = [pos[p] for p in parent_orig]
+    except KeyError as exc:
+        raise InputError(f"{path}: parent {exc} is no node of the tree") from None
+    try:
+        return ContractionTree(order=order, parent=parent, times=times)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None

@@ -106,19 +106,34 @@ class MatchResult:
 def _alternate(x, adjacency, match_x, match_y, keep, seen):
     """Match ``x`` along an alternating path that ends at a free vertex of
     the other side or at a vertex of x's side outside ``keep``, which gives
-    up its partner.  No other vertex of x's side loses its partner."""
-    for y in adjacency[x]:
-        if y in seen:
+    up its partner.  No other vertex of x's side loses its partner.
+
+    A depth-first search on an explicit stack, so long paths cannot exhaust
+    the interpreter's; ``path`` holds the x-side vertices being extended and
+    ``ys[k]`` the partner ``path[k]`` tries."""
+    path, ys = [(x, iter(adjacency[x]))], []
+    while path:
+        for y in path[-1][1]:
+            if y not in seen:
+                break
+        else:
+            path.pop()
+            if ys:
+                ys.pop()
             continue
         seen.add(y)
         other = match_y.get(y)
-        if other is None or other not in keep or _alternate(
-                other, adjacency, match_x, match_y, keep, seen):
-            if match_x.get(other) == y:
-                del match_x[other]
-            match_x[x] = y
-            match_y[y] = x
-            return True
+        if other is not None and other in keep:
+            ys.append(y)
+            path.append((other, iter(adjacency[other])))
+            continue
+        if match_x.get(other) == y:
+            del match_x[other]
+        ys.append(y)
+        for (u, _nbrs), v in zip(path, ys):
+            match_x[u] = v
+            match_y[v] = u
+        return True
     return False
 
 
@@ -174,18 +189,11 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
 
 # --- rank queries and interleaving verification ------------------------------
 
-def rank_at(pairs, s, t):
-    """Number of (birth, death) pairs with birth < s and death >= t
-    (features persisting from s to t)."""
-    if s > t:
-        raise InputError("need s <= t")
-    return sum(1 for b, d in pairs if b < s and d >= t)
-
-
 def _ranks(pairs):
-    """``rank(s, t)``, equal to ``rank_at(pairs, s, t)`` for s <= t, by
-    bisection: the deaths of the pairs born before s are kept sorted, so s
-    must never decrease from one call to the next (InputError)."""
+    """``rank(s, t)``, the number of pairs with birth < s and death >= t
+    (features persisting from s to t), for s <= t, by bisection: the deaths
+    of the pairs born before s are kept sorted, so s must never decrease
+    from one call to the next (InputError)."""
     births, deaths = sorted(pairs), []
     i, last = 0, -INF  # pairs moved into deaths, the last s
 

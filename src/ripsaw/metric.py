@@ -1,8 +1,9 @@
 """Distance oracles over point clouds, explicit matrices, and the circle.
 
-Every oracle exposes ``size`` and ``eval(i, j)`` returning a finite,
-nonnegative, symmetric length with ``eval(i, i) == 0``.  Oracles are
-immutable after construction, so concurrent reads are safe.  The triangle
+There is one oracle type, ``Oracle``: ``size`` points and ``eval(i, j)``
+returning a finite, nonnegative, symmetric length with ``eval(i, i) == 0``.
+Each factory validates its input and supplies the length function; the
+values it reads are copied, so concurrent reads are safe.  The triangle
 inequality is *not* assumed by the abstraction itself (explicit matrices may
 encode arbitrary weighted graphs); consumers that rely on it say so.
 """
@@ -14,46 +15,16 @@ import math
 from .errors import InputError
 
 
-class EuclideanOracle:
-    """Euclidean distances between fixed-dimension real vectors."""
+class Oracle:
+    """``size`` points and the length function ``eval(i, j)`` between them."""
 
-    def __init__(self, points):
-        self.points = points
-        self.size = len(points)
-
-    def eval(self, i, j):
-        return math.dist(self.points[i], self.points[j])
+    def __init__(self, size, length):
+        self.size = size
+        self.eval = length
 
 
-class CircleOracle:
-    """Geodesic distance on the unit-circumference circle R/Z."""
-
-    def __init__(self, angles):
-        self.angles = angles
-        self.size = len(angles)
-
-    def eval(self, i, j):
-        gap = abs(self.angles[i] - self.angles[j])
-        return min(gap, 1.0 - gap)
-
-
-class MatrixOracle:
-    """Reads a stored row-major lower-triangle distance matrix."""
-
-    def __init__(self, values, n):
-        self.values = values
-        self.size = n
-
-    def eval(self, i, j):
-        if i == j:
-            return 0.0
-        if i < j:
-            i, j = j, i
-        return self.values[i * (i - 1) // 2 + j]
-
-
-def euclidean_oracle(points) -> EuclideanOracle:
-    """Build a Euclidean oracle; all points must share one dimension."""
+def euclidean_oracle(points) -> Oracle:
+    """Euclidean distances; all points must share one dimension."""
     pts = [tuple(float(c) for c in p) for p in points]
     if not pts:
         raise InputError("no points given")
@@ -63,22 +34,27 @@ def euclidean_oracle(points) -> EuclideanOracle:
             raise InputError(f"point {k} has dimension {len(p)}, expected {dim}")
         if not all(math.isfinite(c) for c in p):
             raise InputError(f"point {k} has a non-finite coordinate")
-    return EuclideanOracle(pts)
+    return Oracle(len(pts), lambda i, j: math.dist(pts[i], pts[j]))
 
 
-def circle_oracle(angles) -> CircleOracle:
-    """Build a geodesic oracle from angles in [0, 1)."""
+def circle_oracle(angles) -> Oracle:
+    """Geodesic distance on the unit-circumference circle R/Z, from angles
+    in [0, 1)."""
     angs = [float(a) for a in angles]
     if not angs:
         raise InputError("no angles given")
     for k, a in enumerate(angs):
         if not (0.0 <= a < 1.0):
             raise InputError(f"angle {k} = {a!r} outside [0, 1)")
-    return CircleOracle(angs)
+
+    def length(i, j):
+        gap = abs(angs[i] - angs[j])
+        return min(gap, 1.0 - gap)
+    return Oracle(len(angs), length)
 
 
-def matrix_oracle(lower_triangle) -> MatrixOracle:
-    """Build an oracle from a row-major lower-triangle list of lengths.
+def matrix_oracle(lower_triangle) -> Oracle:
+    """Lengths read from a row-major lower-triangle list.
 
     The list length must be n(n-1)/2 for some n >= 1; the diagonal is an
     implicit zero.  The empty list denotes a single point.
@@ -94,7 +70,14 @@ def matrix_oracle(lower_triangle) -> MatrixOracle:
             raise InputError(f"entry {k} is not finite")
         if v < 0:
             raise InputError(f"entry {k} is negative")
-    return MatrixOracle(values, n)
+
+    def length(i, j):
+        if i == j:
+            return 0.0
+        if i < j:
+            i, j = j, i
+        return values[i * (i - 1) // 2 + j]
+    return Oracle(n, length)
 
 
 def load_points(path):

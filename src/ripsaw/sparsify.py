@@ -60,11 +60,11 @@ def json_number(value):
 
 @dataclass
 class PrecisionProfile:
-    """Interleaving budget plus the evaluable maps psi, psi_inv, q, q_inv.
+    """Interleaving budget plus the evaluable maps psi, psi_inv and q.
 
     ``n`` is the original point count and ``N`` the retained count.  A
-    profile is valid or is never built: ``InputError`` unless R >= 0, eps0
-    and eps1 are finite and >= 0, and 1 <= N <= n.
+    profile is valid or is never built: ``InputError`` unless R, eps0 and
+    eps1 are finite and >= 0, and 1 <= N <= n.
     """
 
     R: float
@@ -74,9 +74,7 @@ class PrecisionProfile:
     n: int
 
     def __post_init__(self):
-        # `not R >= 0` also holds for nan
-        if not (self.R >= 0.0
-                and all(math.isfinite(v) and v >= 0.0 for v in (self.eps0, self.eps1))
+        if not (all(math.isfinite(v) and v >= 0.0 for v in (self.R, self.eps0, self.eps1))
                 and 1 <= self.N <= self.n):
             raise InputError(f"profile out of range: {self.as_meta()}")
 
@@ -104,20 +102,6 @@ class PrecisionProfile:
         if r == 0.0:  # 2/eps1 overflows for subnormal eps1, and inf * 0 is nan
             return 0.0
         return (2.0 + 2.0 / self.eps1) * r
-
-    def q_inv(self, r):
-        """Projection-error bound at scale r for the truncated, scaled tree."""
-        if r == INF:
-            return INF
-        half_eps0 = self.eps0 / 2.0
-        if self.eps1 == 0.0:
-            return min(r, half_eps0)
-        factor = 2.0 + 2.0 / self.eps1
-        if r >= factor * half_eps0:
-            return r / factor
-        if r >= half_eps0:
-            return half_eps0
-        return r
 
     def cutoffs(self, ctree):
         """Edge cutoffs of the retained points of ``ctree``: their contraction

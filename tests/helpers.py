@@ -3,10 +3,12 @@ no code path with the implementations they check."""
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
+from ripsaw.errors import InputError
 from ripsaw.modules import barcode_from_ranks
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram
 
@@ -24,6 +26,22 @@ def brute_force_parent(tree, oracle, x):
         if 2.0 * d <= tree.parent_dist[y] and d < best_d:
             best, best_d = y, d
     return best, best_d
+
+
+# --- contraction trees: projection and time lookup -----------------------------
+
+def project(ctree, x, n):
+    """First ancestor of ordered node x (or x itself) with index <= n."""
+    assert 0 <= n < ctree.size
+    while x > n:
+        x = ctree.parent[x]
+    return x
+
+
+def n_of_t(ctree, t):
+    """Largest index k with times[k] >= t (the root always qualifies)."""
+    assert t >= 0
+    return bisect_right([-s for s in ctree.times], -t) - 1
 
 
 # --- generators: scalar splitmix64 and a step-by-step solenoid sampler -------
@@ -67,6 +85,16 @@ def solenoid_reference(n, seed, iterations):
             phi, x, z = solenoid_step(phi, x, z)
         points.append(solenoid_embed(phi, x, z))
     return points
+
+
+# --- diagrams: rank by counting --------------------------------------------------
+
+def rank_at(pairs, s, t):
+    """Number of (birth, death) pairs with birth < s and death >= t
+    (features persisting from s to t)."""
+    if s > t:
+        raise InputError("need s <= t")
+    return sum(1 for b, d in pairs if b < s and d >= t)
 
 
 # --- mod-p linear algebra (fresh implementation) ------------------------------
@@ -227,6 +255,22 @@ def full_distance_matrix(oracle):
 
 
 # --- sparsifier: implied lengths of every pair ---------------------------------
+
+def q_inv(profile, r):
+    """Projection-error bound at scale r for the profile's truncated, scaled
+    tree."""
+    if r == INF:
+        return INF
+    half_eps0 = profile.eps0 / 2.0
+    if profile.eps1 == 0.0:
+        return min(r, half_eps0)
+    factor = 2.0 + 2.0 / profile.eps1
+    if r >= factor * half_eps0:
+        return r / factor
+    if r >= half_eps0:
+        return half_eps0
+    return r
+
 
 @dataclass
 class ImpliedLengths:

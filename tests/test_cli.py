@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import random
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -429,6 +430,81 @@ def test_sparsify_refuses_tree_with_relabelled_node(tmp_path, capsys, label):
     assert not (tmp_path / "c.sparse").exists()
 
 
+@pytest.fixture()
+def cloud_tree_files(tmp_path):
+    """A 24-point cloud and its tree file: header, config line, then the
+    root and the other 23 nodes in contraction order."""
+    csv, tree = tmp_path / "c.csv", tmp_path / "c.tree"
+    assert run("gen", "cloud", "--n", 24, "--seed", 0, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    lines = tree.read_text().splitlines()
+    assert lines[0] == "n 24" and lines[1].startswith("# config ") and len(lines) == 26
+    return csv, tree
+
+
+def _mutate_tree(lines, family, rng):
+    """``lines`` of a tree file with one defect of ``family``, at a node
+    position drawn from ``rng``."""
+    nodes = [line.split() for line in lines[2:]]
+    n = len(nodes)
+    k = rng.randrange(1, n)  # a node other than the root
+    times = {"time-nan": "nan", "time-negative": "-1", "time-1e309": "1e309",
+             "time-inf": "inf"}
+    if family == "drop-line":
+        del nodes[k]
+    elif family == "repeat-line":
+        nodes.insert(k, list(nodes[k]))
+    elif family in ("count-up", "count-down"):
+        n += 1 if family == "count-up" else -1
+    elif family in times:
+        nodes[k][2] = times[family]
+    elif family == "finite-root-time":
+        nodes[0][2] = "1e9"
+    elif family == "index-n":
+        nodes[rng.randrange(n)][0] = str(n)
+    elif family == "parent-after-child":
+        k = rng.randrange(1, n - 1)
+        nodes[k][1] = nodes[rng.randrange(k + 1, n)][0]
+    return [f"n {n}", lines[1]] + [" ".join(node) for node in nodes]
+
+
+@pytest.mark.parametrize("family", [
+    "drop-line", "repeat-line", "count-up", "count-down", "time-nan", "time-negative",
+    "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child"])
+def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
+    """Each defect, at three derandomized positions, is an input error:
+    exit 2, a message, and neither a sparse file nor a sidecar.
+
+    Known gap: a node time that is *lowered* but stays between its
+    neighbours' leaves the tree well formed, and ``sparsify`` then writes a
+    sparse file whose dropped pairs the tree no longer justifies.  Catching
+    it needs ``contraction_violations`` on the input, which costs oracle
+    evaluations that ``sparsify`` does not make today."""
+    csv, tree = cloud_tree_files
+    lines = tree.read_text().splitlines()
+    out = tmp_path / "m.sparse"
+    for seed in range(3):
+        tree.write_text("\n".join(_mutate_tree(lines, family, random.Random(seed))) + "\n")
+        capsys.readouterr()
+        assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
+                   "--out", out) == 2, seed
+        assert capsys.readouterr().err.startswith(f"error: {tree}"), seed
+        assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+def test_sparsify_refuses_tree_time_beyond_float_range(cloud_tree_files, tmp_path, capsys):
+    """A time of 1e309 reads as inf; as the first non-root time it would
+    become the profile's R and an ``Infinity`` in the sidecar."""
+    csv, tree = cloud_tree_files
+    orig, parent, _t = tree.read_text().splitlines()[3].split()
+    _replace_line(tree, 3, f"{orig} {parent} 1e309")
+    out = tmp_path / "x.sparse"
+    assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
+               "--out", out) == 2
+    assert "contraction time is inf" in capsys.readouterr().err
+    assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
 def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):
     csv = tmp_path / "cloud.csv"
     assert run("gen", "cloud", "--n", 10, "--dim", 2, "--out", csv) == 0
@@ -564,7 +640,7 @@ def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",
                                   "N-above-n", "fractional-N", "boolean-R", "string-eps1",
-                                  "R-beyond-float"])
+                                  "R-beyond-float", "infinite-R"])
 def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     meta_path = circle_files["sparse"].with_suffix(".meta.json")
     meta = json.loads(meta_path.read_text())
@@ -584,10 +660,13 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
         meta["eps1"] = " 0.5 "
     elif case == "R-beyond-float":
         meta["R"] = 10**400
+    elif case == "infinite-R":
+        meta["R"] = math.inf  # written as Infinity, which no strict parser reads
     meta_path.write_text("n = 32\n" if case == "not-json" else json.dumps(meta))
     assert run("persist", "--input", circle_files["sparse"],
                "--out", tmp_path / "x.json") == 2
     assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,9 @@
 import math
+import re
 
 import pytest
 
-from helpers import brute_force_parent
+from helpers import brute_force_parent, n_of_t, project
 from ripsaw import (
     InputError,
     build,
@@ -136,24 +137,50 @@ def test_tighten_never_exceeds_a_priori_radius():
             assert ct.times[pos[x]] <= tree.radius(x)
 
 
+# --- construction --------------------------------------------------------------
+
+VALID_TREE = dict(order=[0, 1, 2, 3], parent=[-1, 0, 0, 1], times=[INF, 3.0, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("order", [0, 1, 1, 3], "node indices are not exactly 0..3"),
+    ("order", [0, 1, 2, 4], "node indices are not exactly 0..3"),
+    ("order", [], "at least one node"),
+    ("parent", [-1, 0, 0], "4 nodes, 3 parents"),
+    ("parent", [0, 0, 0, 1], "root has parent 0"),
+    ("parent", [-1, 0, 2, 1], "parent position 2, not in 0..1"),
+    ("parent", [-1, 0, 0, -1], "parent position -1, not in 0..2"),
+    ("times", [5.0, 3.0, 2.0, 1.0], "root has parent -1 and time 5.0"),
+    ("times", [INF, INF, 2.0, 1.0], "contraction time is inf"),
+    ("times", [INF, 3.0, math.nan, 1.0], "contraction time is nan"),
+    ("times", [INF, 3.0, 2.0, -1.0], "contraction time is -1.0"),
+    ("times", [INF, 2.0, 3.0, 1.0], "times increase at position 2"),
+])
+def test_contraction_tree_refuses_an_invalid_shape(field, value, message):
+    """Every tree is checked where it is built: by hand, by ``tighten`` or
+    by ``read_tree``."""
+    ContractionTree(**VALID_TREE)
+    with pytest.raises(InputError, match=re.escape(message)):
+        ContractionTree(**dict(VALID_TREE, **{field: value}))
+
+
 # --- projections and time lookup ----------------------------------------------
 
 def test_project():
-    ct = ContractionTree(order=[0, 1, 2, 3], parent=[-1, 0, 0, 1],
-                         times=[INF, 3.0, 2.0, 1.0])
-    assert ct.project(3, 1) == 1
-    assert ct.project(2, 2) == 2
+    ct = ContractionTree(**VALID_TREE)
+    assert project(ct, 3, 1) == 1
+    assert project(ct, 2, 2) == 2
     for x in range(4):
-        assert ct.project(x, 0) == 0
+        assert project(ct, x, 0) == 0
 
 
 def test_n_of_t():
     ct = ContractionTree(order=list(range(5)), parent=[-1, 0, 1, 1, 0],
                          times=[INF, 5.0, 3.0, 3.0, 1.0])
-    assert ct.n_of_t(4.0) == 1
-    assert ct.n_of_t(0.0) == 4
-    assert ct.n_of_t(3.0) == 3
-    assert ct.n_of_t(INF) == 0
+    assert n_of_t(ct, 4.0) == 1
+    assert n_of_t(ct, 0.0) == 4
+    assert n_of_t(ct, 3.0) == 3
+    assert n_of_t(ct, INF) == 0
 
 
 # --- invariants ---------------------------------------------------------------
@@ -174,9 +201,9 @@ def test_contraction_helper_matches_literal_definition():
     for t in ct.times:
         if t == INF:
             continue
-        n = ct.n_of_t(t)
+        n = n_of_t(ct, t)
         for x in range(ct.size):
-            proj = ct.project(x, n)
+            proj = project(ct, x, n)
             assert oracle.eval(ct.order[x], ct.order[proj]) <= t
 
 

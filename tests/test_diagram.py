@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from helpers import rank_at
 from ripsaw import (
     InputError,
     PersistenceDiagram,
@@ -17,7 +18,6 @@ from ripsaw import (
     make_profile,
     match_diagrams,
     random_cloud,
-    rank_at,
     reduce,
     related,
     sparsify,
@@ -41,7 +41,7 @@ def diag(entries, p=2):
 # --- error rectangles ---------------------------------------------------------
 
 def test_approximate_identity_profile_degenerates():
-    profile = PrecisionProfile(R=INF, eps0=0.0, eps1=0.0, N=4, n=4)
+    profile = PrecisionProfile(R=10.0, eps0=0.0, eps1=0.0, N=4, n=4)
     d = diag([(0, 0.0, 1.0), (1, 0.5, 2.0), (0, 0.0, INF)])
     approx = approximate(d, profile)
     assert [(e.dim, e.birth, e.death) for e in approx] == \
@@ -241,6 +241,18 @@ def test_cover_matching_against_exhaustive_feasibility():
             matched_v = {v for v, _w in res.pairs}
             assert set(alive_v) <= matched_v
             assert set(alive_w) <= seen_w
+
+
+def test_cover_matching_walks_a_long_alternating_path():
+    """Vertex i is adjacent to W entries i-1 and i, so matching vertex i
+    first walks an alternating path through every earlier vertex; a search
+    that recursed once per step would exhaust the interpreter's stack."""
+    from ripsaw.diagram import cover_matching
+
+    n = 1200
+    adjacency = [[i - 1, i] if i else [0] for i in range(n)]
+    res = cover_matching(adjacency, range(n), range(n), n)
+    assert res.ok and res.pairs == [(i, i) for i in range(n)]
 
 
 # --- rank queries -------------------------------------------------------------------

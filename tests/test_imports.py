@@ -47,7 +47,7 @@ def test_module_algebra_names_resolve_lazily():
         for name in names:
             assert getattr(ripsaw, name) is getattr(home, name), name
     assert isinstance(ripsaw.sparsify, types.FunctionType)
-    assert len(ripsaw.__all__) == 42
+    assert len(ripsaw.__all__) == 41
     namespace = {}
     exec("from ripsaw import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
@@ -176,3 +176,37 @@ def test_module_reads_every_parameter(path):
 def test_test_file_binds_no_unused_import(path):
     source = (Path(__file__).parent / path).read_text()
     assert _unused_imports(source) == []
+
+
+def _self_calls(source):
+    """(line, function) for each call in ``source`` by a function to itself,
+    by name or as ``self.<name>``/``cls.<name>``: recursion whose depth grows
+    with the input ends in RecursionError."""
+    calls = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(func):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = node.func
+            if (isinstance(callee, ast.Name) and callee.id == func.name) or (
+                    isinstance(callee, ast.Attribute) and callee.attr == func.name
+                    and isinstance(callee.value, ast.Name)
+                    and callee.value.id in ("self", "cls")):
+                calls.append((node.lineno, func.name))
+    return sorted(calls)
+
+
+def test_self_call_check_flags_recursion():
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n"
+              "class C:\n    def g(self):\n        return self.g()\n"
+              "def h(x):\n    return g(x) + x.h()\n")
+    assert _self_calls(source) == [(2, "f"), (5, "g")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_module_has_no_recursive_function(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _self_calls(source) == []

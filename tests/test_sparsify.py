@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from helpers import implied_lengths
+from helpers import implied_lengths, q_inv
 from ripsaw import (
     InputError,
     PrecisionProfile,
@@ -66,7 +66,7 @@ VALID = dict(R=5.0, eps0=0.5, eps1=0.25, N=3, n=4)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("R", -1.0), ("R", math.nan),
+    ("R", -1.0), ("R", math.nan), ("R", INF),
     ("eps0", -0.1), ("eps0", math.nan), ("eps0", INF),
     ("eps1", -1.0), ("eps1", math.nan), ("eps1", INF),
     ("N", 0), ("N", 5),
@@ -129,11 +129,11 @@ def test_psi_inverse_identity_on_attained_range(eps0, eps1):
 def test_q_inv_matches_piecewise():
     profile = PrecisionProfile(R=10.0, eps0=2.0, eps1=0.25, N=3, n=4)
     # branches meet at eps0/2 = 1 and (2 + 2/eps1) * eps0/2 = 10
-    assert profile.q_inv(0.5) == 0.5
-    assert profile.q_inv(1.0) == 1.0
-    assert profile.q_inv(5.0) == 1.0
-    assert profile.q_inv(10.0) == 1.0
-    assert profile.q_inv(20.0) == 2.0
+    assert q_inv(profile, 0.5) == 0.5
+    assert q_inv(profile, 1.0) == 1.0
+    assert q_inv(profile, 5.0) == 1.0
+    assert q_inv(profile, 10.0) == 1.0
+    assert q_inv(profile, 20.0) == 2.0
 
 
 # --- dispatch cases --------------------------------------------------------------
