@@ -87,7 +87,7 @@ def cmd_sparsify(args):
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify_matrix(ctree, oracle, profile)
     write_sparse(args.out, matrix, config=_config(args))
-    full = matrix.full_edge_count()
+    full = profile.N * (profile.N - 1) // 2
     ratio = len(matrix.edges) / full if full else 0.0
     print(f"kept points: {profile.N} of {profile.n}")
     print(f"eps0: {profile.eps0!r}")
@@ -100,12 +100,6 @@ def cmd_persist(args):
     from . import persistence  # here, not at module level: `ripsaw gen` never needs it
 
     matrix = read_sparse(args.input)
-    if args.export_only:
-        print(f"{args.input} is ready for an external persistence engine; "
-              "no diagram written")
-        return 0
-    if args.out is None:
-        raise InputError("--out is required unless --export-only is given")
     if args.dim < 0:
         raise InputError(f"--dim must be at least 0, got {args.dim}")
     if not persistence.is_prime(args.field):
@@ -197,9 +191,7 @@ _COMMANDS = {
         ("--input", dict(required=True, help="sparse 'i j d' file")),
         ("--dim", dict(type=int, default=1, help="largest homology dimension to report")),
         ("--field", dict(type=int, default=2)),
-        ("--out", dict()),
-        ("--export-only", dict(action="store_true",
-                               help="stop after validating the sparse matrix file"))]),
+        ("--out", dict(required=True))]),
     "plot": ("render a diagram (with error boxes) to SVG", cmd_plot, [
         ("--input", dict(required=True, help="diagram JSON")),
         ("--out", dict(required=True)),
@@ -247,8 +239,8 @@ def main(argv=None):
         return 2
     except ResourceGuardError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
-        print("hint: raise RIPSAW_MAX_SIMPLICES, lower --dim or --keep, or use "
-              "persist --export-only and an external engine", file=sys.stderr)
+        print("hint: raise RIPSAW_MAX_SIMPLICES, lower --dim or --keep, or hand "
+              "the .sparse file to an external engine", file=sys.stderr)
         return 3
 
 

@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import InputError, lines
 
 INF = math.inf
 CONFIG_PREFIX = "# config "
@@ -252,34 +252,32 @@ def read_tree(path, digest=None) -> ContractionTree:
     """
     order, parent_orig, times = [], [], []
     declared = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if digest is not None and text.startswith(CONFIG_PREFIX):
-                try:
-                    recorded = json.loads(text[len(CONFIG_PREFIX):]).get("digest")
-                except (ValueError, AttributeError):
-                    raise InputError(f"{path}:{lineno}: malformed config line") from None
-                if recorded is not None and recorded != digest:
-                    raise InputError(f"{path}: tree was built from a different input "
-                                     f"(digest {recorded}, input has {digest})")
-            if not text or text.startswith("#"):
-                continue
-            if declared is None:
-                head = text.split()
-                if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
-                    raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
-                declared = int(head[1])
-                continue
-            toks = text.split()
-            if len(toks) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'index parent time'")
+    for lineno, text in lines(path):
+        if digest is not None and text.startswith(CONFIG_PREFIX):
             try:
-                order.append(int(toks[0]))
-                parent_orig.append(int(toks[1]))
-                times.append(float(toks[2]))
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+                recorded = json.loads(text[len(CONFIG_PREFIX):]).get("digest")
+            except (ValueError, AttributeError):
+                raise InputError(f"{path}:{lineno}: malformed config line") from None
+            if recorded is not None and recorded != digest:
+                raise InputError(f"{path}: tree was built from a different input "
+                                 f"(digest {recorded}, input has {digest})")
+        if text.startswith("#"):
+            continue
+        if declared is None:
+            head = text.split()
+            if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
+                raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
+            declared = int(head[1])
+            continue
+        toks = text.split()
+        if len(toks) != 3:
+            raise InputError(f"{path}:{lineno}: expected 'index parent time'")
+        try:
+            order.append(int(toks[0]))
+            parent_orig.append(int(toks[1]))
+            times.append(float(toks[2]))
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
     if declared is None:
         raise InputError(f"{path}: empty tree file")
     if len(order) != declared:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError
+from .errors import InputError, lines
 
 
 class Oracle:
@@ -84,19 +84,17 @@ def load_points(path):
     """Parse a point CSV: one point per line, comma or whitespace separated,
     every line holding as many values as the first."""
     points = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                coords = tuple(float(tok) for tok in text.replace(",", " ").split())
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if points and len(coords) != len(points[0]):
-                raise InputError(f"{path}:{lineno}: {len(coords)} values, "
-                                 f"where the first point has {len(points[0])}")
-            points.append(coords)
+    for lineno, text in lines(path):
+        if text.startswith("#"):
+            continue
+        try:
+            coords = tuple(float(tok) for tok in text.replace(",", " ").split())
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if points and len(coords) != len(points[0]):
+            raise InputError(f"{path}:{lineno}: {len(coords)} values, "
+                             f"where the first point has {len(points[0])}")
+        points.append(coords)
     if not points:
         raise InputError(f"{path}: no points")
     return points
@@ -109,9 +107,7 @@ def write_points_csv(path, points):
 
 def load_lower_distance(path):
     """Parse a lower-distance-matrix file (comma/newline separated decimals)."""
-    with open(path) as fh:
-        text = fh.read()
-    tokens = text.replace(",", " ").split()
+    tokens = [tok for _lineno, text in lines(path) for tok in text.replace(",", " ").split()]
     try:
         return [float(tok) for tok in tokens]
     except ValueError as exc:

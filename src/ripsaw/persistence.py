@@ -1,10 +1,11 @@
 """Desk-scale persistent homology over prime fields.
 
-``build_filtration`` turns a (sparse or full) length matrix into one graph
-with edges labelled by length rank and enumerates its flag filtration up
-to a simplex-dimension cap, storing only the simplices below the top
-dimension, each as one integer key, rank(diameter) * n**(d+1) + base-n
-code of its d+1 vertices, whose order is the filtration order; ``reduce``
+``build_filtration`` turns a sparse edge list, as ``sparsify`` and
+``read_sparse`` build it, into one graph with edges labelled by length
+rank and enumerates its flag filtration up to a simplex-dimension cap,
+storing only the simplices below the top dimension, each as one integer
+key, rank(diameter) * n**(d+1) + base-n code of its d+1 vertices, whose
+order is the filtration order; ``reduce``
 pairs its simplices on that graph, dimension 0 by union-find and the rest
 by reducing coboundary columns with clearing, with every simplex and
 coface named by its key alone and every pivot that needed no addition kept
@@ -32,7 +33,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
-from .sparsify import SparseLengthMatrix, json_int, json_number
+from .sparsify import json_int, json_number
 
 INF = math.inf
 
@@ -104,26 +105,14 @@ class Filtration:
         return [(verts, self.lengths[r]) for r, _m, verts in out]
 
 
-def _graph(lengths):
-    """Normalize input to (sorted distinct lengths, 0.0 included; adjacency
-    ``adj[u][v]`` = rank in them of the length of edge uv)."""
-    if isinstance(lengths, SparseLengthMatrix):
-        n = lengths.size
-        edges = lengths.edges
-    else:
-        try:
-            rows = [[float(x) for x in row] for row in lengths]
-        except (TypeError, ValueError):
-            rows = None
-        n = len(rows or ())
-        if rows is None or any(len(row) != n for row in rows):
-            raise InputError("expected a square matrix or SparseLengthMatrix")
-        edges = [(i, j, rows[i][j]) for i in range(n) for j in range(i + 1, n)
-                 if math.isfinite(rows[i][j])]
-    values = sorted({0.0, *(w for _i, _j, w in edges)})
+def _graph(matrix):
+    """The ranked graph of a sparse edge list, any object with ``size`` and
+    ``edges`` (i, j, w) with i < j: (sorted distinct lengths, 0.0 included;
+    adjacency ``adj[u][v]`` = rank in them of the length of edge uv)."""
+    values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
     rank = {w: k for k, w in enumerate(values)}
-    adj = [{} for _ in range(n)]
-    for i, j, w in edges:
+    adj = [{} for _ in range(matrix.size)]
+    for i, j, w in matrix.edges:
         adj[i][j] = adj[j][i] = rank[w]
     return values, adj
 
@@ -158,16 +147,17 @@ def _cliques(adj, dim_cap):
                 stack.append((new, code * n + v, d, ext))
 
 
-def build_filtration(lengths, dim_cap) -> Filtration:
-    """The flag filtration of all cliques with at most dim_cap+1 vertices.
+def build_filtration(matrix, dim_cap) -> Filtration:
+    """The flag filtration of all cliques with at most dim_cap+1 vertices of
+    the sparse edge list ``matrix`` (any object with ``size`` and ``edges``).
 
-    Missing (infinite) edges block cliques.  Top-dimension simplices are
-    counted from the extension sets of their largest faces, not enumerated.
+    Missing edges block cliques.  Top-dimension simplices are counted from
+    the extension sets of their largest faces, not enumerated.
     Refuses with ``ResourceGuardError`` once the count of every simplex up
     to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
     """
     budget = _simplex_budget()
-    values, adj = _graph(lengths)
+    values, adj = _graph(matrix)
     n = len(adj)
     columns = [[] for _ in range(dim_cap)]
     count = 0
@@ -184,12 +174,13 @@ def build_filtration(lengths, dim_cap) -> Filtration:
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
 
-def count_simplices(lengths, dim_cap):
-    """Clique counts of the edge graph, per dimension 0..dim_cap, streamed
-    from the enumeration ``build_filtration`` stores; the top dimension is
-    counted from extension sets, and nothing is stored."""
+def count_simplices(matrix, dim_cap):
+    """Clique counts of the sparse edge list's graph, per dimension
+    0..dim_cap, streamed from the enumeration ``build_filtration`` stores;
+    the top dimension is counted from extension sets, and nothing is
+    stored."""
     counts = [0] * (dim_cap + 1)
-    for verts, _code, _d, ext in _cliques(_graph(lengths)[1], dim_cap):
+    for verts, _code, _d, ext in _cliques(_graph(matrix)[1], dim_cap):
         counts[len(verts) - 1] += 1
         if len(verts) == dim_cap:
             counts[dim_cap] += len(ext)

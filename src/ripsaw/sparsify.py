@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError
+from .errors import InputError, lines
 
 INF = math.inf
 
@@ -160,18 +160,19 @@ def make_profile(ctree, keep=None, eps1=0.0):
 
 @dataclass
 class SparseLengthMatrix:
-    """Symmetric edge list over the retained points, stored once with i < j.
+    """Symmetric edge list over the ``profile.N`` retained points, stored
+    once with i < j.
 
     Every listed edge carries the exact oracle distance; absent pairs are
     implicitly missing (infinite length).
     """
 
-    size: int
     edges: list
     profile: PrecisionProfile
 
-    def full_edge_count(self):
-        return self.size * (self.size - 1) // 2
+    @property
+    def size(self):
+        return self.profile.N
 
 
 def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
@@ -197,7 +198,7 @@ def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
                 if b < c < n_keep:
                     _consider(b, c, dab, cutoff, order, oracle, edges, stack)
     edges.sort()
-    return SparseLengthMatrix(size=n_keep, edges=edges, profile=profile)
+    return SparseLengthMatrix(edges=edges, profile=profile)
 
 
 def _consider(u, v, dp, cutoff, order, oracle, edges, stack):
@@ -238,26 +239,24 @@ def read_sparse(path) -> SparseLengthMatrix:
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
     edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            toks = text.split()
-            if len(toks) != 3:
-                raise InputError(f"{path}:{lineno}: expected 'i j d'")
-            try:
-                i, j, w = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
-            if not 0 <= i < j < profile.N:
-                raise InputError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
-            if not (math.isfinite(w) and w >= 0.0):
-                raise InputError(f"{path}:{lineno}: edge length {w!r} is not "
-                                 "a finite nonnegative number")
-            edges.append((i, j, w))
+    for lineno, text in lines(path):
+        if text.startswith("#"):
+            continue
+        toks = text.split()
+        if len(toks) != 3:
+            raise InputError(f"{path}:{lineno}: expected 'i j d'")
+        try:
+            i, j, w = int(toks[0]), int(toks[1]), float(toks[2])
+        except ValueError as exc:
+            raise InputError(f"{path}:{lineno}: {exc}") from None
+        if not 0 <= i < j < profile.N:
+            raise InputError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
+        if not (math.isfinite(w) and w >= 0.0):
+            raise InputError(f"{path}:{lineno}: edge length {w!r} is not "
+                             "a finite nonnegative number")
+        edges.append((i, j, w))
     edges.sort()
     for prev, edge in zip(edges, edges[1:]):
         if prev[:2] == edge[:2]:
             raise InputError(f"{path}: edge {edge[:2]} listed twice")
-    return SparseLengthMatrix(size=profile.N, edges=edges, profile=profile)
+    return SparseLengthMatrix(edges=edges, profile=profile)

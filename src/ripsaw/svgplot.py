@@ -60,14 +60,11 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
     ``InputError`` unless ``clip`` is None or finite and > 0."""
     if clip is not None and not (0.0 < clip < INF):  # nan fails both
         raise InputError(f"clip must be finite and > 0, got {clip!r}")
+    finite = [v for e in diagram.entries for v in (e.birth, e.death) if v != INF]
+    approx = []
     if profile is not None:
         approx = approximate(diagram, profile)
-        finite = [v for e in approx for v in (e.rect[0], e.birth, e.rect[2], e.death)
-                  if v != INF]
-    else:
-        approx = None
-        finite = [v for e in diagram.entries for v in (e.birth, e.death) if v != INF]
-    if profile is not None and profile.R != INF:
+        finite += [v for e in approx for v in (e.rect[0], e.rect[2]) if v != INF]
         finite.append(profile.R)
     hi = max(finite) if finite else 1.0
     positives = [v for v in finite if v > 0]
@@ -113,19 +110,18 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
                      f'text-anchor="end" fill="#333">{label}</text>')
 
     # rectangles below curves, dots above
-    if approx is not None:
-        for e in approx:
-            x0, x1 = px(e.rect[0]), px(e.birth)
-            if e.essential:
-                y0, y1 = inf_y - 4, inf_y + 4
-            else:
-                y0, y1 = py(e.death), py(e.rect[2])
-            fill = _DEFINITE_FILL if e.definite else _POSSIBLE_FILL
-            cls = "definite" if e.definite else "possible"
-            parts.append(
-                f'<rect class="{cls}" x="{x0:.2f}" y="{y0:.2f}" '
-                f'width="{max(x1 - x0, 0.8):.2f}" height="{max(y1 - y0, 0.8):.2f}" '
-                f'fill="{fill}" fill-opacity="0.35" stroke="{fill}" stroke-width="0.8"/>')
+    for e in approx:
+        x0, x1 = px(e.rect[0]), px(e.birth)
+        if e.essential:
+            y0, y1 = inf_y - 4, inf_y + 4
+        else:
+            y0, y1 = py(e.death), py(e.rect[2])
+        fill = _DEFINITE_FILL if e.definite else _POSSIBLE_FILL
+        cls = "definite" if e.definite else "possible"
+        parts.append(
+            f'<rect class="{cls}" x="{x0:.2f}" y="{y0:.2f}" '
+            f'width="{max(x1 - x0, 0.8):.2f}" height="{max(y1 - y0, 0.8):.2f}" '
+            f'fill="{fill}" fill-opacity="0.35" stroke="{fill}" stroke-width="0.8"/>')
 
     # diagonal (identity, black)
     parts.append(_curve_path(lambda r: r, axis, px, py, "black", "identity"))
@@ -134,8 +130,7 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
     if overlay is not None:
         parts.append(_curve_path(overlay.psi, axis, px, py, _OVERLAY_COLOR, "overlay-psi"))
 
-    entries = approx if approx is not None else diagram.entries
-    for e in entries:
+    for e in diagram.entries:
         parts.append(f'<circle cx="{px(e.birth):.2f}" cy="{py(e.death):.2f}" '
                      'r="2.6" fill="#222"/>')
 

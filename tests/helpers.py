@@ -11,6 +11,7 @@ import numpy as np
 from ripsaw.errors import InputError
 from ripsaw.modules import barcode_from_ranks
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram
+from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
 
@@ -252,6 +253,17 @@ def diagram_to_multisets(diagram, hom_cap):
 def full_distance_matrix(oracle):
     n = oracle.size
     return np.array([[oracle.eval(i, j) for j in range(n)] for i in range(n)])
+
+
+def edge_list(dist):
+    """The sparse edge list of a square distance matrix (a numpy array or a
+    list of rows): its finite entries above the diagonal, with a profile
+    that keeps every point."""
+    n = len(dist)
+    edges = [(i, j, float(dist[i][j])) for i in range(n) for j in range(i + 1, n)
+             if math.isfinite(dist[i][j])]
+    profile = PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=n, n=n)
+    return SparseLengthMatrix(edges=edges, profile=profile)
 
 
 # --- sparsifier: implied lengths of every pair ---------------------------------

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import brute_force_parent, gauss_rank, implied_lengths, q_inv
+from helpers import brute_force_parent, edge_list, gauss_rank, implied_lengths, q_inv
 from ripsaw import (
     build,
     build_filtration,
@@ -44,7 +44,7 @@ def test_criterion_1_circle_exactness():
     start = time.perf_counter()
     oracle = circle_oracle(circle_sample(32))
     dist = np.array([[oracle.eval(i, j) for j in range(32)] for i in range(32)])
-    diagram = reduce(build_filtration(dist, 2), 2)
+    diagram = reduce(build_filtration(edge_list(dist), 2), 2)
     elapsed = time.perf_counter() - start
 
     h1 = diagram.pairs(1)

@@ -129,14 +129,6 @@ def test_tree_from_other_input_of_same_size_is_error(tmp_path, capsys):
                "--out", tmp_path / "x.sparse") == 0
 
 
-def test_persist_export_only(circle_files, tmp_path, capsys):
-    before = circle_files["sparse"].read_bytes()
-    assert run("persist", "--input", circle_files["sparse"], "--export-only") == 0
-    assert circle_files["sparse"].read_bytes() == before
-    assert not (tmp_path / "unwritten.json").exists()
-    assert "no diagram written" in capsys.readouterr().out
-
-
 def test_persist_rejects_composite_field(circle_files, tmp_path):
     assert run("persist", "--input", circle_files["sparse"], "--field", 4,
                "--out", tmp_path / "x.json") == 2
@@ -171,7 +163,7 @@ def test_persist_memory_guard(tmp_path, monkeypatch, capsys):
     run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0, "--out", sparse)
     assert run("persist", "--input", sparse, "--dim", 1,
                "--out", tmp_path / "d.json") == 3
-    assert "export-only" in capsys.readouterr().err
+    assert "hand the .sparse file to an external engine" in capsys.readouterr().err
 
 
 def test_verify_self_passes(circle_files, capsys):
@@ -503,6 +495,99 @@ def test_sparsify_refuses_tree_time_beyond_float_range(cloud_tree_files, tmp_pat
                "--out", out) == 2
     assert "contraction time is inf" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+def _mutate_sparse(lines, family, n, rng):
+    """``lines`` of a sparse file over ``n`` points with one defect of
+    ``family``, at a line drawn from ``rng``; a line that is not UTF-8 is
+    the lone surrogate that encodes to the byte 0xff."""
+    lines = list(lines)
+    k = rng.randrange(len(lines))
+    toks = lines[k].split()
+    lengths = {"length-nan": "nan", "length-inf": "inf", "length-negative": "-1",
+               "length-1e309": "1e309"}
+    if family == "two-tokens":
+        del toks[2]
+    elif family == "four-tokens":
+        toks.append(toks[2])
+    elif family in lengths:
+        toks[2] = lengths[family]
+    elif family == "i-equals-j":
+        toks[1] = toks[0]
+    elif family == "i-above-j":
+        toks[:2] = toks[1], toks[0]
+    elif family == "j-equals-N":
+        toks[1] = str(n)
+    elif family == "fractional-index":
+        toks[rng.randrange(2)] = "1.5"
+    elif family == "repeat-line":
+        lines.insert(k, lines[k])
+    elif family == "byte-0xff":
+        lines.insert(k, "\udcff")
+    if family not in ("repeat-line", "byte-0xff"):
+        lines[k] = " ".join(toks)
+    return lines
+
+
+@pytest.mark.parametrize("family", [
+    "two-tokens", "four-tokens", "length-nan", "length-inf", "length-negative",
+    "length-1e309", "i-equals-j", "i-above-j", "j-equals-N", "fractional-index",
+    "repeat-line", "byte-0xff"])
+def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, family):
+    """Each defect, at three derandomized lines, is an input error: exit 2,
+    a message naming the file, and no diagram.
+
+    Known gap: dropping a line, or changing a length to another valid one,
+    leaves a well-formed file, and ``persist`` exits 0 with a different
+    diagram, because a sparse file carries no digest of the input it was
+    built from.  Whether ``verify`` then catches the change is untested."""
+    sparse = circle_files["sparse"]
+    lines = sparse.read_text().splitlines()
+    assert len(lines) == 32 * 31 // 2
+    out = tmp_path / "m.json"
+    for seed in range(3):
+        mutated = _mutate_sparse(lines, family, 32, random.Random(seed))
+        sparse.write_bytes(("\n".join(mutated) + "\n").encode("utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert run("persist", "--input", sparse, "--out", out) == 2, seed
+        assert capsys.readouterr().err.startswith(f"error: {sparse}"), seed
+        assert not out.exists()
+
+
+def _append_byte_0xff(path):
+    with open(path, "ab") as fh:
+        fh.write(b"\xff\n")
+
+
+@pytest.mark.parametrize("case", ["points", "circle", "lower-distance", "tree", "sparse",
+                                  "sidecar", "diagram"])
+def test_undecodable_input_is_input_error(circle_files, tmp_path, capsys, case):
+    """A file that is not UTF-8 text exits 2 with a message naming it, and
+    no output is written."""
+    lower = tmp_path / "d.lower"
+    lower.write_text("1.0\n2.0, 1.5\n")
+    points = tmp_path / "cloud.csv"
+    write_points_csv(points, random_cloud(10, 2, 0))
+    circle = ["--input", circle_files["csv"], "--format", "circle"]
+    bad, out, argv = {
+        "points": (points, "x.tree", ["tree", "--input", points]),
+        "circle": (circle_files["csv"], "x.tree", ["tree", *circle]),
+        "lower-distance": (lower, "x.tree",
+                           ["tree", "--input", lower, "--format", "lower-distance"]),
+        "tree": (circle_files["tree"], "x.sparse",
+                 ["sparsify", *circle, "--tree", circle_files["tree"]]),
+        "sparse": (circle_files["sparse"], "x.json",
+                   ["persist", "--input", circle_files["sparse"]]),
+        "sidecar": (circle_files["sparse"].with_suffix(".meta.json"), "x.json",
+                    ["persist", "--input", circle_files["sparse"]]),
+        "diagram": (circle_files["diag"], "x.svg", ["plot", "--input", circle_files["diag"]]),
+    }[case]
+    _append_byte_0xff(bad)
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err
+    assert sorted(tmp_path.glob("x.*")) == []
 
 
 def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):

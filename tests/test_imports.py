@@ -210,3 +210,47 @@ def test_self_call_check_flags_recursion():
 def test_module_has_no_recursive_function(path):
     source = (Path(ripsaw.__file__).parent / path).read_text()
     assert _self_calls(source) == []
+
+
+def _unguarded_reads(source):
+    """Lines of the ``open()`` calls in ``source`` that neither pass a write
+    mode nor sit in the body of a ``try`` that catches ``ValueError`` or
+    ``UnicodeDecodeError``: such a reader meets a file that is not UTF-8
+    with a traceback instead of an input error.  The guarded ones are the
+    shared line reader ``errors.lines`` and the JSON reads of
+    ``read_sparse``'s sidecar and ``load_diagram``."""
+    tree = ast.parse(source)
+    guarded = {id(node) for block in ast.walk(tree) if isinstance(block, ast.Try)
+               and any(isinstance(n, ast.Name) and n.id in ("ValueError", "UnicodeDecodeError")
+                       for h in block.handlers if h.type for n in ast.walk(h.type))
+               for stmt in block.body for node in ast.walk(stmt)}
+    reads = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "open") or id(node) in guarded:
+            continue
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (k.value for k in node.keywords if k.arg == "mode"), None)
+        if not (isinstance(mode, ast.Constant) and set(mode.value) & set("wax")):
+            reads.append(node.lineno)
+    return sorted(reads)
+
+
+def test_unguarded_read_check_flags_a_bare_reader():
+    source = ("def load(p):\n    with open(p) as fh:\n        return fh.read()\n"
+              "def raw(p):\n    return open(p, 'rb')\n"
+              "def save(p):\n    open(p, 'w'); open(p, mode='a'); open(p, 'xb')\n"
+              "def parse(p):\n    try:\n        return open(p).read()\n"
+              "    except (OSError, ValueError):\n        pass\n"
+              "def lines(p):\n    try:\n        yield from open(p, encoding='utf-8')\n"
+              "    except UnicodeDecodeError:\n        pass\n"
+              "def careless(p):\n    try:\n        return open(p).read()\n"
+              "    except OSError:\n        pass\n")
+    assert _unguarded_reads(source) == [2, 5, 20]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_module_reads_text_only_through_a_guarded_open(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _unguarded_reads(source) == []

@@ -11,6 +11,7 @@ from helpers import (
     brute_force_diagram,
     decode_simplex_key,
     diagram_to_multisets,
+    edge_list,
     full_distance_matrix,
     gauss_rank,
     random_invertible,
@@ -47,7 +48,7 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
 def test_filtration_k3():
     dist = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
-    filt = build_filtration(dist, 2)
+    filt = build_filtration(edge_list(dist), 2)
     by_dim = {}
     for verts, diam in filt.simplices:
         by_dim.setdefault(len(verts) - 1, []).append((verts, diam))
@@ -58,7 +59,7 @@ def test_filtration_k3():
 
 def test_filtration_blocked_clique():
     dist = np.array([[0, INF, 1], [INF, 0, 1], [1, 1, 0]], dtype=float)
-    filt = build_filtration(dist, 2)
+    filt = build_filtration(edge_list(dist), 2)
     dims = [len(v) - 1 for v, _d in filt.simplices]
     assert dims.count(1) == 2
     assert dims.count(2) == 0
@@ -66,7 +67,7 @@ def test_filtration_blocked_clique():
 
 def test_filtration_square_dim_cap_1():
     dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
-    filt = build_filtration(dist, 1)
+    filt = build_filtration(edge_list(dist), 1)
     edges = sorted(d for v, d in filt.simplices if len(v) == 2)
     assert len([v for v, _d in filt.simplices if len(v) == 1]) == 4
     assert edges == [1.0, 1.0, 1.0, 1.0, math.sqrt(2), math.sqrt(2)]
@@ -74,7 +75,7 @@ def test_filtration_square_dim_cap_1():
 
 def test_filtration_order_is_linear_extension():
     dist = full_distance_matrix(euclidean_oracle(random_cloud(10, 2, 0)))
-    filt = build_filtration(dist, 2)
+    filt = build_filtration(edge_list(dist), 2)
     position = {v: k for k, (v, _d) in enumerate(filt.simplices)}
     for verts, diam in filt.simplices:
         for drop in range(len(verts)):
@@ -93,12 +94,12 @@ def _far_apart_clusters(n, seed):
     edges = [(int(a), int(b), int(rng.integers(1, 41)) / 4) for g in range(3)
              for a, b in itertools.combinations(sorted(ids[7 * g:7 * g + 7]), 2)]
     profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=n, n=n)
-    return SparseLengthMatrix(size=n, edges=sorted(edges), profile=profile)
+    return SparseLengthMatrix(edges=sorted(edges), profile=profile)
 
 
 @pytest.mark.parametrize("lengths,dim_cap,past_64_bits", [
-    (full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0))), 3, False),
-    (full_distance_matrix(circle_oracle(circle_sample(32))), 2, False),
+    (edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))), 3, False),
+    (edge_list(full_distance_matrix(circle_oracle(circle_sample(32)))), 2, False),
     (_far_apart_clusters(2**15, 0), 4, True),
 ], ids=["cloud64", "circle32", "sparse-2**15"])
 def test_columns_hold_the_simplex_keys_in_filtration_order(lengths, dim_cap, past_64_bits):
@@ -116,23 +117,6 @@ def test_columns_hold_the_simplex_keys_in_filtration_order(lengths, dim_cap, pas
     assert (max(filt.columns[-1]) > 2**63) == past_64_bits
 
 
-def test_filtration_list_equals_ndarray():
-    dist = full_distance_matrix(euclidean_oracle(random_cloud(8, 2, 4)))
-    assert build_filtration(dist.tolist(), 2) == build_filtration(dist, 2)
-
-
-@pytest.mark.parametrize("bad", [
-    [[0.0, 1.0]],
-    np.zeros((2, 3)),
-    [0.0, 1.0],
-    [[0.0, 1.0], [1.0]],
-    np.zeros((2, 2, 2)),
-])
-def test_filtration_rejects_non_square(bad):
-    with pytest.raises(InputError):
-        build_filtration(bad, 1)
-
-
 def test_top_dimension_is_never_stored():
     """The exact 64-point cloud at dim_cap 2: the 41,664 triangles are only
     coboundary rows, so the filtration stores none of them, and building
@@ -141,7 +125,7 @@ def test_top_dimension_is_never_stored():
     dist = full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))
     tracemalloc.start()
     try:
-        filt = build_filtration(dist, 2)
+        filt = build_filtration(edge_list(dist), 2)
         reduce(filt, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -160,7 +144,7 @@ def test_free_pivots_keep_only_their_simplex(p):
     dist = full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))
     tracemalloc.start()
     try:
-        reduce(build_filtration(dist, 2), p)
+        reduce(build_filtration(edge_list(dist), 2), p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -177,7 +161,7 @@ def test_union_find_h0_two_components_and_a_duplicate():
         dist[i][j] = dist[j][i] = w
     for k in range(6):
         dist[k][k] = 0.0
-    filt = build_filtration(dist, 2)
+    filt = build_filtration(edge_list(dist), 2)
     for p in (2, 3):
         diag = reduce(filt, p)
         assert diag == boundary_reduce(filt, p)
@@ -190,7 +174,7 @@ def test_memory_guard_env(monkeypatch):
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(cap))
         dist = full_distance_matrix(euclidean_oracle(random_cloud(n, 2, seed)))
         with pytest.raises(ResourceGuardError) as err:
-            build_filtration(dist, dim_cap)
+            build_filtration(edge_list(dist), dim_cap)
         assert err.value.count > cap
 
 
@@ -199,7 +183,7 @@ def _guard_inputs():
     ct = tighten(build(oracle), oracle)
     sparse = sparsify(ct, oracle, make_profile(ct, eps1=0.5))
     k7 = np.ones((7, 7)) - np.eye(7)
-    return [("K7", k7), ("cloud40-sparse", sparse)]
+    return [("K7", edge_list(k7)), ("cloud40-sparse", sparse)]
 
 
 @pytest.mark.parametrize("dim_cap", [1, 2, 3])
@@ -220,27 +204,27 @@ def test_memory_guard_counts_what_count_simplices_counts(monkeypatch, dim_cap):
 def test_malformed_memory_guard_env_is_input_error(monkeypatch, value):
     monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", value)
     with pytest.raises(InputError, match="RIPSAW_MAX_SIMPLICES"):
-        build_filtration(np.zeros((2, 2)), 1)
+        build_filtration(edge_list(np.zeros((2, 2))), 1)
 
 
 # --- reduction -------------------------------------------------------------------
 
 def test_reduce_square():
     dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
-    diag = reduce(build_filtration(dist, 2), 2)
+    diag = reduce(build_filtration(edge_list(dist), 2), 2)
     got = diagram_to_multisets(diag, 1)
     assert got[0] == [(0.0, 1.0)] * 3 + [(0.0, INF)]
     assert got[1] == [(1.0, math.sqrt(2))]
 
 
 def test_reduce_single_point():
-    diag = reduce(build_filtration(np.zeros((1, 1)), 1), 2)
+    diag = reduce(build_filtration(edge_list(np.zeros((1, 1))), 1), 2)
     assert diagram_to_multisets(diag, 0) == {0: [(0.0, INF)]}
 
 
 def test_reduce_circle32():
     o = circle_oracle(circle_sample(32))
-    diag = reduce(build_filtration(full_distance_matrix(o), 2), 2)
+    diag = reduce(build_filtration(edge_list(full_distance_matrix(o)), 2), 2)
     got = diagram_to_multisets(diag, 1)
     assert got[1] == [(1 / 32, 11 / 32)]
     assert got[0] == [(0.0, 1 / 32)] * 31 + [(0.0, INF)]
@@ -249,12 +233,12 @@ def test_reduce_circle32():
 def test_reduce_rejects_composite_field():
     dist = np.zeros((2, 2))
     with pytest.raises(InputError):
-        reduce(build_filtration(dist, 1), 4)
+        reduce(build_filtration(edge_list(dist), 1), 4)
 
 
 def test_reduce_rejects_field_beyond_64_bits():
     with pytest.raises(InputError, match=r"2\*\*64"):
-        reduce(build_filtration(np.zeros((2, 2)), 1), 2**64 + 13)
+        reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), 2**64 + 13)
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
@@ -262,7 +246,7 @@ def test_non_integer_field_is_input_error(p):
     """2.0 and 3.0 used to pass as primes and write a diagram its own reader
     refuses; 2.5 ended in a TypeError."""
     with pytest.raises(InputError, match="not an integer"):
-        reduce(build_filtration(np.zeros((2, 2)), 1), p)
+        reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), p)
     with pytest.raises(InputError, match="not an integer"):
         ExplicitModule(dims=[2, 2], maps=[[[1, 1], [0, 1]]], p=p)
 
@@ -290,7 +274,8 @@ def test_reduce_matches_rank_oracle(points, hom_cap, p):
     """Column reduction agrees with the chain-level rank oracle."""
     dist = full_distance_matrix(euclidean_oracle(points))
     want = brute_force_diagram(dist, hom_cap, p)
-    got = diagram_to_multisets(reduce(build_filtration(dist, hom_cap + 1), p), hom_cap)
+    filt = build_filtration(edge_list(dist), hom_cap + 1)
+    got = diagram_to_multisets(reduce(filt, p), hom_cap)
     assert want == got
 
 
@@ -298,8 +283,8 @@ def test_field_independence_on_torsion_free_examples():
     for oracle in (circle_oracle(circle_sample(16)),
                    euclidean_oracle(UNIT_SQUARE)):
         dist = full_distance_matrix(oracle)
-        d2 = reduce(build_filtration(dist, 2), 2)
-        d3 = reduce(build_filtration(dist, 2), 3)
+        d2 = reduce(build_filtration(edge_list(dist), 2), 2)
+        d3 = reduce(build_filtration(edge_list(dist), 2), 3)
         assert [(e.dim, e.birth, e.death) for e in d2.entries] == \
                [(e.dim, e.birth, e.death) for e in d3.entries]
 
@@ -449,7 +434,7 @@ def test_inconsistent_rank_table_rejected():
 
 def test_diagram_json_roundtrip(tmp_path):
     dist = full_distance_matrix(euclidean_oracle(random_cloud(12, 2, 4)))
-    diag = reduce(build_filtration(dist, 2), 2)
+    diag = reduce(build_filtration(edge_list(dist), 2), 2)
     path = tmp_path / "diag.json"
     dump_diagram(path, diag, meta={"profile": {"n": 12, "N": 12, "eps0": 0.0,
                                                "eps1": 0.0, "R": 1.0}})
@@ -463,7 +448,7 @@ def test_diagram_json_roundtrip(tmp_path):
 def test_diagram_text_dump():
     diag = PersistenceDiagram(field_char=2, entries=[])
     dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
-    diag = reduce(build_filtration(dist, 2), 2)
+    diag = reduce(build_filtration(edge_list(dist), 2), 2)
     lines = diag.to_text().strip().splitlines()
     assert lines[0].split() == ["0", "0.0", "1.0"]
     assert lines[3].split() == ["0", "0.0", "inf"]

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import boundary_reduce, full_distance_matrix
+from helpers import boundary_reduce, edge_list, full_distance_matrix
 from ripsaw import (
     build,
     build_filtration,
@@ -40,11 +40,11 @@ def _size(rng, dim_cap):
 
 def _cloud(rng, dim_cap):
     points = random_cloud(_size(rng, dim_cap), rng.choice((2, 3)), rng.randrange(10**6))
-    return full_distance_matrix(euclidean_oracle(points))
+    return edge_list(full_distance_matrix(euclidean_oracle(points)))
 
 
 def _circle(rng, dim_cap):
-    return full_distance_matrix(circle_oracle(circle_sample(_size(rng, dim_cap))))
+    return edge_list(full_distance_matrix(circle_oracle(circle_sample(_size(rng, dim_cap)))))
 
 
 def _sparsified(rng, dim_cap):
@@ -57,8 +57,9 @@ def _sparsified(rng, dim_cap):
 
 
 def _integer(rng, dim_cap):
-    """Lengths 1..4 or missing, as a plain list of lists; often non-metric.
-    Some draws also cut every length above 2 or 3 (made missing)."""
+    """The edge list of a matrix of lengths 1..4 or missing, drawn as a
+    plain list of lists; often non-metric.  Some draws also cut every
+    length above 2 or 3 (made missing)."""
     n = _size(rng, dim_cap)
     rows = [[0.0] * n for _ in range(n)]
     for i in range(n):
@@ -66,7 +67,7 @@ def _integer(rng, dim_cap):
             w = rng.choice((1, 2, 2, 3, 3, 4, math.inf))
             rows[i][j] = rows[j][i] = float(w)
     cut = rng.choice((math.inf, 2.0, 3.0))
-    return [[w if w <= cut else math.inf for w in row] for row in rows]
+    return edge_list([[w if w <= cut else math.inf for w in row] for row in rows])
 
 
 MAKERS = {"cloud": _cloud, "circle": _circle, "sparsified": _sparsified,
@@ -100,7 +101,7 @@ def _wide(rng, n):
                   for k, a in enumerate(group) for b in group[k + 1:]
                   if rng.random() < 0.85]
     profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=n, n=n)
-    return SparseLengthMatrix(size=n, edges=sorted(edges), profile=profile)
+    return SparseLengthMatrix(edges=sorted(edges), profile=profile)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -283,7 +283,7 @@ def test_truncated_complexes_agree_at_their_scale():
 
 def fake_matrix(n, edges):
     profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=n, n=n)
-    return SparseLengthMatrix(size=n, edges=sorted(edges), profile=profile)
+    return SparseLengthMatrix(edges=sorted(edges), profile=profile)
 
 
 def test_count_simplices_vertices_only():
