@@ -13,14 +13,19 @@ import argparse
 import dataclasses
 import sys
 
-from . import generators, metric
+from . import generators
 from .errors import InputError, ResourceGuardError
 from .sparsify import PrecisionProfile, make_profile, read_sparse, write_sparse
 from .sparsify import sparsify as sparsify_matrix
 
 
 def _load_oracle(path, fmt):
-    """The oracle of an input file and a sha256 digest of its parsed values."""
+    """The oracle of an input file and a sha256 digest of its parsed values;
+    an ``InputError`` from the oracle's checks names the file."""
+    import hashlib  # here, not at module level: `ripsaw gen` never needs them
+
+    from . import metric
+
     if fmt == "points":
         values, make = metric.load_points(path), metric.euclidean_oracle
     elif fmt == "circle":
@@ -32,9 +37,11 @@ def _load_oracle(path, fmt):
         values, make = metric.load_lower_distance(path), metric.matrix_oracle
     else:
         raise InputError(f"unknown input format {fmt!r}")
-    import hashlib  # here, not at module level: `ripsaw gen` never needs it
-
-    return make(values), hashlib.sha256(repr(values).encode()).hexdigest()
+    try:
+        oracle = make(values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return oracle, hashlib.sha256(repr(values).encode()).hexdigest()
 
 
 def _quartiles(values):
@@ -169,7 +176,7 @@ def cmd_gen(args):
         points = generators.random_cloud(args.n, args.dim, args.seed)
     else:
         raise InputError(f"unknown dataset {args.dataset!r}")
-    metric.write_points_csv(args.out, points)
+    generators.write_points_csv(args.out, points)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0
 

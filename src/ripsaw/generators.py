@@ -1,5 +1,5 @@
 """Seeded, portable dataset generators: circle samples, solenoid samples,
-uniform clouds.
+uniform clouds, and the point-CSV writer of `ripsaw gen`.
 
 Randomness comes from a counter-based splitmix64 construction so point sets
 reproduce bit-for-bit across platforms and languages.  The draw for counter
@@ -11,14 +11,25 @@ reproduce bit-for-bit across platforms and languages.  The draw for counter
     z = z ^ (z >> 31)
     u = (z >> 11) / 2^53        # uniform in [0, 1)
 
-A sample's draws are computed in one batch, stage by stage over all its
-counters; each equals the per-counter formula above.
+Draws are computed a block of at most ``_BLOCK`` counters at a time.  A
+block's counters sit in the 128-bit lanes of one Python integer, each value
+in its lane's low 64 bits, so each stage above is a few big-integer
+operations per block.  ``keep`` masks every lane to its low word: before a
+multiply it clears the bits a right shift pulled in from the next lane, so
+no lane's product reaches 2^128 and carries into its neighbour.  Lanes are
+packed and unpacked with an explicit little-endian layout, never the
+platform's byte order, so each draw equals the per-counter formula above on
+every platform.  The writer formats a block of at most ``_BLOCK`` rows with
+one ``%`` and writes it before building the next, so its memory does not
+grow with the sample.
 """
 
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError
 
@@ -26,15 +37,42 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK = 4096
 
 
 def unit_doubles(seed: int, count: int) -> list:
     """The draws for counters ``0 .. count - 1``, in order."""
-    first = seed + _GAMMA
-    zs = [z & _MASK for z in range(first, first + count * _GAMMA, _GAMMA)]
-    zs = [((z ^ (z >> 30)) * _MIX1) & _MASK for z in zs]
-    zs = [((z ^ (z >> 27)) * _MIX2) & _MASK for z in zs]
-    return [((z ^ (z >> 31)) >> 11) / 2.0 ** 53 for z in zs]
+    draws = []
+    for start in range(0, count, _BLOCK):
+        m = min(_BLOCK, count - start)
+        words = struct.Struct(f"<{2 * m}Q")
+        lanes = [0] * (2 * m)
+        lanes[0::2] = range(start + 1, start + m + 1)
+        idx = int.from_bytes(words.pack(*lanes), "little")
+        ones = int.from_bytes((b"\x01" + bytes(15)) * m, "little")
+        keep = ones * _MASK
+        z = (idx * _GAMMA + (seed & _MASK) * ones) & keep
+        z = (((z ^ (z >> 30)) & keep) * _MIX1) & keep
+        z = (((z ^ (z >> 27)) & keep) * _MIX2) & keep
+        z = ((z ^ (z >> 31)) & keep) >> 11
+        draws += [w / 2.0 ** 53 for w in words.unpack(z.to_bytes(16 * m, "little"))[0::2]]
+    return draws
+
+
+def write_points_csv(path, points):
+    """Write one point per line, its coordinates as float reprs joined by
+    commas; ``InputError``, and no file, when a point's length differs from
+    the first point's."""
+    dim = len(points[0]) if points else 0
+    k = next((k for k, p in enumerate(points) if len(p) != dim), None)
+    if k is not None:
+        raise InputError(f"point {k} has {len(points[k])} values, "
+                         f"where the first point has {dim}")
+    row = ",".join(["%r"] * dim) + "\n"
+    with open(path, "w") as fh:
+        for start in range(0, len(points), _BLOCK):
+            block = points[start:start + _BLOCK]
+            fh.write(row * len(block) % tuple(map(float, chain.from_iterable(block))))
 
 
 def circle_sample(n: int):

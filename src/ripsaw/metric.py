@@ -100,11 +100,6 @@ def load_points(path):
     return points
 
 
-def write_points_csv(path, points):
-    with open(path, "w") as fh:
-        fh.writelines(",".join(map(repr, map(float, p))) + "\n" for p in points)
-
-
 def load_lower_distance(path):
     """Parse a lower-distance-matrix file (comma/newline separated decimals)."""
     tokens = [tok for _lineno, text in lines(path) for tok in text.replace(",", " ").split()]

@@ -102,7 +102,7 @@ def test_criterion_3_implied_length_bounds():
 def test_criterion_4_end_to_end_interleaving(tmp_path):
     """Full vs sparsified diagrams verify as psi-interleaved through the CLI
     for 20 seeded clouds and eps1 in {0.25, 1.0}; under two minutes."""
-    from ripsaw.metric import write_points_csv
+    from ripsaw.generators import write_points_csv
 
     start = time.perf_counter()
     passes = 0

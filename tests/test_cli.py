@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ripsaw import cli, random_cloud
-from ripsaw.metric import write_points_csv
+from ripsaw.generators import write_points_csv
 
 
 def run(*argv):
@@ -588,6 +588,64 @@ def test_undecodable_input_is_input_error(circle_files, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(bad) in err
     assert sorted(tmp_path.glob("x.*")) == []
+
+
+def _mutate_rows(lines, family, rng):
+    """``lines`` of a point or circle CSV with one defect of ``family``, at a
+    row drawn from ``rng``; a line that is not UTF-8 is the lone surrogate
+    that encodes to the byte 0xff."""
+    lines = list(lines)
+    k = rng.randrange(len(lines))
+    toks = lines[k].split(",")
+    values = {"nan": "nan", "inf": "inf", "1e309": "1e309", "word": "x",
+              "angle-1.0": "1.0", "angle-negative": "-0.1", "angle-nan": "nan"}
+    if family == "fewer-values":
+        del toks[-1]
+    elif family in ("extra-value", "two-values"):
+        toks.append(toks[0])
+    elif family in values:
+        toks[rng.randrange(len(toks))] = values[family]
+    elif family == "lone-comma":
+        toks = ["", ""]
+    elif family == "byte-0xff":
+        lines.insert(k, "\udcff")
+    elif family == "empty-file":
+        return []
+    if family != "byte-0xff":
+        lines[k] = ",".join(toks)
+    return lines
+
+
+@pytest.mark.parametrize("fmt,family", [
+    *[("points", f) for f in ("fewer-values", "extra-value", "nan", "inf", "1e309", "word",
+                              "lone-comma", "byte-0xff", "empty-file")],
+    *[("circle", f) for f in ("angle-1.0", "angle-negative", "angle-nan", "two-values")]])
+def test_tree_refuses_mutated_input_csv(tmp_path, capsys, fmt, family):
+    """Each defect of a point or circle CSV, at three derandomized rows, is
+    an input error: exit 2, a message naming the file, and no tree."""
+    csv, out = tmp_path / "in.csv", tmp_path / "m.tree"
+    dataset = ["circle"] if fmt == "circle" else ["cloud", "--dim", 2]
+    assert run("gen", *dataset, "--n", 24, "--out", csv) == 0
+    lines = csv.read_text().splitlines()
+    for seed in range(3):
+        mutated = _mutate_rows(lines, family, random.Random(seed))
+        csv.write_bytes("".join(line + "\n" for line in mutated).encode(
+            "utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert run("tree", "--input", csv, "--format", fmt, "--out", out) == 2, seed
+        assert capsys.readouterr().err.startswith(f"error: {csv}"), seed
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("text,message", [("1.0\nnan, 1.5\n", "entry 1 is not finite"),
+                                          ("1.0\n2.0, -1\n", "entry 2 is negative")],
+                         ids=["nan", "negative"])
+def test_tree_names_lower_distance_file_of_bad_entry(tmp_path, capsys, text, message):
+    lower, out = tmp_path / "d.lower", tmp_path / "d.tree"
+    lower.write_text(text)
+    assert run("tree", "--input", lower, "--format", "lower-distance", "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {lower}: {message}\n"
+    assert not out.exists()
 
 
 def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):

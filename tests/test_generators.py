@@ -1,10 +1,13 @@
 import pytest
 
 from helpers import solenoid_embed, solenoid_reference, solenoid_step, splitmix_draw
-from ripsaw import SolenoidParams, circle_oracle, circle_sample, random_cloud, solenoid_sample
-from ripsaw.generators import unit_doubles
+from ripsaw import (InputError, SolenoidParams, circle_oracle, circle_sample, random_cloud,
+                    solenoid_sample)
+from ripsaw.generators import unit_doubles, write_points_csv
 
 SEEDS = [0, 1, 7, -3, 2**64 + 5]
+# Seeds whose low 64 bits are all ones, and one far below -2**64.
+LANE_SEEDS = [2**64 - 1, -2**70]
 
 
 def test_circle_sample_n4():
@@ -54,13 +57,42 @@ def test_solenoid_sample_equals_step_by_step_reference(seed, iterations):
         assert solenoid_sample(params) == solenoid_reference(n, seed, iterations)
 
 
-@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("seed", SEEDS + LANE_SEEDS)
 def test_unit_doubles_equal_scalar_draws(seed):
     assert unit_doubles(seed, 40) == [splitmix_draw(seed, c) for c in range(40)]
     assert unit_doubles(seed, 0) == []
     cloud = random_cloud(6, 3, seed)
     assert cloud == [tuple(splitmix_draw(seed, 3 * i + k) for k in range(3))
                      for i in range(6)]
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 24000])
+@pytest.mark.parametrize("seed", [0, -3] + LANE_SEEDS)
+def test_unit_doubles_equal_scalar_draws_across_blocks(seed, count):
+    """Every draw of a lone lane, a block one lane short of full, a full
+    block, one lane past it, and the n=8000 solenoid's 24,000 draws."""
+    assert unit_doubles(seed, count) == [splitmix_draw(seed, c) for c in range(count)]
+
+
+@pytest.mark.parametrize("points", [[(1.0, 2.0), (3.0,)], [(1, 2), (3,), (4, 5, 6)]],
+                         ids=["short-last", "coordinate-count-fits"])
+def test_write_points_csv_refuses_ragged_points(tmp_path, points):
+    """The second list holds six values, as two rows of three would; it is
+    refused at its second point, not written as three rows of two."""
+    path = tmp_path / "ragged.csv"
+    with pytest.raises(InputError, match="point 1 has 1 values, where the first point has 2"):
+        write_points_csv(path, points)
+    assert not path.exists()
+
+
+def test_write_points_csv_writes_float_reprs_across_blocks(tmp_path):
+    points = [(k, k / 3, -0.0) for k in range(4097)] + [(1e309, float("nan"), 2**60)]
+    path = tmp_path / "p.csv"
+    write_points_csv(path, points)
+    assert path.read_text() == "".join(",".join(repr(float(c)) for c in p) + "\n"
+                                       for p in points)
+    write_points_csv(path, [])
+    assert path.read_text() == ""
 
 
 def test_solenoid_deterministic():

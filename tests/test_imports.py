@@ -11,8 +11,8 @@ import pytest
 import ripsaw
 
 
-GEN_UNUSED = ["numpy", "ripsaw.covertree", "ripsaw.modules", "ripsaw.persistence",
-              "ripsaw.diagram", "ripsaw.svgplot"]
+GEN_UNUSED = ["numpy", "ripsaw.covertree", "ripsaw.metric", "ripsaw.modules",
+              "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
 
 
 def _run_python(code):

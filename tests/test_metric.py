@@ -4,8 +4,8 @@ import pytest
 
 from helpers import splitmix_draw
 from ripsaw import InputError, circle_oracle, euclidean_oracle, matrix_oracle
-from ripsaw.generators import random_cloud
-from ripsaw.metric import load_lower_distance, load_points, write_points_csv
+from ripsaw.generators import random_cloud, write_points_csv
+from ripsaw.metric import load_lower_distance, load_points
 
 
 def test_euclidean_345():
