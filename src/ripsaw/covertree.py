@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError, lines
 
@@ -109,7 +109,6 @@ class ContractionTree:
     order: list
     parent: list
     times: list
-    children: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.order)
@@ -133,9 +132,6 @@ class ContractionTree:
                                  "not finite and >= 0")
             if t > self.times[k - 1]:
                 raise InputError(f"times increase at position {k}")
-        self.children = [[] for _ in self.order]
-        for k in range(1, n):
-            self.children[self.parent[k]].append(k)
 
     @property
     def size(self):

@@ -82,7 +82,7 @@ def matrix_oracle(lower_triangle) -> Oracle:
 
 def load_points(path):
     """Parse a point CSV: one point per line, comma or whitespace separated,
-    every line holding as many values as the first."""
+    every line holding at least one value and as many as the first."""
     points = []
     for lineno, text in lines(path):
         if text.startswith("#"):
@@ -91,6 +91,8 @@ def load_points(path):
             coords = tuple(float(tok) for tok in text.replace(",", " ").split())
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
+        if not coords:
+            raise InputError(f"{path}:{lineno}: no values")
         if points and len(coords) != len(points[0]):
             raise InputError(f"{path}:{lineno}: {len(coords)} values, "
                              f"where the first point has {len(points[0])}")

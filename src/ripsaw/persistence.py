@@ -226,8 +226,9 @@ class PersistenceDiagram:
     def from_json_dict(cls, data):
         """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
         missing, a value is not a JSON number (field and dim not JSON
-        integers; an infinite death the string "inf"), or an entry is not a
-        finite birth with a death at or after it."""
+        integers; an infinite death the string "inf"), the field is not a
+        prime, or an entry is not a finite birth >= 0 with a death at or
+        after it."""
         try:
             field_char = json_int(data["field"])
             entries = [
@@ -242,8 +243,10 @@ class PersistenceDiagram:
             raise InputError(f"diagram has no {exc} key") from None
         except (TypeError, ValueError) as exc:
             raise InputError(f"malformed diagram: {exc}") from None
+        if not is_prime(field_char):
+            raise InputError(f"diagram field {field_char} is not a prime")
         for e in entries:
-            if not (e.dim >= 0 and math.isfinite(e.birth) and e.death >= e.birth):
+            if not (e.dim >= 0 and 0.0 <= e.birth < INF and e.death >= e.birth):
                 raise InputError(f"bad diagram entry: dim {e.dim}, birth "
                                  f"{e.birth!r}, death {e.death!r}")
         return cls(field_char=field_char, entries=entries)

@@ -11,21 +11,24 @@ R under the (b, d] convention), and the per-point edge cutoffs are the
 contraction times scaled by ``q(r) = (2 + 2/eps1) * r`` (infinite when
 eps1 == 0, i.e. keep everything).
 
-The sparsifier walks the pair tree rooted at (0, 0) whose nodes are index
-pairs (a, b), a <= b; the parent of a pair is obtained by replacing its
-larger member with that member's tree parent.  At pair (i, j) with the
-parent pair known non-missing, with dd = d(x_i, x_j), dp = d(x_i, parent x_j)
-and t = cutoff of x_j, the cases are
+The sparsifier visits the retained points j = 1 .. N-1 in contraction
+order.  The parent of a pair (i, j), i < j, is the pair {i, p} with p the
+tree parent of j, and a point's pair with itself has length 0 and is never
+missing, so the parent pair of (p, j) is (p, p).  With dd = d(x_i, x_j),
+dp = the parent pair's length and t = cutoff of x_j, the cases are
 
-  (d) t >= max(dd,dp): edge kept at its true length dd, recurse
-  (b) t <= dp:         edge missing, implied length dp, subtree pruned
-  (c) dp < t < dd:     edge missing, implied length t, subtree pruned
+  (a) parent pair missing: edge missing, implied length that of the parent
+  (d) t >= max(dd,dp):     edge kept at its true length dd
+  (b) t <= dp:             edge missing, implied length dp
+  (c) dp < t < dd:         edge missing, implied length t
 
 with (d) deciding the measure-zero tie t == dp >= dd toward keeping (this
 is what guarantees that parent edges, where dp == 0, are never missing).
-With a missing parent pair, case (a), the whole subtree is missing and is
-never visited.  The full implied-length matrix is quadratic in memory, so
-only the tests build it, as an oracle; the production path never does.
+So a pair (i, j) can be kept only when i is p or shares a kept edge with
+p.  Every such i comes before j, so its edge with p is known when j is
+visited, and d(x_i, x_j) is evaluated only when t >= dp.  The full
+implied-length matrix is quadratic in memory, so only the tests build it,
+as an oracle; the production path never does.
 """
 
 from __future__ import annotations
@@ -176,40 +179,31 @@ class SparseLengthMatrix:
 
 
 def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
-    """Emit the kept edges of the pair-tree traversal, sorted by (i, j)."""
+    """Kept edges of the retained points, visited in contraction order and
+    sorted by (i, j)."""
     cutoff = profile.cutoffs(ctree)
-    n_keep = profile.N
-    order = ctree.order
-    parent = ctree.parent
-    children = ctree.children
+    order, parent, dist = ctree.order, ctree.parent, oracle.eval
+    last = {p: j for j, p in enumerate(parent[:profile.N]) if j}  # last child
+    near = {p: [] for p in last}  # kept edges of points with a child still to try
     edges = []
-    # stack entries: a pair (a, b) with non-missing edge and its length
-    stack = [(0, 0, 0.0)]
-    while stack:
-        a, b, dab = stack.pop()
-        if a != b and parent[b] == a:
-            stack.append((b, b, 0.0))
-        for c in children[b]:
-            if c >= n_keep:
-                continue
-            _consider(a, c, dab, cutoff, order, oracle, edges, stack)
-        if a != b:
-            for c in children[a]:
-                if b < c < n_keep:
-                    _consider(b, c, dab, cutoff, order, oracle, edges, stack)
+    for j in range(1, profile.N):
+        t, p = cutoff[j], parent[j]
+        # cutoffs never increase, so an edge of p longer than t is missing
+        # (case (b)) for j and for every later child of p
+        near[p] = tried = [e for e in near[p] if e[2] <= t]
+        if last[p] == j:
+            del near[p]
+        for a, b, _dp in [(p, p, 0.0), *tried]:
+            i = a if b == p else b
+            if t >= (dd := dist(order[i], order[j])):  # case (d)
+                edge = (i, j, dd)
+                edges.append(edge)
+                if i in near:
+                    near[i].append(edge)
+                if j in near:
+                    near[j].append(edge)
     edges.sort()
     return SparseLengthMatrix(edges=edges, profile=profile)
-
-
-def _consider(u, v, dp, cutoff, order, oracle, edges, stack):
-    # u < v; v is the tree child; dp is the parent pair's length
-    t = cutoff[v]
-    if t >= dp:
-        dd = oracle.eval(order[u], order[v])
-        if t >= dd:  # case (d)
-            edges.append((u, v, dd))
-            stack.append((u, v, dd))
-    # cases (b) and (c): edge missing, subtree pruned
 
 
 def _meta_path(path):

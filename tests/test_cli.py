@@ -611,6 +611,8 @@ def _mutate_rows(lines, family, rng):
         lines.insert(k, "\udcff")
     elif family == "empty-file":
         return []
+    elif family == "every-row-lone-comma":
+        return [","] * len(lines)
     if family != "byte-0xff":
         lines[k] = ",".join(toks)
     return lines
@@ -618,8 +620,9 @@ def _mutate_rows(lines, family, rng):
 
 @pytest.mark.parametrize("fmt,family", [
     *[("points", f) for f in ("fewer-values", "extra-value", "nan", "inf", "1e309", "word",
-                              "lone-comma", "byte-0xff", "empty-file")],
-    *[("circle", f) for f in ("angle-1.0", "angle-negative", "angle-nan", "two-values")]])
+                              "lone-comma", "every-row-lone-comma", "byte-0xff", "empty-file")],
+    *[("circle", f) for f in ("angle-1.0", "angle-negative", "angle-nan", "two-values",
+                              "every-row-lone-comma")]])
 def test_tree_refuses_mutated_input_csv(tmp_path, capsys, fmt, family):
     """Each defect of a point or circle CSV, at three derandomized rows, is
     an input error: exit 2, a message naming the file, and no tree."""
@@ -646,6 +649,71 @@ def test_tree_names_lower_distance_file_of_bad_entry(tmp_path, capsys, text, mes
     assert run("tree", "--input", lower, "--format", "lower-distance", "--out", out) == 2
     assert capsys.readouterr().err == f"error: {lower}: {message}\n"
     assert not out.exists()
+
+
+def _lower_rows(n, value):
+    """Rows 1 .. n-1 of a lower-distance file, entry (i, j) being ``value(i, j)``."""
+    return [", ".join(value(i, j) for j in range(i)) for i in range(1, n)]
+
+
+def _mutate_lower(rows, family, rng):
+    """``rows`` of a lower-distance file with one defect of ``family``, at an
+    entry or row drawn from ``rng``."""
+    rows = [row.split(", ") for row in rows]
+    r = rng.randrange(len(rows))
+    k = rng.randrange(len(rows[r]))
+    values = {"nan": "nan", "inf": "inf", "1e309": "1e309", "negative": "-1", "word": "x"}
+    if family == "drop-entry":
+        del rows[r][k]
+    elif family == "extra-entry":
+        rows[r].insert(k, rows[r][k])
+    elif family in values:
+        rows[r][k] = values[family]
+    lines = [", ".join(row) for row in rows]
+    if family == "comment-line":
+        lines.insert(r, "# distances")
+    elif family == "byte-0xff":
+        lines.insert(r, "\udcff")
+    return lines
+
+
+@pytest.mark.parametrize("family", ["drop-entry", "extra-entry", "nan", "inf", "1e309",
+                                    "negative", "word", "comment-line", "byte-0xff"])
+def test_tree_refuses_mutated_lower_distance(tmp_path, capsys, family):
+    """Each defect of a lower-distance file, at three derandomized entries,
+    is an input error: exit 2, a message naming the file, and no tree."""
+    lower, out = tmp_path / "d.lower", tmp_path / "d.tree"
+    points = random_cloud(9, 2, 0)
+    rows = _lower_rows(9, lambda i, j: repr(math.dist(points[i], points[j])))
+    lower.write_text("".join(row + "\n" for row in rows))
+    assert run("tree", "--input", lower, "--format", "lower-distance", "--out", out) == 0
+    out.unlink()
+    for seed in range(3):
+        mutated = _mutate_lower(rows, family, random.Random(seed))
+        lower.write_bytes("".join(line + "\n" for line in mutated).encode(
+            "utf-8", "surrogateescape"))
+        capsys.readouterr()
+        assert run("tree", "--input", lower, "--format", "lower-distance",
+                   "--out", out) == 2, seed
+        assert capsys.readouterr().err.startswith(f"error: {lower}"), seed
+        assert not out.exists()
+
+
+def test_non_metric_tree_sparsifies_and_persists(tmp_path, capsys):
+    """Eight points of a line at |i - j|, with the pair (7, 1) shortened to
+    0.05: ``tree`` warns of the density bound, and the tree it writes is
+    still sparsified and reduced."""
+    lower = tmp_path / "line.lower"
+    rows = _lower_rows(8, lambda i, j: "0.05" if (i, j) == (7, 1) else str(i - j))
+    lower.write_text("".join(row + "\n" for row in rows))
+    tree, sparse, diag = tmp_path / "line.tree", tmp_path / "line.sparse", tmp_path / "line.json"
+    source = ["--input", lower, "--format", "lower-distance"]
+    assert run("tree", *source, "--out", tree) == 0
+    assert "density bound" in capsys.readouterr().err
+    for eps1 in (0, 0.5):
+        assert run("sparsify", *source, "--tree", tree, "--eps1", eps1, "--out", sparse) == 0
+        assert run("persist", "--input", sparse, "--dim", 1, "--out", diag) == 0
+        assert json.loads(diag.read_text())["entries"]
 
 
 def test_tree_refuses_circle_rows_of_two_values(tmp_path, capsys):
@@ -766,12 +834,19 @@ def _bad_diagram(case, data):
         next(e for e in data["entries"] if e["death"] == "inf")["birth"] = True
     elif case == "string-death":
         h1["death"] = "2.5"
+    elif case == "negative-birth":
+        h1["birth"] = -1.0
+    elif case == "negative-interval":
+        h1["birth"], h1["death"] = -2.0, -1.0
+    elif case == "non-prime-field":
+        data["field"] = 4
     return json.dumps(data)
 
 
 @pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
                                   "truncated-profile", "nan-death", "death-below-birth",
-                                  "fractional-dim", "boolean-birth", "string-death"])
+                                  "fractional-dim", "boolean-birth", "string-death",
+                                  "negative-birth", "negative-interval", "non-prime-field"])
 def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))

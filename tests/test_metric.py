@@ -111,6 +111,14 @@ def test_load_points_reports_line_of_ragged_row(tmp_path):
         load_points(path)
 
 
+@pytest.mark.parametrize("text", [",\n,\n,\n", " , \n , \n", "# x\n,,\n"])
+def test_load_points_refuses_row_of_no_values(tmp_path, text):
+    path = tmp_path / "empty-rows.csv"
+    path.write_text(text)
+    with pytest.raises(InputError, match=r"empty-rows\.csv:\d: no values"):
+        load_points(path)
+
+
 def test_load_points_accepts_whitespace(tmp_path):
     path = tmp_path / "ws.csv"
     path.write_text("0 0\n1\t2\n")

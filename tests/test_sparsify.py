@@ -8,6 +8,7 @@ from ripsaw import (
     InputError,
     PrecisionProfile,
     build,
+    circle_oracle,
     count_simplices,
     euclidean_oracle,
     make_profile,
@@ -19,6 +20,8 @@ from ripsaw import (
     write_sparse,
 )
 from ripsaw.covertree import ContractionTree
+from ripsaw.generators import circle_sample
+from ripsaw.metric import Oracle
 from ripsaw.sparsify import SparseLengthMatrix
 
 INF = math.inf
@@ -205,13 +208,60 @@ def test_duplicate_point_connected_at_eps1_zero():
 
 # --- structural invariants ---------------------------------------------------------
 
-@pytest.mark.parametrize("seed,eps1", [(0, 0.25), (1, 0.25), (0, 1.0), (2, 0.5)])
-def test_pruned_traversal_equals_full_recursion(seed, eps1):
-    ct, oracle = cloud_tree(40, seed)
-    profile = make_profile(ct, eps1=eps1)
-    matrix = sparsify(ct, oracle, profile)
+def counting(oracle):
+    """``oracle`` and a list that grows by one item per evaluation."""
+    calls = []
+
+    def length(i, j):
+        calls.append((i, j))
+        return oracle.eval(i, j)
+    return Oracle(oracle.size, length), calls
+
+
+def lowered(ct, start, factor):
+    """``ct`` with the times from index ``start`` on scaled by ``factor`` < 1:
+    still a valid shape, but its cutoffs may drop parent edges."""
+    times = ct.times[:start] + [t * factor for t in ct.times[start:]]
+    return ContractionTree(order=ct.order, parent=ct.parent, times=times)
+
+
+@pytest.mark.parametrize("source,eps1,keep,lower", [
+    pytest.param(0, 0.25, None, None, id="0-0.25"),
+    pytest.param(1, 0.25, None, None, id="1-0.25"),
+    pytest.param(0, 1.0, None, None, id="0-1.0"),
+    pytest.param(2, 0.5, None, None, id="2-0.5"),
+    pytest.param(3, 0.0, None, None, id="3-0.0"),
+    pytest.param(4, 4.0, None, None, id="4-4.0"),
+    pytest.param(5, 0.25, 25, None, id="5-0.25-keep25"),
+    pytest.param(6, 1.0, 12, None, id="6-1.0-keep12"),
+    pytest.param("circle36", 0.25, None, None, id="circle36-0.25"),
+    pytest.param("circle36", 1.0, 20, None, id="circle36-1.0-keep20"),
+    pytest.param(0, 1.0, None, (8, 0.1), id="0-1.0-lowered-from-8"),
+    pytest.param(1, 0.25, None, (15, 0.04), id="1-0.25-lowered-from-15"),
+    pytest.param(2, 0.5, 30, (5, 0.05), id="2-0.5-keep30-lowered-from-5"),
+    pytest.param("circle36", 1.0, None, (10, 0.1), id="circle36-1.0-lowered-from-10"),
+])
+def test_pruned_traversal_equals_full_recursion(source, eps1, keep, lower):
+    """The kept edges are those of the full recursion, also on trees whose
+    lowered times drop parent edges, and d(x_i, x_j) is evaluated exactly
+    for the pairs whose parent pair is kept with length <= cutoff[j]."""
+    if source == "circle36":
+        oracle = circle_oracle(circle_sample(36))
+        ct = tighten(build(oracle), oracle)
+    else:
+        ct, oracle = cloud_tree(40, source)
+    if lower is not None:
+        ct = lowered(ct, *lower)
+    profile = make_profile(ct, keep=keep, eps1=eps1)
+    counted, calls = counting(oracle)
+    matrix = sparsify(ct, counted, profile)
     imp = implied_lengths(ct, oracle, profile)
     assert matrix.edges == imp.kept_edges()
+    cutoff = profile.cutoffs(ct)
+    expected = sum(i == ct.parent[j] or (not imp.missing[i, ct.parent[j]]
+                                         and imp.lbar[i, ct.parent[j]] <= cutoff[j])
+                   for j in range(1, profile.N) for i in range(j))
+    assert len(calls) == expected
 
 
 def test_edges_are_exact_distances_and_sparse():
