@@ -15,7 +15,7 @@ import sys
 
 from . import generators
 from .errors import InputError, ResourceGuardError
-from .sparsify import PrecisionProfile, make_profile, read_sparse, write_sparse
+from .sparsify import make_profile, read_sparse, write_sparse
 from .sparsify import sparsify as sparsify_matrix
 
 
@@ -88,9 +88,6 @@ def cmd_sparsify(args):
         raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
     oracle, digest = _load_oracle(args.input, args.format)
     ctree = covertree.read_tree(args.tree, digest=digest)
-    if ctree.size != oracle.size:
-        raise InputError(f"tree has {ctree.size} nodes but input has "
-                         f"{oracle.size} points")
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify_matrix(ctree, oracle, profile)
     write_sparse(args.out, matrix, config=_config(args))
@@ -113,8 +110,7 @@ def cmd_persist(args):
         raise InputError(f"--field must be a prime, got {args.field}")
     filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
     diag = persistence.reduce(filtration, args.field)
-    meta = {"profile": matrix.profile.as_meta(), "config": _config(args)}
-    persistence.dump_diagram(args.out, diag, meta=meta)
+    persistence.dump_diagram(args.out, diag, profile=matrix.profile, config=_config(args))
     print(f"entries: {len(diag.entries)}")
     print(f"wrote {args.out}")
     return 0
@@ -123,16 +119,13 @@ def cmd_persist(args):
 def cmd_plot(args):
     from . import persistence, svgplot
 
-    diag, meta = persistence.load_diagram(args.input)
-    profile = None
-    if meta.get("profile"):
-        profile = PrecisionProfile.from_meta(meta["profile"])
-    else:
+    diag, profile = persistence.load_diagram(args.input)
+    if profile is None:
         print("warning: no profile metadata; plotting plain dots", file=sys.stderr)
     overlay = None
     if args.overlay_eps0 is not None or args.overlay_eps1 is not None:
         if profile is None:
-            raise InputError("overlay requires profile metadata in the diagram")
+            raise InputError(f"{args.input}: overlay requires profile metadata in the diagram")
         overlay = dataclasses.replace(profile, eps0=args.overlay_eps0 or 0.0,
                                       eps1=args.overlay_eps1 or 0.0)
     text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, clip=args.clip,
@@ -146,15 +139,10 @@ def cmd_plot(args):
 def cmd_verify(args):
     from . import diagram, persistence
 
-    full_diag, _meta = persistence.load_diagram(args.full)
-    sparse_diag, sparse_meta = persistence.load_diagram(args.sparse)
-    if full_diag.field_char != sparse_diag.field_char:
-        raise InputError(
-            f"field characteristics differ: {full_diag.field_char} vs "
-            f"{sparse_diag.field_char}")
-    if not sparse_meta.get("profile"):
-        raise InputError("sparse diagram carries no profile metadata")
-    profile = PrecisionProfile.from_meta(sparse_meta["profile"])
+    full_diag, _profile = persistence.load_diagram(args.full)
+    sparse_diag, profile = persistence.load_diagram(args.sparse)
+    if profile is None:
+        raise InputError(f"{args.sparse}: sparse diagram carries no profile metadata")
     report = diagram.verify_interleaving(full_diag, sparse_diag, profile)
     print(report.summary())
     if report.passed:

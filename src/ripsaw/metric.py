@@ -103,9 +103,17 @@ def load_points(path):
 
 
 def load_lower_distance(path):
-    """Parse a lower-distance-matrix file (comma/newline separated decimals)."""
-    tokens = [tok for _lineno, text in lines(path) for tok in text.replace(",", " ").split()]
-    try:
-        return [float(tok) for tok in tokens]
-    except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from None
+    """Parse a lower-distance-matrix file (comma/newline separated decimals);
+    ``InputError`` naming ``path:lineno`` for a value that is not a finite
+    number >= 0."""
+    values = []
+    for lineno, text in lines(path):
+        for tok in text.replace(",", " ").split():
+            try:
+                value = float(tok)
+            except ValueError as exc:
+                raise InputError(f"{path}:{lineno}: {exc}") from None
+            if not (math.isfinite(value) and value >= 0.0):
+                raise InputError(f"{path}:{lineno}: {tok} is not a finite number >= 0")
+            values.append(value)
+    return values

@@ -33,7 +33,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
-from .sparsify import json_int, json_number
+from .sparsify import PrecisionProfile, json_int, json_number
 
 INF = math.inf
 
@@ -187,6 +187,17 @@ def count_simplices(matrix, dim_cap):
     return counts
 
 
+def _json_death(value):
+    """A death as ``to_json_dict`` writes it: the string "inf" or a finite
+    JSON number (ValueError for a number that reads as infinite)."""
+    if value == "inf":
+        return INF
+    death = json_number(value)
+    if math.isinf(death):
+        raise ValueError(f'death {value!r} is infinite but not "inf"')
+    return death
+
+
 @dataclass(frozen=True)
 class DiagramEntry:
     dim: int
@@ -226,7 +237,7 @@ class PersistenceDiagram:
     def from_json_dict(cls, data):
         """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
         missing, a value is not a JSON number (field and dim not JSON
-        integers; an infinite death the string "inf"), the field is not a
+        integers; an infinite death only the string "inf"), the field is not a
         prime, or an entry is not a finite birth >= 0 with a death at or
         after it."""
         try:
@@ -235,7 +246,7 @@ class PersistenceDiagram:
                 DiagramEntry(
                     dim=json_int(e["dim"]),
                     birth=json_number(e["birth"]),
-                    death=INF if e["death"] == "inf" else json_number(e["death"]),
+                    death=_json_death(e["death"]),
                 )
                 for e in data["entries"]
             ]
@@ -259,24 +270,30 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
-def dump_diagram(path, diagram: PersistenceDiagram, meta=None):
+def dump_diagram(path, diagram: PersistenceDiagram, profile=None, config=None):
+    """Write ``diagram`` as JSON, with the profile and the config in its ``meta``."""
+    meta = {"profile": profile.as_meta()} if profile is not None else {}
+    if config is not None:
+        meta["config"] = config
     with open(path, "w") as fh:
         json.dump(diagram.to_json_dict(meta), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_diagram(path):
-    """(diagram, meta dict) from a JSON file; ``InputError`` when malformed."""
+    """(diagram, its ``PrecisionProfile`` or None when ``meta`` records none)
+    from a JSON file; ``InputError`` naming the file when it is malformed."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         diag = PersistenceDiagram.from_json_dict(data)
+        meta = data.get("meta", {})
+        if not isinstance(meta, dict):
+            raise InputError("diagram meta is not an object")
+        profile = PrecisionProfile.from_meta(meta["profile"]) if "profile" in meta else None
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{path}: {exc}") from None
-    meta = data.get("meta", {})
-    if not isinstance(meta, dict):
-        raise InputError(f"{path}: diagram meta is not an object")
-    return diag, meta
+    return diag, profile
 
 
 def _sorted_entries(entries):

@@ -180,7 +180,9 @@ class SparseLengthMatrix:
 
 def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
     """Kept edges of the retained points, visited in contraction order and
-    sorted by (i, j)."""
+    sorted by (i, j); ``InputError`` when oracle and tree differ in size."""
+    if oracle.size != ctree.size:
+        raise InputError(f"tree has {ctree.size} nodes but input has {oracle.size} points")
     cutoff = profile.cutoffs(ctree)
     order, parent, dist = ctree.order, ctree.parent, oracle.eval
     last = {p: j for j, p in enumerate(parent[:profile.N]) if j}  # last child
@@ -210,12 +212,25 @@ def _meta_path(path):
     return Path(path).with_suffix(".meta.json")
 
 
+def _edge_text(edges):
+    """The "i j d" lines of ``edges`` as ``write_sparse`` writes them, joined
+    in blocks of at most 4,096 lines."""
+    for k in range(0, len(edges), 4096):
+        yield "".join([f"{i} {j} {w!r}\n" for i, j, w in edges[k:k + 4096]])
+
+
 def write_sparse(path, matrix: SparseLengthMatrix, config=None):
-    """Write "i j d" lines plus the {n, N, eps0, eps1, R} sidecar."""
+    """Write "i j d" lines, sorted by (i, j), plus the sidecar: the profile's
+    {n, N, eps0, eps1, R}, the edge count ``edges`` and the ``sha256`` of
+    the lines written."""
+    import hashlib  # here, not at module level: `import ripsaw` loads this module
+
+    digest = hashlib.sha256()
     with open(path, "w") as fh:
-        for i, j, w in matrix.edges:
-            fh.write(f"{i} {j} {w!r}\n")
-    meta = matrix.profile.as_meta()
+        for block in _edge_text(sorted(matrix.edges)):
+            fh.write(block)
+            digest.update(block.encode())
+    meta = dict(matrix.profile.as_meta(), edges=len(matrix.edges), sha256=digest.hexdigest())
     if config is not None:
         meta["config"] = config
     with open(_meta_path(path), "w") as fh:
@@ -224,12 +239,18 @@ def write_sparse(path, matrix: SparseLengthMatrix, config=None):
 
 
 def read_sparse(path) -> SparseLengthMatrix:
+    """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
+    file for a malformed line or sidecar, a repeated edge, or edges that do
+    not match the count and sha256 the sidecar records (a sidecar without
+    them is not checked).  Comments, blank lines, spacing and line order are
+    free."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
     try:
         with open(meta_path) as fh:
-            profile = PrecisionProfile.from_meta(json.load(fh))
+            meta = json.load(fh)
+        profile = PrecisionProfile.from_meta(meta)
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
     edges = []
@@ -253,4 +274,15 @@ def read_sparse(path) -> SparseLengthMatrix:
     for prev, edge in zip(edges, edges[1:]):
         if prev[:2] == edge[:2]:
             raise InputError(f"{path}: edge {edge[:2]} listed twice")
+    if "edges" in meta and meta["edges"] != len(edges):
+        raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records "
+                         f"{meta['edges']!r}")
+    if "sha256" in meta:
+        import hashlib
+
+        digest = hashlib.sha256()
+        for block in _edge_text(edges):
+            digest.update(block.encode())
+        if digest.hexdigest() != meta["sha256"]:
+            raise InputError(f"{path}: edges do not match the sha256 {meta_path} records")
     return SparseLengthMatrix(edges=edges, profile=profile)

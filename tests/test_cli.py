@@ -535,12 +535,7 @@ def _mutate_sparse(lines, family, n, rng):
     "repeat-line", "byte-0xff"])
 def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, family):
     """Each defect, at three derandomized lines, is an input error: exit 2,
-    a message naming the file, and no diagram.
-
-    Known gap: dropping a line, or changing a length to another valid one,
-    leaves a well-formed file, and ``persist`` exits 0 with a different
-    diagram, because a sparse file carries no digest of the input it was
-    built from.  Whether ``verify`` then catches the change is untested."""
+    a message naming the file, and no diagram."""
     sparse = circle_files["sparse"]
     lines = sparse.read_text().splitlines()
     assert len(lines) == 32 * 31 // 2
@@ -552,6 +547,79 @@ def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, fam
         assert run("persist", "--input", sparse, "--out", out) == 2, seed
         assert capsys.readouterr().err.startswith(f"error: {sparse}"), seed
         assert not out.exists()
+
+
+@pytest.fixture()
+def half_sparse(circle_files, tmp_path):
+    """The circle's sparse file at eps1 0.5, which misses most pairs."""
+    sparse = tmp_path / "half.sparse"
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    return sparse
+
+
+def _unlisted_edge(lines, family, rng):
+    """``lines`` of a sparse file over 32 points, well-formed but changed:
+    one length set to another valid one, one line dropped, or one pair that
+    is not listed added, drawn from ``rng``."""
+    lines = list(lines)
+    k = rng.randrange(len(lines))
+    i, j, w = lines[k].split()
+    if family == "changed-length":
+        lines[k] = f"{i} {j} {float(w) + 0.125!r}"
+    elif family == "dropped-line":
+        del lines[k]
+    else:
+        listed = {tuple(line.split()[:2]) for line in lines}
+        i, j = rng.choice([(str(a), str(b)) for b in range(32) for a in range(b)
+                           if (str(a), str(b)) not in listed])
+        lines.insert(k, f"{i} {j} {rng.random()!r}")
+    return lines
+
+
+@pytest.mark.parametrize("family", ["changed-length", "dropped-line", "added-line"])
+def test_persist_refuses_sparse_file_unlike_its_sidecar(half_sparse, tmp_path, capsys,
+                                                        family):
+    """A well-formed edge file that is not the one its sidecar's count and
+    sha256 record, at three derandomized lines, is an input error naming the
+    file, and no diagram is written.  A dropped or added line is told by the
+    count, a changed length by the hash."""
+    lines = half_sparse.read_text().splitlines()
+    out = tmp_path / "m.json"
+    count = {"changed-length": len(lines), "dropped-line": len(lines) - 1,
+             "added-line": len(lines) + 1}[family]
+    message = "edges do not match the sha256" if family == "changed-length" else (
+        f"{count} edges, where {half_sparse.with_suffix('.meta.json')} records {len(lines)}")
+    for seed in range(3):
+        half_sparse.write_text("\n".join(_unlisted_edge(lines, family, random.Random(seed)))
+                               + "\n")
+        capsys.readouterr()
+        assert run("persist", "--input", half_sparse, "--out", out) == 2, seed
+        assert capsys.readouterr().err.startswith(f"error: {half_sparse}: {message}"), seed
+        assert not out.exists()
+
+
+def test_sparse_sidecar_records_count_and_hash_of_edge_lines(half_sparse, tmp_path):
+    """The sidecar's ``edges`` and ``sha256`` are the edge lines' count and
+    hash; comments, blank lines, spacing and line order leave them matching,
+    and a sidecar without them is read unchecked."""
+    text = half_sparse.read_text()
+    meta_path = half_sparse.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    assert meta["edges"] == text.count("\n")
+    assert meta["sha256"] == hashlib.sha256(text.encode()).hexdigest()
+    out = tmp_path / "d.json"
+    assert run("persist", "--input", half_sparse, "--out", out) == 0
+    first = out.read_bytes()
+    lines = text.splitlines()
+    half_sparse.write_text("# edges\n\n" + "\n".join(
+        "  ".join(line.split()) + " " for line in reversed(lines)) + "\n")
+    assert run("persist", "--input", half_sparse, "--out", out) == 0
+    assert out.read_bytes() == first
+    del meta["edges"], meta["sha256"]
+    meta_path.write_text(json.dumps(meta))
+    half_sparse.write_text("\n".join(lines[1:]) + "\n")
+    assert run("persist", "--input", half_sparse, "--out", out) == 0
 
 
 def _append_byte_0xff(path):
@@ -640,14 +708,16 @@ def test_tree_refuses_mutated_input_csv(tmp_path, capsys, fmt, family):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("text,message", [("1.0\nnan, 1.5\n", "entry 1 is not finite"),
-                                          ("1.0\n2.0, -1\n", "entry 2 is negative")],
-                         ids=["nan", "negative"])
+@pytest.mark.parametrize("text,message", [
+    ("1.0\nnan, 1.5\n", "2: nan is not a finite number >= 0"),
+    ("1.0\n2.0, -1\n", "2: -1 is not a finite number >= 0"),
+    ("1.0\n2.0, 3.0, 4.0\n", " 4 entries is not a triangular count n(n-1)/2")],
+    ids=["nan", "negative", "not-triangular"])
 def test_tree_names_lower_distance_file_of_bad_entry(tmp_path, capsys, text, message):
     lower, out = tmp_path / "d.lower", tmp_path / "d.tree"
     lower.write_text(text)
     assert run("tree", "--input", lower, "--format", "lower-distance", "--out", out) == 2
-    assert capsys.readouterr().err == f"error: {lower}: {message}\n"
+    assert capsys.readouterr().err == f"error: {lower}:{message}\n"
     assert not out.exists()
 
 
@@ -681,7 +751,9 @@ def _mutate_lower(rows, family, rng):
                                     "negative", "word", "comment-line", "byte-0xff"])
 def test_tree_refuses_mutated_lower_distance(tmp_path, capsys, family):
     """Each defect of a lower-distance file, at three derandomized entries,
-    is an input error: exit 2, a message naming the file, and no tree."""
+    is an input error: exit 2, a message naming the file, and no tree.  A
+    bad value names its line too; a wrong entry count, or bytes that are not
+    UTF-8, are defects of the whole file."""
     lower, out = tmp_path / "d.lower", tmp_path / "d.tree"
     points = random_cloud(9, 2, 0)
     rows = _lower_rows(9, lambda i, j: repr(math.dist(points[i], points[j])))
@@ -695,7 +767,10 @@ def test_tree_refuses_mutated_lower_distance(tmp_path, capsys, family):
         capsys.readouterr()
         assert run("tree", "--input", lower, "--format", "lower-distance",
                    "--out", out) == 2, seed
-        assert capsys.readouterr().err.startswith(f"error: {lower}"), seed
+        where = f"{lower}:{random.Random(seed).randrange(len(rows)) + 1}: "
+        if family in ("drop-entry", "extra-entry", "byte-0xff"):
+            where = f"{lower}: "
+        assert capsys.readouterr().err.startswith(f"error: {where}"), seed
         assert not out.exists()
 
 
@@ -854,6 +929,114 @@ def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     assert run("plot", "--input", bad, "--out", tmp_path / "bad.svg") == 2
     assert not (tmp_path / "bad.svg").exists()
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+_BIG = "<1e309>"  # stands for the JSON number 1e309, which reads back as inf
+_MUTANT_VALUES = {"string": "x", "true": True, "null": None, "negative": -1,
+                  "nan": math.nan, "infinity": math.inf, "1e309": _BIG}
+
+# where a mutant changes a diagram: (the object holding the key, drawn with
+# rng where there is a choice; the key; whether an integer is required)
+_DIAGRAM_KEYS = {
+    "field": (lambda data, rng: data, "field", True),
+    "entries": (lambda data, rng: data, "entries", False),
+    "meta": (lambda data, rng: data, "meta", False),
+    "entry-dim": (lambda data, rng: rng.choice(data["entries"]), "dim", True),
+    "entry-birth": (lambda data, rng: rng.choice(data["entries"]), "birth", False),
+    "entry-death": (lambda data, rng: rng.choice(data["entries"]), "death", False),
+    "profile": (lambda data, rng: data["meta"], "profile", False),
+    **{f"profile-{key}": (lambda data, rng: data["meta"]["profile"], key, key in ("n", "N"))
+       for key in ("n", "N", "eps0", "eps1", "R")},
+}
+
+
+def _diagram_mutants(data, location):
+    """(case, JSON text) for each mutant of the diagram ``data`` at
+    ``location``: its key deleted (except ``meta`` and ``meta.profile``,
+    whose absence makes a plain diagram), set to each of ``_MUTANT_VALUES``,
+    and set to a fraction where an integer is required."""
+    where, key, integer = _DIAGRAM_KEYS[location]
+    cases = [] if location in ("meta", "profile") else ["delete"]
+    cases += [*_MUTANT_VALUES, *(["fraction"] if integer else [])]
+    for case in cases:
+        mutant = json.loads(json.dumps(data))
+        target = where(mutant, random.Random(f"{location}-{case}"))
+        if case == "delete":
+            del target[key]
+        else:
+            target[key] = 2.5 if case == "fraction" else _MUTANT_VALUES[case]
+        yield case, json.dumps(mutant).replace(f'"{_BIG}"', "1e309")
+
+
+def _refused_everywhere(good, bad, tmp_path, capsys):
+    """Whether ``plot`` and ``verify``, with ``bad`` as either diagram, each
+    exit 2 with one error line naming ``bad`` and write no SVG."""
+    svg = tmp_path / "bad.svg"
+    capsys.readouterr()
+    codes = [run("plot", "--input", bad, "--out", svg),
+             run("verify", good, bad), run("verify", bad, good)]
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    return (codes == [2, 2, 2] and not svg.exists() and len(errors) == 3
+            and all(line.startswith(f"error: {bad}: ") for line in errors))
+
+
+@pytest.mark.parametrize("location", sorted(_DIAGRAM_KEYS))
+def test_refuses_mutated_diagram(circle_files, tmp_path, capsys, location):
+    """Each mutant of a diagram that ``persist`` wrote, at each top-level key,
+    entry key and profile key, is an input error from ``plot`` and from
+    ``verify`` in either position, naming the mutated file."""
+    good, bad = circle_files["diag"], tmp_path / "bad.json"
+    for case, text in _diagram_mutants(json.loads(good.read_text()), location):
+        bad.write_text(text)
+        assert _refused_everywhere(good, bad, tmp_path, capsys), case
+
+
+def test_refuses_diagram_with_death_below_birth_or_composite_field(circle_files, tmp_path,
+                                                                   capsys):
+    good, bad = circle_files["diag"], tmp_path / "bad.json"
+    data = json.loads(good.read_text())
+    h0 = next(e for e in data["entries"] if e["death"] != "inf")
+    h0["birth"] = h0["death"] + 0.25
+    bad.write_text(json.dumps(data))
+    assert _refused_everywhere(good, bad, tmp_path, capsys)
+    data = json.loads(good.read_text())
+    data["field"] = 9
+    bad.write_text(json.dumps(data))
+    assert _refused_everywhere(good, bad, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", ["extra-meta-key", "extra-profile-key", "inf-death"])
+def test_accepts_diagram_mutants_that_stay_valid(circle_files, tmp_path, capsys, case):
+    """Extra ``meta`` keys are ignored, and a finite death may become "inf"."""
+    data = json.loads(circle_files["diag"].read_text())
+    if case == "extra-meta-key":
+        data["meta"]["note"] = [1, "two"]
+    elif case == "extra-profile-key":
+        data["meta"]["profile"]["note"] = None
+    else:
+        next(e for e in data["entries"] if e["death"] != "inf")["death"] = "inf"
+    mutant, svg = tmp_path / "mutant.json", tmp_path / "mutant.svg"
+    mutant.write_text(json.dumps(data))
+    assert run("plot", "--input", mutant, "--out", svg) == 0 and svg.exists()
+    assert run("verify", mutant, mutant) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("missing", ["meta", "profile"])
+def test_diagram_without_profile_is_plain(circle_files, tmp_path, capsys, missing):
+    """A diagram without ``meta`` or without ``meta.profile`` is plotted as
+    plain dots and verified against as the exact diagram; as the sparse
+    diagram it is refused, naming the file."""
+    good, plain = circle_files["diag"], tmp_path / "plain.json"
+    data = json.loads(good.read_text())
+    del (data if missing == "meta" else data["meta"])[missing]
+    plain.write_text(json.dumps(data))
+    assert run("plot", "--input", plain, "--out", tmp_path / "plain.svg") == 0
+    assert "plotting plain dots" in capsys.readouterr().err
+    assert run("verify", plain, good) == 0
+    assert run("verify", good, plain) == 2
+    assert capsys.readouterr().err == (
+        f"error: {plain}: sparse diagram carries no profile metadata\n")
 
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",

@@ -315,6 +315,13 @@ def test_rank_closure_refuses_a_threshold_that_goes_down():
 
 # --- interleaving verification --------------------------------------------------------
 
+def test_verify_refuses_diagrams_over_two_fields():
+    d = diag([(1, 1.0, 3.0)])
+    with pytest.raises(InputError, match="field characteristics differ: 2 vs 3"):
+        verify_interleaving(d, diag([(1, 1.0, 3.0)], p=3),
+                            SimpleNamespace(psi=identity, psi_inv=identity))
+
+
 def test_verify_refuses_a_decreasing_shift():
     d = diag([(1, 1.0, 3.0)])
     with pytest.raises(InputError, match="nondecreasing"):

@@ -11,7 +11,7 @@ import pytest
 import ripsaw
 
 
-GEN_UNUSED = ["numpy", "ripsaw.covertree", "ripsaw.metric", "ripsaw.modules",
+GEN_UNUSED = ["hashlib", "numpy", "ripsaw.covertree", "ripsaw.metric", "ripsaw.modules",
               "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
 
 
@@ -25,7 +25,8 @@ def _run_python(code):
 
 @pytest.mark.parametrize("module", GEN_UNUSED)
 def test_cli_import_leaves_module_unloaded(module):
-    """`ripsaw gen` pays for neither numpy, the tree nor the stages after sparsify."""
+    """`ripsaw gen` pays for neither numpy, hashlib, the tree nor the stages
+    after sparsify."""
     code = f"import sys, ripsaw.cli; sys.exit({module!r} in sys.modules)"
     assert _run_python(code).returncode == 0
 

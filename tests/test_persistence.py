@@ -17,6 +17,7 @@ from helpers import (
     random_invertible,
 )
 from ripsaw import (
+    DiagramEntry,
     ExplicitModule,
     InputError,
     PersistenceDiagram,
@@ -436,13 +437,38 @@ def test_diagram_json_roundtrip(tmp_path):
     dist = full_distance_matrix(euclidean_oracle(random_cloud(12, 2, 4)))
     diag = reduce(build_filtration(edge_list(dist), 2), 2)
     path = tmp_path / "diag.json"
-    dump_diagram(path, diag, meta={"profile": {"n": 12, "N": 12, "eps0": 0.0,
-                                               "eps1": 0.0, "R": 1.0}})
-    back, meta = load_diagram(path)
+    dump_diagram(path, diag, profile=PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0,
+                                                       N=12, n=12))
+    back, profile = load_diagram(path)
     assert back == diag
-    assert meta["profile"]["n"] == 12
+    assert profile.n == 12
     # strict JSON (inf encoded as a string)
     json.loads(path.read_text())
+
+
+def test_diagram_meta_holds_only_what_is_given(tmp_path):
+    diag = PersistenceDiagram(field_char=3, entries=[DiagramEntry(0, 0.0, INF)])
+    path = tmp_path / "diag.json"
+    dump_diagram(path, diag)
+    assert json.loads(path.read_text())["meta"] == {}
+    assert load_diagram(path) == (diag, None)
+    dump_diagram(path, diag, config={"command": "persist"})
+    assert json.loads(path.read_text())["meta"] == {"config": {"command": "persist"}}
+    assert load_diagram(path) == (diag, None)
+
+
+@pytest.mark.parametrize("profile,message", [
+    ({"n": 4, "N": 4, "eps0": 0.0, "eps1": -1, "R": 1.0}, "profile out of range"),
+    ({"n": 4, "N": 4, "eps0": 0.0, "R": 1.0}, "profile has no 'eps1' key"),
+    ({"n": 4, "N": 4.5, "eps0": 0.0, "eps1": 0.5, "R": 1.0}, "malformed profile"),
+    (None, "malformed profile"),
+], ids=["negative-eps1", "no-eps1", "fractional-N", "null"])
+def test_load_diagram_refuses_bad_profile_naming_the_file(tmp_path, profile, message):
+    path = tmp_path / "diag.json"
+    path.write_text(json.dumps({"field": 2, "entries": [], "meta": {"profile": profile}}))
+    with pytest.raises(InputError) as exc:
+        load_diagram(path)
+    assert str(exc.value).startswith(f"{path}: {message}")
 
 
 def test_diagram_text_dump():

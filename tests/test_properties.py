@@ -114,9 +114,8 @@ def test_files_read_back_equal(case):
         path = Path(tmp) / "space.sparse"
         write_sparse(path, matrix)
         assert read_sparse(path) == matrix
-        meta = {"profile": profile.as_meta()}
-        dump_diagram(path.with_suffix(".json"), sparse, meta=meta)
-        assert load_diagram(path.with_suffix(".json")) == (sparse, meta)
+        dump_diagram(path.with_suffix(".json"), sparse, profile=profile)
+        assert load_diagram(path.with_suffix(".json")) == (sparse, profile)
 
 
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]

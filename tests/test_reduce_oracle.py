@@ -5,12 +5,13 @@ lists must be equal, not merely close.  Inputs are seeded random: Euclidean
 clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
 with eps1 > 0, and integer-valued lower-distance matrices that break the
 triangle inequality, tie heavily and miss some edges (some cut at a drawn
-length).  Every case also checks ``count_simplices`` against the
-filtration's simplices.
+length), and complete graphs with distinct random lengths.  Every case
+also checks ``count_simplices`` against the filtration's simplices.
 A last case scatters small clusters over 2**15 vertex ids, so the reducer's
 packed tetrahedron keys exceed 2**63 and cannot use 64-bit storage.
 """
 
+import itertools
 import math
 import random
 from collections import Counter
@@ -70,8 +71,22 @@ def _integer(rng, dim_cap):
     return edge_list([[w if w <= cut else math.inf for w in row] for row in rows])
 
 
+def _random_lengths(rng, n):
+    """The complete graph on n vertices with lengths drawn uniformly from
+    [0, 1), pair by pair in (i, j) order: distinct almost surely and often
+    non-metric, so that column additions over Z_p, p odd, leave sums that do
+    not cancel."""
+    edges = [(i, j, rng.random()) for i, j in itertools.combinations(range(n), 2)]
+    profile = PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=n, n=n)
+    return SparseLengthMatrix(edges=edges, profile=profile)
+
+
+def _distinct(rng, dim_cap):
+    return _random_lengths(rng, _size(rng, dim_cap))
+
+
 MAKERS = {"cloud": _cloud, "circle": _circle, "sparsified": _sparsified,
-          "integer": _integer}
+          "integer": _integer, "distinct": _distinct}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -88,6 +103,16 @@ def test_reduce_matches_boundary_reduction(kind, p):
         by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
         assert count_simplices(lengths, dim_cap) == [
             by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("dim_cap", [2, 3])
+def test_reduce_keeps_sums_that_do_not_cancel(dim_cap, p):
+    """Distinct lengths on 9 vertices (seed 212), where an addition over Z_p
+    leaves a row with a new nonzero coefficient that decides the diagram:
+    dropping that row, or keeping its old coefficient, changes the entries."""
+    filt = build_filtration(_random_lengths(random.Random("9-212"), 9), dim_cap)
+    assert reduce(filt, p).entries == boundary_reduce(filt, p).entries
 
 
 def _wide(rng, n):

@@ -104,6 +104,16 @@ def test_cutoffs_refuse_other_tree():
         make_profile(rad_tree(), eps1=0.5).cutoffs(ct)
 
 
+@pytest.mark.parametrize("m", [20, 40])
+def test_sparsify_refuses_oracle_of_another_size(m):
+    """A 30-node tree with an oracle of fewer or more points is refused, not
+    sparsified over the first 30 of them or past the oracle's end."""
+    ct, _oracle = cloud_tree(30, 1)
+    other = euclidean_oracle(random_cloud(m, 2, 2))
+    with pytest.raises(InputError, match=f"tree has 30 nodes but input has {m} points"):
+        sparsify(ct, other, make_profile(ct, eps1=0.5))
+
+
 def test_psi_values():
     profile = PrecisionProfile(R=10.0, eps0=0.1, eps1=0.25, N=4, n=4)
     assert profile.psi(0.2) == pytest.approx(0.3)
@@ -365,6 +375,17 @@ def test_sparse_file_roundtrip(tmp_path):
     assert back.edges == matrix.edges
     assert back.profile.as_meta() == matrix.profile.as_meta()
     assert (tmp_path / "edges.meta.json").exists()
+
+
+def test_sparse_file_of_unsorted_edges_reads_back(tmp_path):
+    """Edges in any order are written sorted, so the sidecar's sha256 matches
+    the edges ``read_sparse`` parses and sorts."""
+    edges = [(1, 2, 0.5), (0, 2, 0.25), (0, 1, 1.0)]
+    matrix = SparseLengthMatrix(edges=edges, profile=PrecisionProfile(
+        R=1.0, eps0=0.0, eps1=0.0, N=3, n=3))
+    path = tmp_path / "edges.sparse"
+    write_sparse(path, matrix)
+    assert read_sparse(path).edges == sorted(edges)
 
 
 def test_read_sparse_requires_sidecar(tmp_path):
