@@ -8,14 +8,13 @@ rectangles together with tooling that verifies the interleaving guarantee
 against an exact diagram.
 
 ``_EXPORTS`` maps each stage module to the public names it owns, and a
-name's module is imported the first time the name is used (PEP 562).
+name's module is imported the first time the name is used (PEP 562), so
+``import ripsaw`` loads no stage module.
 """
 
 import importlib
-
-# Eager, unlike every other name: importing the submodule `sparsify` binds the
-# module on the package, so `__getattr__` would never be asked for the function.
-from .sparsify import sparsify
+import sys
+import types
 
 __version__ = "0.1.0"
 
@@ -47,3 +46,16 @@ def __getattr__(name):
 
 def __dir__():
     return __all__
+
+
+class _Package(types.ModuleType):
+    """Keeps the function ``sparsify`` visible: importing the submodule of
+    that name would bind the module here, and ``__getattr__`` would then
+    never be asked for the function."""
+
+    def __setattr__(self, name, value):
+        if not (name == "sparsify" and isinstance(value, types.ModuleType)):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -11,12 +11,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib
 import sys
 
 from . import generators
 from .errors import InputError, ResourceGuardError
-from .sparsify import make_profile, read_sparse, write_sparse
-from .sparsify import sparsify as sparsify_matrix
+
+
+def _sparsify_stage(name):
+    """A caller of ``ripsaw.sparsify.<name>`` that imports the module on its
+    first call, so that `ripsaw gen` and `ripsaw tree` never load it."""
+    def call(*args, **kwargs):
+        return getattr(importlib.import_module(".sparsify", __package__), name)(*args, **kwargs)
+    return call
+
+
+# Module attributes, as bench/spans.py wraps them (CLI_ALIASES).
+make_profile = _sparsify_stage("make_profile")
+sparsify_matrix = _sparsify_stage("sparsify")
+read_sparse = _sparsify_stage("read_sparse")
+write_sparse = _sparsify_stage("write_sparse")
 
 
 def _load_oracle(path, fmt):
@@ -139,10 +153,13 @@ def cmd_plot(args):
 def cmd_verify(args):
     from . import diagram, persistence
 
-    full_diag, _profile = persistence.load_diagram(args.full)
+    full_diag, full_profile = persistence.load_diagram(args.full)
     sparse_diag, profile = persistence.load_diagram(args.sparse)
     if profile is None:
         raise InputError(f"{args.sparse}: sparse diagram carries no profile metadata")
+    if full_profile is not None and full_profile.n != profile.n:
+        raise InputError(f"{args.full} and {args.sparse} are diagrams of different inputs "
+                         f"({full_profile.n} and {profile.n} points)")
     report = diagram.verify_interleaving(full_diag, sparse_diag, profile)
     print(report.summary())
     if report.passed:

@@ -33,6 +33,7 @@ as an oracle; the production path never does.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -124,10 +125,12 @@ class PrecisionProfile:
 
     @classmethod
     def from_meta(cls, meta):
-        """The profile ``as_meta`` wrote; ``InputError`` when a key is
-        missing, a value is not a JSON number (a count not a JSON integer),
-        the profile is out of range, or it records a truncation ``T`` (older
-        files wrote ``"T": null``)."""
+        """The profile ``as_meta`` wrote; ``InputError`` when ``meta`` is not
+        a JSON object, a key is missing, a value is not a JSON number (a
+        count not a JSON integer), the profile is out of range, or it records
+        a truncation ``T`` (older files wrote ``"T": null``)."""
+        if not isinstance(meta, dict):
+            raise InputError("malformed profile: not a JSON object")
         try:
             profile = cls(
                 R=json_number(meta["R"]),
@@ -223,8 +226,6 @@ def write_sparse(path, matrix: SparseLengthMatrix, config=None):
     """Write "i j d" lines, sorted by (i, j), plus the sidecar: the profile's
     {n, N, eps0, eps1, R}, the edge count ``edges`` and the ``sha256`` of
     the lines written."""
-    import hashlib  # here, not at module level: `import ripsaw` loads this module
-
     digest = hashlib.sha256()
     with open(path, "w") as fh:
         for block in _edge_text(sorted(matrix.edges)):
@@ -278,8 +279,6 @@ def read_sparse(path) -> SparseLengthMatrix:
         raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records "
                          f"{meta['edges']!r}")
     if "sha256" in meta:
-        import hashlib
-
         digest = hashlib.sha256()
         for block in _edge_text(edges):
             digest.update(block.encode())

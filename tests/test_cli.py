@@ -1039,13 +1039,43 @@ def test_diagram_without_profile_is_plain(circle_files, tmp_path, capsys, missin
         f"error: {plain}: sparse diagram carries no profile metadata\n")
 
 
+def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, capsys):
+    """Both profiles record n: diagrams of a 40-point and a 32-point input
+    are refused in either order, naming both files; an exact diagram without
+    a profile is still verified against."""
+    csv, tree, sparse = tmp_path / "c.csv", tmp_path / "c.tree", tmp_path / "c.sparse"
+    cloud, circle, plain = tmp_path / "cloud.json", tmp_path / "circle.json", tmp_path / "p.json"
+    assert run("gen", "cloud", "--n", 40, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    assert run("sparsify", "--input", csv, "--tree", tree, "--out", sparse) == 0
+    assert run("persist", "--input", sparse, "--field", 3, "--out", cloud) == 0
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    assert run("persist", "--input", sparse, "--field", 3, "--out", circle) == 0
+    capsys.readouterr()
+    for full, other, sizes in [(cloud, circle, "40 and 32"), (circle, cloud, "32 and 40")]:
+        assert run("verify", full, other) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: {full} and {other} are diagrams of different inputs "
+                       f"({sizes} points)\n")
+    data = json.loads(cloud.read_text())
+    del data["meta"]["profile"]
+    plain.write_text(json.dumps(data))
+    assert run("verify", plain, circle) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+
+
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",
                                   "N-above-n", "fractional-N", "boolean-R", "string-eps1",
-                                  "R-beyond-float", "infinite-R"])
+                                  "R-beyond-float", "infinite-R", "null", "list", "number"])
 def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     meta_path = circle_files["sparse"].with_suffix(".meta.json")
     meta = json.loads(meta_path.read_text())
-    if case == "n-only":
+    no_object = {"null": None, "list": [], "number": 3}
+    if case in no_object:
+        meta = no_object[case]
+    elif case == "n-only":
         meta = {"n": 32}
     elif case == "no-eps1":
         del meta["eps1"]
@@ -1066,7 +1096,10 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
     meta_path.write_text("n = 32\n" if case == "not-json" else json.dumps(meta))
     assert run("persist", "--input", circle_files["sparse"],
                "--out", tmp_path / "x.json") == 2
-    assert "error: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {meta_path}: ")
+    if case in no_object:
+        assert err.endswith(": malformed profile: not a JSON object\n")
     assert not (tmp_path / "x.json").exists()
 
 

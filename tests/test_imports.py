@@ -11,8 +11,10 @@ import pytest
 import ripsaw
 
 
-GEN_UNUSED = ["hashlib", "numpy", "ripsaw.covertree", "ripsaw.metric", "ripsaw.modules",
-              "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
+GEN_UNUSED = ["hashlib", "json", "numpy", "ripsaw.covertree", "ripsaw.metric",
+              "ripsaw.modules", "ripsaw.sparsify", "ripsaw.persistence", "ripsaw.diagram",
+              "ripsaw.svgplot"]
+TREE_UNUSED = ["ripsaw.sparsify", "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
 
 
 def _run_python(code):
@@ -25,8 +27,8 @@ def _run_python(code):
 
 @pytest.mark.parametrize("module", GEN_UNUSED)
 def test_cli_import_leaves_module_unloaded(module):
-    """`ripsaw gen` pays for neither numpy, hashlib, the tree nor the stages
-    after sparsify."""
+    """`ripsaw gen` pays for neither numpy, hashlib, json, the tree nor any
+    later stage."""
     code = f"import sys, ripsaw.cli; sys.exit({module!r} in sys.modules)"
     assert _run_python(code).returncode == 0
 
@@ -39,6 +41,37 @@ def test_gen_run_leaves_modules_unloaded(tmp_path):
     run = _run_python(code)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["wrote " + str(out) + " (50 points)", "[]"]
+
+
+def test_cli_import_loads_no_stage_module(cli_modules):
+    assert sorted(m for m in cli_modules if m.startswith("ripsaw")) == [
+        "ripsaw", "ripsaw.cli", "ripsaw.errors", "ripsaw.generators"]
+
+
+def test_tree_run_leaves_later_stages_unloaded(tmp_path):
+    csv, tree = tmp_path / "sol.csv", tmp_path / "sol.tree"
+    code = (f"import sys\nfrom ripsaw import cli\n"
+            f"assert cli.main(['gen', 'solenoid', '--n', '50', '--out', {str(csv)!r}]) == 0\n"
+            f"assert cli.main(['tree', '--input', {str(csv)!r}, '--out', {str(tree)!r}]) == 0\n"
+            f"print(sorted(set({TREE_UNUSED!r}) & set(sys.modules)))")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("load", [
+    "import ripsaw.persistence",
+    "from ripsaw.sparsify import read_sparse",
+    "importlib.import_module('ripsaw.sparsify')",
+], ids=["via-persistence", "from-import", "import-module"])
+def test_loading_the_sparsify_module_keeps_the_function(load):
+    """The submodule ``sparsify``, however it is loaded first, never shadows
+    the public function of the same name on the package."""
+    code = (f"import importlib, sys, types\nimport ripsaw\n{load}\n"
+            "assert isinstance(ripsaw.sparsify, types.FunctionType), ripsaw.sparsify\n"
+            "assert sys.modules['ripsaw.sparsify'].sparsify is ripsaw.sparsify")
+    run = _run_python(code)
+    assert run.returncode == 0, run.stderr
 
 
 def test_module_algebra_names_resolve_lazily():
