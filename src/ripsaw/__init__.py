@@ -25,7 +25,7 @@ _EXPORTS = {
     "diagram": ("InterleavingReport", "MatchResult", "alive", "approximate",
                 "match_diagrams", "related", "verify_interleaving"),
     "errors": ("InputError", "ResourceGuardError"),
-    "generators": ("SolenoidParams", "circle_sample", "random_cloud", "solenoid_sample"),
+    "generators": ("circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),
     "modules": ("ExplicitModule", "barcode_from_ranks", "normal_form",
                 "ranks_from_barcode"),

@@ -10,7 +10,6 @@ adds the input's digest), and reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import importlib
 import sys
 
@@ -136,14 +135,7 @@ def cmd_plot(args):
     diag, profile = persistence.load_diagram(args.input)
     if profile is None:
         print("warning: no profile metadata; plotting plain dots", file=sys.stderr)
-    overlay = None
-    if args.overlay_eps0 is not None or args.overlay_eps1 is not None:
-        if profile is None:
-            raise InputError(f"{args.input}: overlay requires profile metadata in the diagram")
-        overlay = dataclasses.replace(profile, eps0=args.overlay_eps0 or 0.0,
-                                      eps1=args.overlay_eps1 or 0.0)
-    text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, clip=args.clip,
-                              overlay=overlay, config=_config(args))
+    text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, config=_config(args))
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -157,9 +149,11 @@ def cmd_verify(args):
     sparse_diag, profile = persistence.load_diagram(args.sparse)
     if profile is None:
         raise InputError(f"{args.sparse}: sparse diagram carries no profile metadata")
-    if full_profile is not None and full_profile.n != profile.n:
+    # Exact and sparse diagrams of one input share its tree, so n and R.
+    if full_profile is not None and (full_profile.n, full_profile.R) != (profile.n, profile.R):
         raise InputError(f"{args.full} and {args.sparse} are diagrams of different inputs "
-                         f"({full_profile.n} and {profile.n} points)")
+                         f"(n {full_profile.n} and {profile.n}, "
+                         f"R {full_profile.R!r} and {profile.R!r})")
     report = diagram.verify_interleaving(full_diag, sparse_diag, profile)
     print(report.summary())
     if report.passed:
@@ -175,8 +169,7 @@ def cmd_gen(args):
         # geodesic metric
         points = [(a,) for a in generators.circle_sample(args.n)]
     elif args.dataset == "solenoid":
-        points = generators.solenoid_sample(generators.SolenoidParams(
-            n=args.n, seed=args.seed, iterations=args.iterations))
+        points = generators.solenoid_sample(args.n, args.seed)
     elif args.dataset == "cloud":
         points = generators.random_cloud(args.n, args.dim, args.seed)
     else:
@@ -207,10 +200,7 @@ _COMMANDS = {
     "plot": ("render a diagram (with error boxes) to SVG", cmd_plot, [
         ("--input", dict(required=True, help="diagram JSON")),
         ("--out", dict(required=True)),
-        ("--log-plot", dict(action="store_true")),
-        ("--clip", dict(type=float)),
-        ("--overlay-eps0", dict(type=float)),
-        ("--overlay-eps1", dict(type=float))]),
+        ("--log-plot", dict(action="store_true"))]),
     "verify": ("check a sparse diagram against an exact one", cmd_verify, [
         ("full", dict(help="exact diagram JSON")),
         ("sparse", dict(help="sparsified diagram JSON (with profile)"))]),
@@ -219,7 +209,6 @@ _COMMANDS = {
         ("--n", dict(type=int, required=True)),
         ("--dim", dict(type=int, default=2)),
         ("--seed", dict(type=int, default=0)),
-        ("--iterations", dict(type=int, default=12)),
         ("--out", dict(required=True))]),
 }
 

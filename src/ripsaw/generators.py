@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 from itertools import chain
 
 from .errors import InputError
@@ -38,6 +37,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK = 4096
+_ITERATIONS = 12
 
 
 def unit_doubles(seed: int, count: int) -> list:
@@ -90,20 +90,7 @@ def random_cloud(n: int, dim: int, seed: int):
     return [tuple(draws[k:k + dim]) for k in range(0, n * dim, dim)]
 
 
-@dataclass
-class SolenoidParams:
-    n: int
-    seed: int = 0
-    iterations: int = 12
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InputError("need n >= 1")
-        if self.iterations < 1:
-            raise InputError("need iterations >= 1")
-
-
-def solenoid_sample(params: SolenoidParams):
+def solenoid_sample(n: int, seed: int = 0):
     """Sample the solenoid attractor of the doubling torus map.
 
     Seeds (phi, x, z) are drawn with phi uniform in [0,1) and x, z uniform in
@@ -111,21 +98,23 @@ def solenoid_sample(params: SolenoidParams):
 
         (phi, x, z) -> (2*phi mod 1, x/3 + cos(2*pi*phi), z/3 + sin(2*pi*phi))
 
-    is applied ``iterations`` times, and the result is embedded in R^3 via
+    is applied ``_ITERATIONS`` (12) times, and the result is embedded in R^3 via
 
         (phi, x, z) -> (cos(2*pi*phi)*(1 + x/3), sin(2*pi*phi)*(1 + x/3), z).
 
     Iterating from box-uniform seeds only approximates a uniform draw on the
-    attractor itself; after the default 12 iterations the per-slice structure
-    is far finer than desk-scale subsampling resolves.
+    attractor itself; after 12 iterations the per-slice structure is far
+    finer than desk-scale subsampling resolves.
     """
+    if n < 1:
+        raise InputError("need n >= 1")
     cos, sin = math.cos, math.sin
     two_pi = 2.0 * math.pi
-    draws = unit_doubles(params.seed, 3 * params.n)
+    draws = unit_doubles(seed, 3 * n)
     points = []
     for phi, x, z in zip(draws[0::3], draws[1::3], draws[2::3]):
         x, z = 3.0 * x - 1.5, 3.0 * z - 1.5
-        for _ in range(params.iterations):
+        for _ in range(_ITERATIONS):
             angle = two_pi * phi
             phi, x, z = (2.0 * phi) % 1.0, x / 3.0 + cos(angle), z / 3.0 + sin(angle)
         angle = two_pi * phi

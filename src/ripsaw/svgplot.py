@@ -1,11 +1,11 @@
 """SVG rendering of (approximate) persistence diagrams.
 
-Draws the diagonal in black and the shift map psi in red (an optional
-alternative psi overlays in green); error rectangles are filled blue for
-definite entries and orange for possible ones, with the diagram entry at the
-upper-right corner.  Entries with infinite death sit on a dashed band above
-the finite range.  Log-log axes clamp every coordinate to a lower clip value
-before transforming.
+Draws the diagonal in black and the profile's shift map psi in red; error
+rectangles are filled blue for definite entries and orange for possible
+ones, with the diagram entry at the upper-right corner.  Entries with
+infinite death sit on a dashed band above the finite range.  Log-log axes
+clamp every coordinate to the smallest positive coordinate drawn (1e-6 if
+there is none) before transforming.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 
 from .diagram import approximate
-from .errors import InputError
 
 INF = math.inf
 
@@ -25,7 +24,6 @@ _INF_BAND = 26.0
 _DEFINITE_FILL = "#4878cf"
 _POSSIBLE_FILL = "#ee854a"
 _PSI_COLOR = "#d62728"
-_OVERLAY_COLOR = "#2ca02c"
 
 
 class _Axis:
@@ -54,12 +52,8 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
-               overlay=None, config=None):
-    """Render a diagram (plus optional profile / overlay profile) to SVG text;
-    ``InputError`` unless ``clip`` is None or finite and > 0."""
-    if clip is not None and not (0.0 < clip < INF):  # nan fails both
-        raise InputError(f"clip must be finite and > 0, got {clip!r}")
+def render_svg(diagram, profile=None, *, log_axes=False, config=None):
+    """Render a diagram (plus its optional profile) to SVG text."""
     finite = [v for e in diagram.entries for v in (e.birth, e.death) if v != INF]
     approx = []
     if profile is not None:
@@ -68,8 +62,7 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
         finite.append(profile.R)
     hi = max(finite) if finite else 1.0
     positives = [v for v in finite if v > 0]
-    if clip is None:
-        clip = min(positives) if positives else 1e-6
+    clip = min(positives) if positives else 1e-6
     lo = clip if log_axes else 0.0
     axis = _Axis(lo, hi * 1.02, log_axes, clip)
 
@@ -127,8 +120,6 @@ def render_svg(diagram, profile=None, *, log_axes=False, clip=None,
     parts.append(_curve_path(lambda r: r, axis, px, py, "black", "identity"))
     if profile is not None:
         parts.append(_curve_path(profile.psi, axis, px, py, _PSI_COLOR, "psi"))
-    if overlay is not None:
-        parts.append(_curve_path(overlay.psi, axis, px, py, _OVERLAY_COLOR, "overlay-psi"))
 
     for e in diagram.entries:
         parts.append(f'<circle cx="{px(e.birth):.2f}" cy="{py(e.death):.2f}" '

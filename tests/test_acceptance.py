@@ -25,7 +25,6 @@ from ripsaw import (
     barcode_from_ranks,
     reduce,
     solenoid_sample,
-    SolenoidParams,
     sparsify,
     tighten,
 )
@@ -68,7 +67,7 @@ def test_criterion_2_density_and_contraction():
     for seed in range(10):
         corpora.append(euclidean_oracle(random_cloud(500, 2, seed)))
         corpora.append(euclidean_oracle(random_cloud(500, 3, 100 + seed)))
-    corpora.append(euclidean_oracle(solenoid_sample(SolenoidParams(n=2000, seed=0))))
+    corpora.append(euclidean_oracle(solenoid_sample(2000, seed=0)))
     for oracle in corpora:
         ct = tighten(build(oracle), oracle)
         assert density_violations(ct, oracle, limit=1) == []
@@ -138,7 +137,7 @@ def test_criterion_4_end_to_end_interleaving(tmp_path):
 def test_criterion_5_sparsification_effect():
     """2000-point solenoid at eps1 = 0.25 keeps well under 30% of all edges;
     the exact count is pinned as a regression value."""
-    pts = solenoid_sample(SolenoidParams(n=2000, seed=0))
+    pts = solenoid_sample(2000, seed=0)
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
     profile = make_profile(ct, eps1=0.25)

@@ -216,21 +216,18 @@ def test_plot_rectangles_and_overlay(tmp_path, circle_files):
     run("sparsify", "--input", circle_files["csv"], "--format", "circle",
         "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sp)
     run("persist", "--input", sp, "--dim", 1, "--out", dg)
-    assert run("plot", "--input", dg, "--out", svg,
-               "--overlay-eps0", 0.05, "--overlay-eps1", 0.0) == 0
+    assert run("plot", "--input", dg, "--out", svg) == 0
     text = svg.read_text()
     assert 'class="definite"' in text
-    assert 'class="overlay-psi"' in text
     assert 'class="psi"' in text
 
 
 def test_plot_log_axes_clip(tmp_path, circle_files):
     svg = tmp_path / "log.svg"
-    assert run("plot", "--input", circle_files["diag"], "--out", svg,
-               "--log-plot", "--clip", 0.01) == 0
+    assert run("plot", "--input", circle_files["diag"], "--out", svg, "--log-plot") == 0
     root = ET.parse(svg).getroot()
     # clip contract: every drawn point stays inside the plot box (whose left
-    # and bottom edges represent the clip value)
+    # and bottom edges represent the clip, the smallest positive coordinate)
     for circle in root.iter("{http://www.w3.org/2000/svg}circle"):
         assert 56.0 <= float(circle.get("cx")) <= 640.0 - 56.0 + 1e-9
         assert float(circle.get("cy")) <= 640.0 - 56.0 + 1e-9
@@ -254,8 +251,8 @@ GEN_SHA256 = [
      "9a1294f1c8b85b4a7beaaeea0bd651f1d16720ff2fcbf022c0bc4398988e58f5"),
     (["solenoid", "--n", 2000, "--seed", 0],
      "41e1d41cfd3a7fd8d3cccb0ca148192831b129ace749846afe71f1504e341f21"),
-    (["solenoid", "--n", 500, "--seed", 7, "--iterations", 5],
-     "ad3c16383122dd1c92f6c1b389a511b2309623b25209de7283b4d67f77d8f6d7"),
+    (["solenoid", "--n", 500, "--seed", 7],
+     "f65195b31f18af5e43aa8df53b013a78557e7fbf0c596d4b3c9e9dafddc3422a"),
     (["cloud", "--n", 64, "--dim", 2, "--seed", 0],
      "d3da398bacdd9867391c42289458363ffc9295e9beceb344bd2942ff21e28f10"),
     (["cloud", "--n", 17, "--dim", 3, "--seed", 1],
@@ -310,8 +307,7 @@ def test_outputs_embed_config(tmp_path):
         ["sparsify", "--input", p["c.csv"], "--format", "circle", "--tree", p["c.tree"],
          "--eps1", 0.5, "--keep", 24, "--out", p["c.sparse"]],
         ["persist", "--input", p["c.sparse"], "--dim", 1, "--field", 3, "--out", p["c.json"]],
-        ["plot", "--input", p["c.json"], "--out", p["c.svg"], "--log-plot",
-         "--overlay-eps0", 0.01],
+        ["plot", "--input", p["c.json"], "--out", p["c.svg"], "--log-plot"],
     ]
     assert run("gen", "circle", "--n", 32, "--out", p["c.csv"]) == 0
     for argv in steps:
@@ -1040,25 +1036,30 @@ def test_diagram_without_profile_is_plain(circle_files, tmp_path, capsys, missin
 
 
 def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, capsys):
-    """Both profiles record n: diagrams of a 40-point and a 32-point input
-    are refused in either order, naming both files; an exact diagram without
-    a profile is still verified against."""
+    """Both profiles record n and R, which exact and sparse diagrams of one
+    input share: the exact diagrams of a 40-point and of a 32-point cloud are
+    refused against the 32-point circle's eps1 0.5 diagram in either order,
+    naming both files, the second although the sizes agree; an exact diagram
+    without a profile is still verified against."""
     csv, tree, sparse = tmp_path / "c.csv", tmp_path / "c.tree", tmp_path / "c.sparse"
     cloud, circle, plain = tmp_path / "cloud.json", tmp_path / "circle.json", tmp_path / "p.json"
-    assert run("gen", "cloud", "--n", 40, "--out", csv) == 0
-    assert run("tree", "--input", csv, "--out", tree) == 0
-    assert run("sparsify", "--input", csv, "--tree", tree, "--out", sparse) == 0
-    assert run("persist", "--input", sparse, "--field", 3, "--out", cloud) == 0
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
                "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
     assert run("persist", "--input", sparse, "--field", 3, "--out", circle) == 0
-    capsys.readouterr()
-    for full, other, sizes in [(cloud, circle, "40 and 32"), (circle, cloud, "32 and 40")]:
-        assert run("verify", full, other) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (f"error: {full} and {other} are diagrams of different inputs "
-                       f"({sizes} points)\n")
+    for n in (40, 32):
+        assert run("gen", "cloud", "--n", n, "--out", csv) == 0
+        assert run("tree", "--input", csv, "--out", tree) == 0
+        assert run("sparsify", "--input", csv, "--tree", tree, "--out", sparse) == 0
+        assert run("persist", "--input", sparse, "--field", 3, "--out", cloud) == 0
+        capsys.readouterr()
+        r = "1.012492455686767"
+        for full, other, sizes, radii in [(cloud, circle, f"{n} and 32", f"{r} and 0.5"),
+                                          (circle, cloud, f"32 and {n}", f"0.5 and {r}")]:
+            assert run("verify", full, other) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"error: {full} and {other} are diagrams of different inputs "
+                           f"(n {sizes}, R {radii})\n")
     data = json.loads(cloud.read_text())
     del data["meta"]["profile"]
     plain.write_text(json.dumps(data))
@@ -1121,11 +1122,25 @@ def test_sparsify_rejects_bad_profile(circle_files, tmp_path, capsys, argv):
     ["--log-plot", "--clip", "nan"], ["--log-plot", "--clip", "inf"],
 ])
 def test_plot_rejects_bad_overlay(circle_files, tmp_path, capsys, argv):
+    """`plot` draws only the diagram's own psi, clipped at its smallest
+    positive coordinate: the parser refuses the overlay and clip options,
+    and no SVG is written."""
     svg = tmp_path / "x.svg"
-    assert run("plot", "--input", circle_files["diag"], *argv, "--out", svg) == 2
-    expected = "clip must be finite and > 0" if "--clip" in argv else "profile out of range"
-    assert expected in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run("plot", "--input", circle_files["diag"], *argv, "--out", svg)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_gen_has_no_iterations_option(tmp_path, capsys):
+    """The solenoid always iterates its map 12 times."""
+    out = tmp_path / "sol.csv"
+    with pytest.raises(SystemExit) as exc:
+        run("gen", "solenoid", "--n", 5, "--iterations", 5, "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --iterations 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_input_file_exits_2(circle_files, tmp_path, capsys):

@@ -15,7 +15,6 @@ from ripsaw import (
     random_cloud,
     read_tree,
     solenoid_sample,
-    SolenoidParams,
     tighten,
     write_tree,
 )
@@ -208,7 +207,7 @@ def test_contraction_helper_matches_literal_definition():
 
 
 def test_density_on_solenoid():
-    pts = solenoid_sample(SolenoidParams(n=400, seed=3))
+    pts = solenoid_sample(400, seed=3)
     oracle = euclidean_oracle(pts)
     ct = tighten(build(oracle), oracle)
     assert density_violations(ct, oracle) == []

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import rank_at
+from helpers import prim_h0, rank_at
 from ripsaw import (
     InputError,
     PersistenceDiagram,
@@ -18,11 +18,14 @@ from ripsaw import (
     make_profile,
     match_diagrams,
     random_cloud,
+    read_sparse,
     reduce,
     related,
+    solenoid_sample,
     sparsify,
     tighten,
     verify_interleaving,
+    write_sparse,
 )
 from ripsaw.persistence import DiagramEntry
 
@@ -457,3 +460,23 @@ def test_verify_sweep_exact_against_sparse():
                 checked.add((name, keep, eps1))
     assert failed == []
     assert len(checked) == 675 and set(CAP_AT_R_FAILURES) <= checked
+
+
+@pytest.mark.parametrize("dataset", ["cloud", "solenoid"])
+def test_prim_h0_is_the_exact_h0(tmp_path, dataset):
+    """At n=200, Prim's H0 equals the H0 that ``reduce`` gives on the eps1 0
+    sparse file, and the eps1 0.25 sparse H0 verifies against it."""
+    points = random_cloud(200, 2, 0) if dataset == "cloud" else solenoid_sample(200, seed=0)
+    oracle = euclidean_oracle(points)
+    ct = tighten(build(oracle), oracle)
+    prim = prim_h0(oracle)
+    assert len(prim.entries) == 200
+    for eps1 in (0.0, 0.25):
+        path = tmp_path / f"eps{eps1}.sparse"
+        write_sparse(path, sparsify(ct, oracle, make_profile(ct, eps1=eps1)))
+        matrix = read_sparse(path)
+        h0 = reduce(build_filtration(matrix, 1), 2)
+        assert h0.dims() == [0]
+        if eps1 == 0.0:
+            assert sorted(h0.pairs(0)) == prim.pairs(0)
+        assert verify_interleaving(prim, h0, matrix.profile).passed

@@ -1,7 +1,7 @@
 import pytest
 
 from helpers import solenoid_embed, solenoid_reference, solenoid_step, splitmix_draw
-from ripsaw import (InputError, SolenoidParams, circle_oracle, circle_sample, random_cloud,
+from ripsaw import (InputError, circle_oracle, circle_sample, generators, random_cloud,
                     solenoid_sample)
 from ripsaw.generators import unit_doubles, write_points_csv
 
@@ -50,11 +50,14 @@ def test_solenoid_step_half_turn():
 
 @pytest.mark.parametrize("iterations", [1, 5, 12])
 @pytest.mark.parametrize("seed", SEEDS)
-def test_solenoid_sample_equals_step_by_step_reference(seed, iterations):
-    """The batched draws and the inline map give exactly the reference floats."""
+def test_solenoid_sample_equals_step_by_step_reference(monkeypatch, seed, iterations):
+    """The batched draws and the inline map give exactly the reference floats,
+    at the sampler's 12 steps of the map and, with its step count set, after
+    1 and 5 steps, where a wrong step is not yet blurred by the ones after."""
+    assert generators._ITERATIONS == 12
+    monkeypatch.setattr(generators, "_ITERATIONS", iterations)
     for n in (1, 2, 500):
-        params = SolenoidParams(n=n, seed=seed, iterations=iterations)
-        assert solenoid_sample(params) == solenoid_reference(n, seed, iterations)
+        assert solenoid_sample(n, seed=seed) == solenoid_reference(n, seed, iterations)
 
 
 @pytest.mark.parametrize("seed", SEEDS + LANE_SEEDS)
@@ -96,12 +99,11 @@ def test_write_points_csv_writes_float_reprs_across_blocks(tmp_path):
 
 
 def test_solenoid_deterministic():
-    params = SolenoidParams(n=50, seed=123)
-    assert solenoid_sample(params) == solenoid_sample(params)
+    assert solenoid_sample(50, seed=123) == solenoid_sample(50, seed=123)
 
 
 def test_solenoid_inside_torus_bound():
-    for p in solenoid_sample(SolenoidParams(n=400, seed=2)):
+    for p in solenoid_sample(400, seed=2):
         assert p[0] ** 2 + p[1] ** 2 <= (1 + 1.5 / 3) ** 2 + 1e-12
         assert abs(p[2]) <= 1.5
 
@@ -122,7 +124,6 @@ def test_seeds_differ():
 def test_param_validation():
     with pytest.raises(Exception):
         circle_sample(0)
-    with pytest.raises(Exception):
-        SolenoidParams(n=0)
-    with pytest.raises(Exception):
-        SolenoidParams(n=1, iterations=0)
+    for n in (0, -1):
+        with pytest.raises(InputError, match="need n >= 1"):
+            solenoid_sample(n)

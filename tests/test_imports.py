@@ -11,9 +11,9 @@ import pytest
 import ripsaw
 
 
-GEN_UNUSED = ["hashlib", "json", "numpy", "ripsaw.covertree", "ripsaw.metric",
-              "ripsaw.modules", "ripsaw.sparsify", "ripsaw.persistence", "ripsaw.diagram",
-              "ripsaw.svgplot"]
+GEN_UNUSED = ["dataclasses", "hashlib", "inspect", "json", "numpy", "ripsaw.covertree",
+              "ripsaw.metric", "ripsaw.modules", "ripsaw.sparsify", "ripsaw.persistence",
+              "ripsaw.diagram", "ripsaw.svgplot"]
 TREE_UNUSED = ["ripsaw.sparsify", "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
 
 
@@ -27,20 +27,22 @@ def _run_python(code):
 
 @pytest.mark.parametrize("module", GEN_UNUSED)
 def test_cli_import_leaves_module_unloaded(module):
-    """`ripsaw gen` pays for neither numpy, hashlib, json, the tree nor any
-    later stage."""
+    """`ripsaw gen` pays for neither numpy, dataclasses (nor the inspect it
+    loads), hashlib, json, the tree nor any later stage."""
     code = f"import sys, ripsaw.cli; sys.exit({module!r} in sys.modules)"
     assert _run_python(code).returncode == 0
 
 
 def test_gen_run_leaves_modules_unloaded(tmp_path):
-    out = tmp_path / "sol.csv"
-    code = (f"import sys\nfrom ripsaw import cli\n"
-            f"assert cli.main(['gen', 'solenoid', '--n', '50', '--out', {str(out)!r}]) == 0\n"
-            f"print(sorted(set({GEN_UNUSED!r}) & set(sys.modules)))")
-    run = _run_python(code)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["wrote " + str(out) + " (50 points)", "[]"]
+    """Each dataset, generated in a fresh interpreter."""
+    out = tmp_path / "gen.csv"
+    for dataset in ("circle", "solenoid", "cloud"):
+        code = (f"import sys\nfrom ripsaw import cli\n"
+                f"assert cli.main(['gen', {dataset!r}, '--n', '50', '--out', {str(out)!r}]) == 0\n"
+                f"print(sorted(set({GEN_UNUSED!r}) & set(sys.modules)))")
+        run = _run_python(code)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == ["wrote " + str(out) + " (50 points)", "[]"], dataset
 
 
 def test_cli_import_loads_no_stage_module(cli_modules):
@@ -81,7 +83,7 @@ def test_module_algebra_names_resolve_lazily():
         for name in names:
             assert getattr(ripsaw, name) is getattr(home, name), name
     assert isinstance(ripsaw.sparsify, types.FunctionType)
-    assert len(ripsaw.__all__) == 41
+    assert len(ripsaw.__all__) == 40
     namespace = {}
     exec("from ripsaw import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
