@@ -46,10 +46,8 @@ def _load_oracle(path, fmt):
         if len(rows[0]) != 1:
             raise InputError(f"{path}: each row holds {len(rows[0])} values, not one angle")
         values, make = [row[0] for row in rows], metric.circle_oracle
-    elif fmt == "lower-distance":
+    else:  # "lower-distance", the last of the parser's choices
         values, make = metric.load_lower_distance(path), metric.matrix_oracle
-    else:
-        raise InputError(f"unknown input format {fmt!r}")
     try:
         oracle = make(values)
     except InputError as exc:
@@ -147,10 +145,11 @@ def cmd_verify(args):
 
     full_diag, full_profile = persistence.load_diagram(args.full)
     sparse_diag, profile = persistence.load_diagram(args.sparse)
-    if profile is None:
-        raise InputError(f"{args.sparse}: sparse diagram carries no profile metadata")
+    for path, prof in ((args.full, full_profile), (args.sparse, profile)):
+        if prof is None:
+            raise InputError(f"{path}: diagram carries no profile metadata")
     # Exact and sparse diagrams of one input share its tree, so n and R.
-    if full_profile is not None and (full_profile.n, full_profile.R) != (profile.n, profile.R):
+    if (full_profile.n, full_profile.R) != (profile.n, profile.R):
         raise InputError(f"{args.full} and {args.sparse} are diagrams of different inputs "
                          f"(n {full_profile.n} and {profile.n}, "
                          f"R {full_profile.R!r} and {profile.R!r})")
@@ -170,10 +169,8 @@ def cmd_gen(args):
         points = [(a,) for a in generators.circle_sample(args.n)]
     elif args.dataset == "solenoid":
         points = generators.solenoid_sample(args.n, args.seed)
-    elif args.dataset == "cloud":
+    else:  # "cloud", the last of the parser's choices
         points = generators.random_cloud(args.n, args.dim, args.seed)
-    else:
-        raise InputError(f"unknown dataset {args.dataset!r}")
     generators.write_points_csv(args.out, points)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0

@@ -283,10 +283,13 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
     The grid closure covers every distinct value the rank counts can take:
     counts change only where s or t crosses an entry value or a psi-preimage
     of one.  The cells (s, t), s <= t, are visited with s ascending, so psi
-    must be nondecreasing, and both diagrams over one field (InputError otherwise).
+    must be nondecreasing, and both diagrams over one field and computed up
+    to one dimension (InputError otherwise).
     """
     if (p := diag_v.field_char) != (q := diag_w.field_char):
         raise InputError(f"field characteristics differ: {p} vs {q}")
+    if (a := diag_v.max_dim) != (b := diag_w.max_dim):
+        raise InputError(f"diagrams computed up to different dimensions: {a} vs {b}")
     psi, psi_inv = profile.psi, profile.psi_inv
     report = InterleavingReport()
     for dim in sorted(set(diag_v.dims()) | set(diag_w.dims())):

@@ -207,9 +207,11 @@ class DiagramEntry:
 
 @dataclass
 class PersistenceDiagram:
-    """Per-dimension multiset of (birth, death] entries over Z_p."""
+    """Per-dimension multiset of (birth, death] entries over Z_p, for the
+    dimensions 0 .. ``max_dim`` that were computed."""
 
     field_char: int
+    max_dim: int
     entries: list
 
     def dims(self):
@@ -222,6 +224,7 @@ class PersistenceDiagram:
     def to_json_dict(self, meta=None):
         return {
             "field": self.field_char,
+            "max_dim": self.max_dim,
             "entries": [
                 {
                     "dim": e.dim,
@@ -236,12 +239,13 @@ class PersistenceDiagram:
     @classmethod
     def from_json_dict(cls, data):
         """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
-        missing, a value is not a JSON number (field and dim not JSON
+        missing, a value is not a JSON number (field, max_dim and dim not JSON
         integers; an infinite death only the string "inf"), the field is not a
-        prime, or an entry is not a finite birth >= 0 with a death at or
-        after it."""
+        prime, an entry is not a finite birth >= 0 with a death at or after
+        it, or max_dim is below 0 or an entry's dim."""
         try:
             field_char = json_int(data["field"])
+            max_dim = json_int(data["max_dim"])
             entries = [
                 DiagramEntry(
                     dim=json_int(e["dim"]),
@@ -260,7 +264,9 @@ class PersistenceDiagram:
             if not (e.dim >= 0 and 0.0 <= e.birth < INF and e.death >= e.birth):
                 raise InputError(f"bad diagram entry: dim {e.dim}, birth "
                                  f"{e.birth!r}, death {e.death!r}")
-        return cls(field_char=field_char, entries=entries)
+        if max_dim < max((e.dim for e in entries), default=0):
+            raise InputError(f"diagram max_dim {max_dim} is below 0 or an entry's dim")
+        return cls(field_char=field_char, max_dim=max_dim, entries=entries)
 
     def to_text(self):
         lines = []
@@ -363,7 +369,8 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                 death = lengths[low // scale] if col else INF
                 entries.append(DiagramEntry(dim=dim, birth=lengths[r], death=death))
         cleared = set(pivots)
-    return PersistenceDiagram(field_char=p, entries=_sorted_entries(entries))
+    return PersistenceDiagram(field_char=p, max_dim=filtration.dim_cap - 1,
+                              entries=_sorted_entries(entries))
 
 
 def _merging_edges(adj):

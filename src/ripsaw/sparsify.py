@@ -215,23 +215,18 @@ def _meta_path(path):
     return Path(path).with_suffix(".meta.json")
 
 
-def _edge_text(edges):
-    """The "i j d" lines of ``edges`` as ``write_sparse`` writes them, joined
-    in blocks of at most 4,096 lines."""
-    for k in range(0, len(edges), 4096):
-        yield "".join([f"{i} {j} {w!r}\n" for i, j, w in edges[k:k + 4096]])
-
-
 def write_sparse(path, matrix: SparseLengthMatrix, config=None):
     """Write "i j d" lines, sorted by (i, j), plus the sidecar: the profile's
     {n, N, eps0, eps1, R}, the edge count ``edges`` and the ``sha256`` of
     the lines written."""
+    edges = sorted(matrix.edges)
     digest = hashlib.sha256()
     with open(path, "w") as fh:
-        for block in _edge_text(sorted(matrix.edges)):
+        for k in range(0, len(edges), 4096):
+            block = "".join([f"{i} {j} {w!r}\n" for i, j, w in edges[k:k + 4096]])
             fh.write(block)
             digest.update(block.encode())
-    meta = dict(matrix.profile.as_meta(), edges=len(matrix.edges), sha256=digest.hexdigest())
+    meta = dict(matrix.profile.as_meta(), edges=len(edges), sha256=digest.hexdigest())
     if config is not None:
         meta["config"] = config
     with open(_meta_path(path), "w") as fh:
@@ -241,10 +236,10 @@ def write_sparse(path, matrix: SparseLengthMatrix, config=None):
 
 def read_sparse(path) -> SparseLengthMatrix:
     """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
-    file for a malformed line or sidecar, a repeated edge, or edges that do
-    not match the count and sha256 the sidecar records (a sidecar without
-    them is not checked).  Comments, blank lines, spacing and line order are
-    free."""
+    file for a malformed sidecar or one without ``edges`` and ``sha256``, a
+    line that is not "i j d" (single spaces) with 0 <= i < j < N and a finite
+    d >= 0, a pair (i, j) not after the previous line's, or edge lines whose
+    count and sha256 differ from those the sidecar records."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
@@ -252,13 +247,14 @@ def read_sparse(path) -> SparseLengthMatrix:
         with open(meta_path) as fh:
             meta = json.load(fh)
         profile = PrecisionProfile.from_meta(meta)
+        count, sha256 = meta["edges"], meta["sha256"]
+    except KeyError as exc:
+        raise InputError(f"{meta_path}: sidecar has no {exc} key") from None
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
-    edges = []
+    edges, digest, last = [], hashlib.sha256(), (0, 0)  # every pair i < j is after (0, 0)
     for lineno, text in lines(path):
-        if text.startswith("#"):
-            continue
-        toks = text.split()
+        toks = text.split(" ")
         if len(toks) != 3:
             raise InputError(f"{path}:{lineno}: expected 'i j d'")
         try:
@@ -270,18 +266,13 @@ def read_sparse(path) -> SparseLengthMatrix:
         if not (math.isfinite(w) and w >= 0.0):
             raise InputError(f"{path}:{lineno}: edge length {w!r} is not "
                              "a finite nonnegative number")
+        if (i, j) <= last:
+            raise InputError(f"{path}:{lineno}: edge ({i}, {j}) does not come after {last}")
+        last = (i, j)
         edges.append((i, j, w))
-    edges.sort()
-    for prev, edge in zip(edges, edges[1:]):
-        if prev[:2] == edge[:2]:
-            raise InputError(f"{path}: edge {edge[:2]} listed twice")
-    if "edges" in meta and meta["edges"] != len(edges):
-        raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records "
-                         f"{meta['edges']!r}")
-    if "sha256" in meta:
-        digest = hashlib.sha256()
-        for block in _edge_text(edges):
-            digest.update(block.encode())
-        if digest.hexdigest() != meta["sha256"]:
-            raise InputError(f"{path}: edges do not match the sha256 {meta_path} records")
+        digest.update(f"{text}\n".encode())
+    if count != len(edges):
+        raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records {count!r}")
+    if digest.hexdigest() != sha256:
+        raise InputError(f"{path}: edges do not match the sha256 {meta_path} records")
     return SparseLengthMatrix(edges=edges, profile=profile)

@@ -137,8 +137,6 @@ def _curve_path(fn, axis, px, py, color, name, samples=200):
         else:
             r = axis.lo + axis.span * k / samples
         v = fn(r)
-        if v == INF:
-            continue
         pts.append(f"{px(r):.2f},{py(max(v, axis.clip if axis.log else v)):.2f}")
     return (f'<polyline class="{name}" points="{" ".join(pts)}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>')

@@ -107,7 +107,8 @@ def prim_h0(oracle):
         outside.remove(last)
         deaths.append(reach[last])
     entries = [DiagramEntry(0, 0.0, d) for d in sorted(deaths) if d > 0.0]
-    return PersistenceDiagram(field_char=2, entries=entries + [DiagramEntry(0, 0.0, INF)])
+    return PersistenceDiagram(field_char=2, max_dim=0,
+                              entries=entries + [DiagramEntry(0, 0.0, INF)])
 
 
 # --- diagrams: rank by counting --------------------------------------------------
@@ -412,4 +413,4 @@ def boundary_reduce(filtration, p):
         if not col and j not in pivots and len(verts) - 1 <= report_cap:
             entries.append(DiagramEntry(dim=len(verts) - 1, birth=birth, death=INF))
     entries.sort(key=lambda e: (e.dim, e.birth, e.death))
-    return PersistenceDiagram(field_char=p, entries=entries)
+    return PersistenceDiagram(field_char=p, max_dim=report_cap, entries=entries)

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import math
@@ -283,6 +284,7 @@ def test_plot_without_profile_warns(tmp_path, capsys):
     diag = tmp_path / "bare.json"
     diag.write_text(json.dumps({
         "field": 2,
+        "max_dim": 0,
         "entries": [{"dim": 0, "birth": 0.0, "death": 1.0}],
         "meta": {},
     }))
@@ -363,12 +365,14 @@ def test_persist_rejects_bad_edge_length(circle_files, tmp_path, capsys, length)
 
 
 def test_persist_rejects_duplicate_edge(circle_files, tmp_path, capsys):
+    """The first edge repeated at the end of the file is out of order there."""
     sparse = circle_files["sparse"]
     i, j, w = sparse.read_text().splitlines()[0].split()
     with open(sparse, "a") as fh:
         fh.write(f"{i} {j} {2 * float(w)!r}\n")
     assert run("persist", "--input", sparse, "--out", tmp_path / "x.json") == 2
-    assert "listed twice" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {sparse}:497: edge ({i}, {j}) does not come after (30, 31)\n")
 
 
 @pytest.mark.parametrize("index,time", [(3, "nan"), (-1, "-1.0")],
@@ -453,15 +457,28 @@ def _mutate_tree(lines, family, rng):
     elif family == "parent-after-child":
         k = rng.randrange(1, n - 1)
         nodes[k][1] = nodes[rng.randrange(k + 1, n)][0]
+    elif family == "two-tokens":
+        del nodes[k][rng.randrange(3)]
+    elif family == "word-field":
+        nodes[k][rng.randrange(3)] = "x"
+    elif family == "config-line-only":
+        return [lines[1]]
     return [f"n {n}", lines[1]] + [" ".join(node) for node in nodes]
+
+
+# what ``read_tree`` says of a line or file it cannot parse
+_TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x'",
+                 "config-line-only": "empty tree file"}
 
 
 @pytest.mark.parametrize("family", [
     "drop-line", "repeat-line", "count-up", "count-down", "time-nan", "time-negative",
-    "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child"])
+    "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child",
+    "two-tokens", "word-field", "config-line-only"])
 def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
     """Each defect, at three derandomized positions, is an input error:
-    exit 2, a message, and neither a sparse file nor a sidecar.
+    exit 2, a message naming the file (and the defect, for the families of
+    ``_TREE_DEFECTS``), and neither a sparse file nor a sidecar.
 
     Known gap: a node time that is *lowered* but stays between its
     neighbours' leaves the tree well formed, and ``sparsify`` then writes a
@@ -476,7 +493,9 @@ def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, famil
         capsys.readouterr()
         assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
                    "--out", out) == 2, seed
-        assert capsys.readouterr().err.startswith(f"error: {tree}"), seed
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tree}"), seed
+        assert _TREE_DEFECTS.get(family, "") in err, seed
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
@@ -557,7 +576,7 @@ def half_sparse(circle_files, tmp_path):
 def _unlisted_edge(lines, family, rng):
     """``lines`` of a sparse file over 32 points, well-formed but changed:
     one length set to another valid one, one line dropped, or one pair that
-    is not listed added, drawn from ``rng``."""
+    is not listed added in its place in (i, j) order, drawn from ``rng``."""
     lines = list(lines)
     k = rng.randrange(len(lines))
     i, j, w = lines[k].split()
@@ -566,10 +585,10 @@ def _unlisted_edge(lines, family, rng):
     elif family == "dropped-line":
         del lines[k]
     else:
-        listed = {tuple(line.split()[:2]) for line in lines}
-        i, j = rng.choice([(str(a), str(b)) for b in range(32) for a in range(b)
-                           if (str(a), str(b)) not in listed])
-        lines.insert(k, f"{i} {j} {rng.random()!r}")
+        pairs = [tuple(map(int, line.split()[:2])) for line in lines]
+        i, j = rng.choice([(a, b) for b in range(32) for a in range(b)
+                           if (a, b) not in pairs])
+        lines.insert(bisect.bisect(pairs, (i, j)), f"{i} {j} {rng.random()!r}")
     return lines
 
 
@@ -597,25 +616,51 @@ def test_persist_refuses_sparse_file_unlike_its_sidecar(half_sparse, tmp_path, c
 
 def test_sparse_sidecar_records_count_and_hash_of_edge_lines(half_sparse, tmp_path):
     """The sidecar's ``edges`` and ``sha256`` are the edge lines' count and
-    hash; comments, blank lines, spacing and line order leave them matching,
-    and a sidecar without them is read unchecked."""
+    hash."""
     text = half_sparse.read_text()
-    meta_path = half_sparse.with_suffix(".meta.json")
-    meta = json.loads(meta_path.read_text())
+    meta = json.loads(half_sparse.with_suffix(".meta.json").read_text())
     assert meta["edges"] == text.count("\n")
     assert meta["sha256"] == hashlib.sha256(text.encode()).hexdigest()
-    out = tmp_path / "d.json"
-    assert run("persist", "--input", half_sparse, "--out", out) == 0
-    first = out.read_bytes()
-    lines = text.splitlines()
-    half_sparse.write_text("# edges\n\n" + "\n".join(
-        "  ".join(line.split()) + " " for line in reversed(lines)) + "\n")
-    assert run("persist", "--input", half_sparse, "--out", out) == 0
-    assert out.read_bytes() == first
-    del meta["edges"], meta["sha256"]
+    assert run("persist", "--input", half_sparse, "--out", tmp_path / "d.json") == 0
+
+
+@pytest.mark.parametrize("case", ["comment-line", "swapped-lines", "doubled-space",
+                                  "no-edges-key", "no-sha256-key", "no-keys-tripled-length"])
+def test_persist_reads_a_sparse_file_only_as_written(half_sparse, tmp_path, capsys, case):
+    """A comment, two lines out of (i, j) order, a doubled space, or a
+    sidecar without ``edges`` or ``sha256`` (even with the length it would
+    not check changed) is an input error naming the file, and the line for a
+    defect in one; no diagram is written."""
+    meta_path = half_sparse.with_suffix(".meta.json")
+    lines = half_sparse.read_text().splitlines()
+    meta = json.loads(meta_path.read_text())
+    k = 11
+    if case == "comment-line":
+        lines.insert(k, "# edges")
+        where = f"{half_sparse}:{k + 1}: expected 'i j d'"
+    elif case == "swapped-lines":
+        lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        i, j, _w = lines[k + 1].split()
+        where = f"{half_sparse}:{k + 2}: edge ({i}, {j}) does not come after"
+    elif case == "doubled-space":
+        lines[k] = lines[k].replace(" ", "  ", 1)
+        where = f"{half_sparse}:{k + 1}: expected 'i j d'"
+    else:
+        dropped = {"no-edges-key": ["edges"], "no-sha256-key": ["sha256"],
+                   "no-keys-tripled-length": ["edges", "sha256"]}[case]
+        for key in dropped:
+            del meta[key]
+        if case == "no-keys-tripled-length":
+            i, j, w = lines[k].split()
+            lines[k] = f"{i} {j} {3 * float(w)!r}"
+        where = f"{meta_path}: sidecar has no '{dropped[0]}' key"
+    half_sparse.write_text("\n".join(lines) + "\n")
     meta_path.write_text(json.dumps(meta))
-    half_sparse.write_text("\n".join(lines[1:]) + "\n")
-    assert run("persist", "--input", half_sparse, "--out", out) == 0
+    out = tmp_path / "m.json"
+    capsys.readouterr()
+    assert run("persist", "--input", half_sparse, "--out", out) == 2
+    assert capsys.readouterr().err.startswith(f"error: {where}")
+    assert not out.exists()
 
 
 def _append_byte_0xff(path):
@@ -911,13 +956,16 @@ def _bad_diagram(case, data):
         h1["birth"], h1["death"] = -2.0, -1.0
     elif case == "non-prime-field":
         data["field"] = 4
+    elif case == "max-dim-below-entry":
+        data["max_dim"] = 0
     return json.dumps(data)
 
 
 @pytest.mark.parametrize("case", ["field-only", "not-json", "profile-without-eps1",
                                   "truncated-profile", "nan-death", "death-below-birth",
                                   "fractional-dim", "boolean-birth", "string-death",
-                                  "negative-birth", "negative-interval", "non-prime-field"])
+                                  "negative-birth", "negative-interval", "non-prime-field",
+                                  "max-dim-below-entry"])
 def test_malformed_diagram_is_input_error(circle_files, tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_text(_bad_diagram(case, json.loads(circle_files["diag"].read_text())))
@@ -935,6 +983,7 @@ _MUTANT_VALUES = {"string": "x", "true": True, "null": None, "negative": -1,
 # rng where there is a choice; the key; whether an integer is required)
 _DIAGRAM_KEYS = {
     "field": (lambda data, rng: data, "field", True),
+    "max_dim": (lambda data, rng: data, "max_dim", True),
     "entries": (lambda data, rng: data, "entries", False),
     "meta": (lambda data, rng: data, "meta", False),
     "entry-dim": (lambda data, rng: rng.choice(data["entries"]), "dim", True),
@@ -1021,26 +1070,25 @@ def test_accepts_diagram_mutants_that_stay_valid(circle_files, tmp_path, capsys,
 @pytest.mark.parametrize("missing", ["meta", "profile"])
 def test_diagram_without_profile_is_plain(circle_files, tmp_path, capsys, missing):
     """A diagram without ``meta`` or without ``meta.profile`` is plotted as
-    plain dots and verified against as the exact diagram; as the sparse
-    diagram it is refused, naming the file."""
+    plain dots; ``verify`` refuses it in either position, naming the file."""
     good, plain = circle_files["diag"], tmp_path / "plain.json"
     data = json.loads(good.read_text())
     del (data if missing == "meta" else data["meta"])[missing]
     plain.write_text(json.dumps(data))
     assert run("plot", "--input", plain, "--out", tmp_path / "plain.svg") == 0
     assert "plotting plain dots" in capsys.readouterr().err
-    assert run("verify", plain, good) == 0
-    assert run("verify", good, plain) == 2
-    assert capsys.readouterr().err == (
-        f"error: {plain}: sparse diagram carries no profile metadata\n")
+    for pair in [(plain, good), (good, plain)]:
+        assert run("verify", *pair) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {plain}: diagram carries no profile metadata\n")
 
 
 def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, capsys):
     """Both profiles record n and R, which exact and sparse diagrams of one
     input share: the exact diagrams of a 40-point and of a 32-point cloud are
     refused against the 32-point circle's eps1 0.5 diagram in either order,
-    naming both files, the second although the sizes agree; an exact diagram
-    without a profile is still verified against."""
+    naming both files, the second although the sizes agree; without its
+    profile, the exact diagram is refused for that."""
     csv, tree, sparse = tmp_path / "c.csv", tmp_path / "c.tree", tmp_path / "c.sparse"
     cloud, circle, plain = tmp_path / "cloud.json", tmp_path / "circle.json", tmp_path / "p.json"
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
@@ -1063,8 +1111,31 @@ def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, cap
     data = json.loads(cloud.read_text())
     del data["meta"]["profile"]
     plain.write_text(json.dumps(data))
-    assert run("verify", plain, circle) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    assert run("verify", plain, circle) == 2
+    assert capsys.readouterr() == ("", f"error: {plain}: diagram carries no profile metadata\n")
+
+
+def test_verify_refuses_diagrams_of_different_dimensions(circle_files, tmp_path, capsys):
+    """The exact --dim 0 diagram of the 32-point circle against its eps1 0.5
+    --dim 1 diagram, and the reverse pair: each records the highest
+    dimension it computed, and verify refuses them rather than fail."""
+    sparse = tmp_path / "half.sparse"
+    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    diagrams = {}
+    for name, source in [("exact", circle_files["sparse"]), ("half", sparse)]:
+        for dim in (0, 1):
+            diagrams[name, dim] = tmp_path / f"{name}{dim}.json"
+            assert run("persist", "--input", source, "--dim", dim,
+                       "--out", diagrams[name, dim]) == 0
+            assert json.loads(diagrams[name, dim].read_text())["max_dim"] == dim
+    assert run("verify", diagrams["exact", 1], diagrams["half", 1]) == 0
+    capsys.readouterr()
+    for full, sparse_dim in [(0, 1), (1, 0)]:
+        assert run("verify", diagrams["exact", full], diagrams["half", sparse_dim]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: diagrams computed up to different dimensions: "
+                f"{full} vs {sparse_dim}\n")
 
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",

@@ -126,6 +126,20 @@ def test_tighten_star_orders_far_leaf_first():
     assert ct.times == [INF, 5.0, 3.0]
 
 
+def test_tighten_lifts_a_reach_to_a_child_spread_above_it():
+    """Points 0, 1 and -1, with 1 under the root and -1 under 1: the spread
+    of 1 is 1, that of -1 is d(-1, 1) = 2, so the reach of 1 is lifted to 2
+    and 1 still precedes -1.  ``build`` never makes such a tree: a child's
+    spread is at most twice its parent distance, which is at most the
+    parent's."""
+    oracle = line_oracle([0.0, 1.0, -1.0])
+    tree = CoverTree()
+    tree.add(0, 1.0)
+    tree.add(1, 2.0)
+    ct = tighten(tree, oracle)
+    assert (ct.order, ct.parent, ct.times) == ([0, 1, 2], [-1, 0, 1], [INF, 2.0, 2.0])
+
+
 def test_tighten_never_exceeds_a_priori_radius():
     for seed in range(5):
         oracle = euclidean_oracle(random_cloud(200, 2, seed))
@@ -204,6 +218,18 @@ def test_contraction_helper_matches_literal_definition():
         for x in range(ct.size):
             proj = project(ct, x, n)
             assert oracle.eval(ct.order[x], ct.order[proj]) <= t
+
+
+def test_density_violations_stop_at_limit():
+    """Times raised tenfold break the density bound for many pairs; the scan
+    stops at ``limit``, with the first pairs of the full scan."""
+    oracle = euclidean_oracle(random_cloud(30, 2, 0))
+    ct = tighten(build(oracle), oracle)
+    raised = ContractionTree(order=ct.order, parent=ct.parent,
+                             times=[10.0 * t for t in ct.times])
+    every = density_violations(raised, oracle, limit=30 * 29)
+    assert len(every) > 3
+    assert density_violations(raised, oracle, limit=3) == every[:3]
 
 
 def test_density_on_solenoid():

@@ -36,8 +36,9 @@ scale_125 = lambda r: 1.25 * r  # noqa: E731
 
 
 def diag(entries, p=2):
+    """A diagram over Z_p of ``entries`` (dim, birth, death), each of dim 0 or 1."""
     return PersistenceDiagram(
-        field_char=p,
+        field_char=p, max_dim=1,
         entries=[DiagramEntry(dim=d, birth=b, death=dd) for d, b, dd in entries])
 
 

@@ -28,6 +28,13 @@ def test_euclidean_rejects_mixed_dimensions():
         euclidean_oracle([(0, 0), (1, 2, 3)])
 
 
+@pytest.mark.parametrize("make,message", [(euclidean_oracle, "no points given"),
+                                          (circle_oracle, "no angles given")])
+def test_oracle_refuses_empty_input(make, message):
+    with pytest.raises(InputError, match=message):
+        make([])
+
+
 def test_circle_distances():
     o = circle_oracle([0.0, 0.5])
     assert o.eval(0, 1) == 0.5

@@ -47,6 +47,17 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 
 # --- filtration enumeration -----------------------------------------------------
 
+def test_build_filtration_refuses_dim_cap_0():
+    with pytest.raises(InputError, match="dim_cap must be at least 1"):
+        build_filtration(edge_list(full_distance_matrix(euclidean_oracle(UNIT_SQUARE))), 0)
+
+
+@pytest.mark.parametrize("dim_cap", [1, 2, 3])
+def test_reduce_records_the_highest_dimension_it_computed(dim_cap):
+    matrix = edge_list(full_distance_matrix(euclidean_oracle(UNIT_SQUARE)))
+    assert reduce(build_filtration(matrix, dim_cap), 2).max_dim == dim_cap - 1
+
+
 def test_filtration_k3():
     dist = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=float)
     filt = build_filtration(edge_list(dist), 2)
@@ -447,7 +458,7 @@ def test_diagram_json_roundtrip(tmp_path):
 
 
 def test_diagram_meta_holds_only_what_is_given(tmp_path):
-    diag = PersistenceDiagram(field_char=3, entries=[DiagramEntry(0, 0.0, INF)])
+    diag = PersistenceDiagram(field_char=3, max_dim=0, entries=[DiagramEntry(0, 0.0, INF)])
     path = tmp_path / "diag.json"
     dump_diagram(path, diag)
     assert json.loads(path.read_text())["meta"] == {}
@@ -465,14 +476,14 @@ def test_diagram_meta_holds_only_what_is_given(tmp_path):
 ], ids=["negative-eps1", "no-eps1", "fractional-N", "null"])
 def test_load_diagram_refuses_bad_profile_naming_the_file(tmp_path, profile, message):
     path = tmp_path / "diag.json"
-    path.write_text(json.dumps({"field": 2, "entries": [], "meta": {"profile": profile}}))
+    path.write_text(json.dumps({"field": 2, "max_dim": 0, "entries": [],
+                                "meta": {"profile": profile}}))
     with pytest.raises(InputError) as exc:
         load_diagram(path)
     assert str(exc.value).startswith(f"{path}: {message}")
 
 
 def test_diagram_text_dump():
-    diag = PersistenceDiagram(field_char=2, entries=[])
     dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
     diag = reduce(build_filtration(edge_list(dist), 2), 2)
     lines = diag.to_text().strip().splitlines()

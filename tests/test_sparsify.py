@@ -3,12 +3,13 @@ import math
 
 import pytest
 
-from helpers import implied_lengths, q_inv
+from helpers import implied_lengths, n_of_t, project, q_inv
 from ripsaw import (
     InputError,
     PrecisionProfile,
     build,
     circle_oracle,
+    contraction_violations,
     count_simplices,
     euclidean_oracle,
     make_profile,
@@ -272,6 +273,20 @@ def test_pruned_traversal_equals_full_recursion(source, eps1, keep, lower):
                                          and imp.lbar[i, ct.parent[j]] <= cutoff[j])
                    for j in range(1, profile.N) for i in range(j))
     assert len(calls) == expected
+
+
+def test_contraction_violations_witness_a_lowered_tree():
+    """Times cut to a tenth from index 8 on keep the tree's shape but break
+    its contraction bound: each witness (x, t) is a point farther than t
+    from its projection onto the nodes of time >= t, and the scan stops at
+    ``limit``, with the first witnesses of the full scan."""
+    ct, oracle = cloud_tree(40, 0)
+    low = lowered(ct, 8, 0.1)
+    every = contraction_violations(low, oracle, limit=40 * 40)
+    assert len(every) > 2
+    for x, t in every:
+        assert oracle.eval(low.order[x], low.order[project(low, x, n_of_t(low, t))]) > t
+    assert contraction_violations(low, oracle, limit=2) == every[:2]
 
 
 def test_edges_are_exact_distances_and_sparse():
