@@ -70,11 +70,10 @@ def _config(args):
 def cmd_tree(args):
     from . import covertree  # here, not at module level: `ripsaw gen` never needs it
 
-    config = _config(args)
-    oracle, config["digest"] = _load_oracle(args.input, args.format)
+    oracle, digest = _load_oracle(args.input, args.format)
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
-    covertree.write_tree(args.out, ctree, config=config)
+    covertree.write_tree(args.out, ctree, digest, _config(args))
     radius = ctree.times[1] if ctree.size > 1 else 0.0
     print(f"points: {ctree.size}")
     print(f"R: {radius!r}")
@@ -98,10 +97,10 @@ def cmd_sparsify(args):
     except ValueError:
         raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
     oracle, digest = _load_oracle(args.input, args.format)
-    ctree = covertree.read_tree(args.tree, digest=digest)
+    ctree = covertree.read_tree(args.tree, digest)
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify_matrix(ctree, oracle, profile)
-    write_sparse(args.out, matrix, config=_config(args))
+    write_sparse(args.out, matrix, _config(args))
     full = profile.N * (profile.N - 1) // 2
     ratio = len(matrix.edges) / full if full else 0.0
     print(f"kept points: {profile.N} of {profile.n}")
@@ -121,7 +120,7 @@ def cmd_persist(args):
         raise InputError(f"--field must be a prime, got {args.field}")
     filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
     diag = persistence.reduce(filtration, args.field)
-    persistence.dump_diagram(args.out, diag, profile=matrix.profile, config=_config(args))
+    persistence.dump_diagram(args.out, diag, matrix.profile, _config(args))
     print(f"entries: {len(diag.entries)}")
     print(f"wrote {args.out}")
     return 0
@@ -131,9 +130,7 @@ def cmd_plot(args):
     from . import persistence, svgplot
 
     diag, profile = persistence.load_diagram(args.input)
-    if profile is None:
-        print("warning: no profile metadata; plotting plain dots", file=sys.stderr)
-    text = svgplot.render_svg(diag, profile, log_axes=args.log_plot, config=_config(args))
+    text = svgplot.render_svg(diag, profile, _config(args), log_axes=args.log_plot)
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {args.out}")
@@ -145,9 +142,6 @@ def cmd_verify(args):
 
     full_diag, full_profile = persistence.load_diagram(args.full)
     sparse_diag, profile = persistence.load_diagram(args.sparse)
-    for path, prof in ((args.full, full_profile), (args.sparse, profile)):
-        if prof is None:
-            raise InputError(f"{path}: diagram carries no profile metadata")
     # Exact and sparse diagrams of one input share its tree, so n and R.
     if (full_profile.n, full_profile.R) != (profile.n, profile.R):
         raise InputError(f"{args.full} and {args.sparse} are diagrams of different inputs "

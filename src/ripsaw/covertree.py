@@ -221,8 +221,10 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
     return out
 
 
-def write_tree(path, ctree: ContractionTree, config=None):
-    """Serialize one node per line, in contraction order.
+def write_tree(path, ctree: ContractionTree, digest, config):
+    """Serialize the header ``n <count>``, the config line (``config`` plus
+    the input's ``digest``, as sorted-key JSON) and one node per line, in
+    contraction order.
 
     Fields are "index parent_index time" using original point indices (the
     root's parent is -1); the line order encodes the contraction ordering.
@@ -230,8 +232,7 @@ def write_tree(path, ctree: ContractionTree, config=None):
     """
     with open(path, "w") as fh:
         fh.write(f"n {ctree.size}\n")
-        if config is not None:
-            fh.write(CONFIG_PREFIX + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(CONFIG_PREFIX + json.dumps(dict(config, digest=digest), sort_keys=True) + "\n")
         for k in range(ctree.size):
             orig = ctree.order[k]
             par = -1 if k == 0 else ctree.order[ctree.parent[k]]
@@ -239,33 +240,32 @@ def write_tree(path, ctree: ContractionTree, config=None):
             fh.write(f"{orig} {par} {'inf' if time == INF else repr(time)}\n")
 
 
-def read_tree(path, digest=None) -> ContractionTree:
-    """Parse a file written by ``write_tree``, whose node indices are 0..n-1.
-
-    When ``digest`` is given and the file's config line records a different
-    input digest, the tree was built for another input and is refused.
-    Files that record no digest are accepted.
+def read_tree(path, digest) -> ContractionTree:
+    """The tree ``write_tree`` wrote for the input of sha256 ``digest``;
+    ``InputError`` naming the file unless it holds the header ``n <count>``,
+    a config line whose JSON object records ``digest``, then ``count`` lines
+    "index parent time" (single spaces) that make a valid tree of 0..n-1.
     """
+    rows = lines(path)
+    lineno, text = next(rows, (1, ""))
+    head = text.split(" ")
+    if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
+        raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
+    count = int(head[1])
+    lineno, text = next(rows, (lineno + 1, ""))
+    if not text.startswith(CONFIG_PREFIX):
+        raise InputError(f"{path}:{lineno}: expected the config line '{CONFIG_PREFIX}{{...}}'")
+    try:
+        recorded = json.loads(text[len(CONFIG_PREFIX):])["digest"]
+    except (ValueError, TypeError, KeyError):
+        raise InputError(f"{path}:{lineno}: malformed config line: "
+                         "no JSON object with a 'digest' key") from None
+    if recorded != digest:
+        raise InputError(f"{path}: tree was built from a different input "
+                         f"(digest {recorded}, input has {digest})")
     order, parent_orig, times = [], [], []
-    declared = None
-    for lineno, text in lines(path):
-        if digest is not None and text.startswith(CONFIG_PREFIX):
-            try:
-                recorded = json.loads(text[len(CONFIG_PREFIX):]).get("digest")
-            except (ValueError, AttributeError):
-                raise InputError(f"{path}:{lineno}: malformed config line") from None
-            if recorded is not None and recorded != digest:
-                raise InputError(f"{path}: tree was built from a different input "
-                                 f"(digest {recorded}, input has {digest})")
-        if text.startswith("#"):
-            continue
-        if declared is None:
-            head = text.split()
-            if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
-                raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
-            declared = int(head[1])
-            continue
-        toks = text.split()
+    for lineno, text in rows:
+        toks = text.split(" ")
         if len(toks) != 3:
             raise InputError(f"{path}:{lineno}: expected 'index parent time'")
         try:
@@ -274,10 +274,8 @@ def read_tree(path, digest=None) -> ContractionTree:
             times.append(float(toks[2]))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
-    if declared is None:
-        raise InputError(f"{path}: empty tree file")
-    if len(order) != declared:
-        raise InputError(f"{path}: header says {declared} nodes, found {len(order)}")
+    if len(order) != count:
+        raise InputError(f"{path}: header says {count} nodes, found {len(order)}")
     pos = {orig: k for k, orig in enumerate(order)}
     pos[-1] = -1  # the root's parent
     try:

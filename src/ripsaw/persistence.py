@@ -221,7 +221,7 @@ class PersistenceDiagram:
         """The (birth, death) pairs of one homological dimension."""
         return [(e.birth, e.death) for e in self.entries if e.dim == dim]
 
-    def to_json_dict(self, meta=None):
+    def to_json_dict(self, meta):
         return {
             "field": self.field_char,
             "max_dim": self.max_dim,
@@ -233,7 +233,7 @@ class PersistenceDiagram:
                 }
                 for e in self.entries
             ],
-            "meta": meta if meta is not None else {},
+            "meta": meta,
         }
 
     @classmethod
@@ -276,27 +276,26 @@ class PersistenceDiagram:
         return "\n".join(lines) + "\n"
 
 
-def dump_diagram(path, diagram: PersistenceDiagram, profile=None, config=None):
+def dump_diagram(path, diagram: PersistenceDiagram, profile, config):
     """Write ``diagram`` as JSON, with the profile and the config in its ``meta``."""
-    meta = {"profile": profile.as_meta()} if profile is not None else {}
-    if config is not None:
-        meta["config"] = config
+    meta = {"profile": profile.as_meta(), "config": config}
     with open(path, "w") as fh:
         json.dump(diagram.to_json_dict(meta), fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_diagram(path):
-    """(diagram, its ``PrecisionProfile`` or None when ``meta`` records none)
-    from a JSON file; ``InputError`` naming the file when it is malformed."""
+    """(diagram, its ``PrecisionProfile``) from a JSON file as ``dump_diagram``
+    writes it; ``InputError`` naming the file when it is malformed or its
+    ``meta`` records no profile."""
     try:
         with open(path) as fh:
             data = json.load(fh)
         diag = PersistenceDiagram.from_json_dict(data)
-        meta = data.get("meta", {})
-        if not isinstance(meta, dict):
-            raise InputError("diagram meta is not an object")
-        profile = PrecisionProfile.from_meta(meta["profile"]) if "profile" in meta else None
+        meta = data.get("meta")
+        if not (isinstance(meta, dict) and "profile" in meta):
+            raise InputError("diagram has no 'meta' object with a 'profile' key")
+        profile = PrecisionProfile.from_meta(meta["profile"])
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{path}: {exc}") from None
     return diag, profile

@@ -215,10 +215,10 @@ def _meta_path(path):
     return Path(path).with_suffix(".meta.json")
 
 
-def write_sparse(path, matrix: SparseLengthMatrix, config=None):
+def write_sparse(path, matrix: SparseLengthMatrix, config):
     """Write "i j d" lines, sorted by (i, j), plus the sidecar: the profile's
-    {n, N, eps0, eps1, R}, the edge count ``edges`` and the ``sha256`` of
-    the lines written."""
+    {n, N, eps0, eps1, R}, the edge count ``edges``, the ``sha256`` of the
+    lines written and ``config``."""
     edges = sorted(matrix.edges)
     digest = hashlib.sha256()
     with open(path, "w") as fh:
@@ -226,9 +226,8 @@ def write_sparse(path, matrix: SparseLengthMatrix, config=None):
             block = "".join([f"{i} {j} {w!r}\n" for i, j, w in edges[k:k + 4096]])
             fh.write(block)
             digest.update(block.encode())
-    meta = dict(matrix.profile.as_meta(), edges=len(edges), sha256=digest.hexdigest())
-    if config is not None:
-        meta["config"] = config
+    meta = dict(matrix.profile.as_meta(), edges=len(edges), sha256=digest.hexdigest(),
+                config=config)
     with open(_meta_path(path), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
         fh.write("\n")

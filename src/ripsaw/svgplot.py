@@ -52,15 +52,14 @@ def _fmt(v):
     return f"{v:.6g}"
 
 
-def render_svg(diagram, profile=None, *, log_axes=False, config=None):
-    """Render a diagram (plus its optional profile) to SVG text."""
+def render_svg(diagram, profile, config, *, log_axes=False):
+    """Render a diagram with its profile's error boxes and psi to SVG text,
+    recording ``config`` in a comment."""
+    approx = approximate(diagram, profile)
     finite = [v for e in diagram.entries for v in (e.birth, e.death) if v != INF]
-    approx = []
-    if profile is not None:
-        approx = approximate(diagram, profile)
-        finite += [v for e in approx for v in (e.rect[0], e.rect[2]) if v != INF]
-        finite.append(profile.R)
-    hi = max(finite) if finite else 1.0
+    finite += [v for e in approx for v in (e.rect[0], e.rect[2]) if v != INF]
+    finite.append(profile.R)
+    hi = max(finite)
     positives = [v for v in finite if v > 0]
     clip = min(positives) if positives else 1e-6
     lo = clip if log_axes else 0.0
@@ -77,9 +76,8 @@ def render_svg(diagram, profile=None, *, log_axes=False, config=None):
             return inf_y
         return _SIZE - _MARGIN - axis.unit(v) * plot
 
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>']
-    if config is not None:
-        parts.append("<!-- config " + json.dumps(config, sort_keys=True) + " -->")
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>',
+             "<!-- config " + json.dumps(config, sort_keys=True) + " -->"]
     parts.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SIZE:.0f}" '
         f'height="{_SIZE:.0f}" viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">')
@@ -118,8 +116,7 @@ def render_svg(diagram, profile=None, *, log_axes=False, config=None):
 
     # diagonal (identity, black)
     parts.append(_curve_path(lambda r: r, axis, px, py, "black", "identity"))
-    if profile is not None:
-        parts.append(_curve_path(profile.psi, axis, px, py, _PSI_COLOR, "psi"))
+    parts.append(_curve_path(profile.psi, axis, px, py, _PSI_COLOR, "psi"))
 
     for e in diagram.entries:
         parts.append(f'<circle cx="{px(e.birth):.2f}" cy="{py(e.death):.2f}" '

@@ -207,7 +207,7 @@ def test_criterion_8_format_fidelity(tmp_path):
     direct_json = json.dumps(direct.to_json_dict(meta), sort_keys=True)
 
     path = tmp_path / "m.sparse"
-    write_sparse(path, matrix)
+    write_sparse(path, matrix, {"keep": 35, "eps1": 0.25})
     reread = read_sparse(path)
     again = reduce(build_filtration(reread, 2), 2)
     again_json = json.dumps(

@@ -124,10 +124,11 @@ def test_tree_from_other_input_of_same_size_is_error(tmp_path, capsys):
     assert run("sparsify", "--input", paths["b.csv"], "--tree", paths["a.tree"],
                "--out", tmp_path / "x.sparse") == 2
     assert "malformed config line" in capsys.readouterr().err
-    # a tree file without a recorded digest is still read
+    # a tree file without a recorded digest is refused too
     _replace_line(paths["a.tree"], 1, "# written by hand")
     assert run("sparsify", "--input", paths["b.csv"], "--tree", paths["a.tree"],
-               "--out", tmp_path / "x.sparse") == 0
+               "--out", tmp_path / "x.sparse") == 2
+    assert capsys.readouterr().err.startswith(f"error: {paths['a.tree']}:2: ")
 
 
 def test_persist_rejects_composite_field(circle_files, tmp_path):
@@ -278,18 +279,6 @@ def test_keep_parse_error(tmp_path):
     run("tree", "--input", csv, "--out", tree)
     assert run("sparsify", "--input", csv, "--tree", tree, "--keep", "most",
                "--out", tmp_path / "x.sparse") == 2
-
-
-def test_plot_without_profile_warns(tmp_path, capsys):
-    diag = tmp_path / "bare.json"
-    diag.write_text(json.dumps({
-        "field": 2,
-        "max_dim": 0,
-        "entries": [{"dim": 0, "birth": 0.0, "death": 1.0}],
-        "meta": {},
-    }))
-    assert run("plot", "--input", diag, "--out", tmp_path / "bare.svg") == 0
-    assert "plotting plain dots" in capsys.readouterr().err
 
 
 def _parsed(argv):
@@ -463,18 +452,40 @@ def _mutate_tree(lines, family, rng):
         nodes[k][rng.randrange(3)] = "x"
     elif family == "config-line-only":
         return [lines[1]]
-    return [f"n {n}", lines[1]] + [" ".join(node) for node in nodes]
+    elif family == "comment-line":
+        nodes.insert(k, ["#", "note"])
+    config, body = lines[1], [" ".join(node) for node in nodes]
+    if family == "no-config-line":
+        return [f"n {n}"] + body
+    elif family == "config-without-digest":
+        recorded = json.loads(config.removeprefix("# config "))
+        del recorded["digest"]
+        config = "# config " + json.dumps(recorded, sort_keys=True)
+    elif family == "config-not-object":
+        config = "# config []"
+    elif family == "doubled-space":
+        body[k] = body[k].replace(" ", "  ")
+    elif family == "tab-separated":
+        body[k] = body[k].replace(" ", "\t")
+    return [f"n {n}", config] + body
 
 
 # what ``read_tree`` says of a line or file it cannot parse
 _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x'",
-                 "config-line-only": "empty tree file"}
+                 "config-line-only": "expected header 'n <count>'",
+                 "comment-line": "expected 'index parent time'",
+                 "no-config-line": "expected the config line",
+                 "config-without-digest": "malformed config line",
+                 "config-not-object": "malformed config line",
+                 "doubled-space": "expected 'index parent time'",
+                 "tab-separated": "expected 'index parent time'"}
 
 
 @pytest.mark.parametrize("family", [
     "drop-line", "repeat-line", "count-up", "count-down", "time-nan", "time-negative",
     "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child",
-    "two-tokens", "word-field", "config-line-only"])
+    "two-tokens", "word-field", "config-line-only", "comment-line", "no-config-line",
+    "config-without-digest", "config-not-object", "doubled-space", "tab-separated"])
 def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
     """Each defect, at three derandomized positions, is an input error:
     exit 2, a message naming the file (and the defect, for the families of
@@ -856,15 +867,18 @@ def test_sparsify_refuses_circle_rows_of_two_values(tmp_path, capsys):
 
 
 def _readme_commands():
-    """Every `ripsaw ...` line inside the README's fenced code blocks."""
+    """The `ripsaw ...` lines of each README code block that has any, as one
+    list of argv per block."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
-    commands, in_block = [], False
+    blocks, in_block = [], False
     for line in readme.read_text().splitlines():
         if line.startswith("```"):
             in_block = not in_block
+            if in_block:
+                blocks.append([])
         elif in_block and line.startswith("ripsaw "):
-            commands.append(line.split()[1:])
-    return commands
+            blocks[-1].append(line.split()[1:])
+    return [block for block in blocks if block]
 
 
 def test_parser_builds_only_the_named_subcommand(capsys):
@@ -885,13 +899,42 @@ def test_parser_builds_only_the_named_subcommand(capsys):
 
 
 def test_readme_commands_parse():
-    commands = _readme_commands()
+    commands = [argv for block in _readme_commands() for argv in block]
     assert len(commands) >= 10
     for argv in commands:
         try:
             cli._parser(argv).parse_args(argv)
         except SystemExit:
             pytest.fail("README command does not parse: ripsaw " + " ".join(argv))
+
+
+# sha256 of every file the README's circle block and a plot of its sparse
+# diagram write, run from the directory that holds them
+README_CIRCLE_SHA256 = {
+    "circle.csv": "063b492efb0c85f9b0f84ac1981c48ccaaee2f34ac9e4ced66f64bbeca28fb55",
+    "circle.tree": "93b304fc3be4d58651432620132f9babbe96c28eb85cba3221d5b16f23e0cfce",
+    "full.sparse": "80ff37d3a6df79215263bf758b85d2150a4fcfbf4611da84cfe349e4872b6d50",
+    "full.meta.json": "d37292101ee86dd2f03fa91a35dcb458e8c4315dfd132f9ffe4970b75896cc98",
+    "sp.sparse": "fb398f6e046314d07d25afe442d5df1fefe8b46471d7178fcf016569b3cc8a25",
+    "sp.meta.json": "f706d2f0c6bec5e14d5fc3b67be540f433b2b7f7dd301ab11c139d4915cdae5b",
+    "full.json": "a94959dc25a4508aa9186e402803ce41f7c22b74c787478f45aaecf8f27d8258",
+    "sp.json": "60f6b66f031f269ea06628e6b56940f9070d6e287813efe70eeec56cd70e6460",
+    "sp.svg": "6c97c8437df1973eb5db2267dc5a69a3606271308a47461daab31ac1532cf018",
+}
+
+
+def test_readme_circle_pipeline_writes_golden_bytes(tmp_path, monkeypatch, capsys):
+    """The README's circle block, then a plot of its sparse diagram, run from
+    one directory so that every recorded config holds relative paths: each
+    command exits 0, ``verify`` prints PASS, and every file written is pinned
+    byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    for argv in _readme_commands()[1] + [["plot", "--input", "sp.json", "--out", "sp.svg"]]:
+        assert run(*argv) == 0, argv
+        if argv[0] == "verify":
+            assert capsys.readouterr().out.endswith("PASS\n")
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert written == README_CIRCLE_SHA256
 
 
 @pytest.mark.parametrize("command", ["persist", "sparsify"])
@@ -997,13 +1040,10 @@ _DIAGRAM_KEYS = {
 
 def _diagram_mutants(data, location):
     """(case, JSON text) for each mutant of the diagram ``data`` at
-    ``location``: its key deleted (except ``meta`` and ``meta.profile``,
-    whose absence makes a plain diagram), set to each of ``_MUTANT_VALUES``,
-    and set to a fraction where an integer is required."""
+    ``location``: its key deleted, set to each of ``_MUTANT_VALUES``, and set
+    to a fraction where an integer is required."""
     where, key, integer = _DIAGRAM_KEYS[location]
-    cases = [] if location in ("meta", "profile") else ["delete"]
-    cases += [*_MUTANT_VALUES, *(["fraction"] if integer else [])]
-    for case in cases:
+    for case in ["delete", *_MUTANT_VALUES, *(["fraction"] if integer else [])]:
         mutant = json.loads(json.dumps(data))
         target = where(mutant, random.Random(f"{location}-{case}"))
         if case == "delete":
@@ -1067,30 +1107,13 @@ def test_accepts_diagram_mutants_that_stay_valid(circle_files, tmp_path, capsys,
     assert "error" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("missing", ["meta", "profile"])
-def test_diagram_without_profile_is_plain(circle_files, tmp_path, capsys, missing):
-    """A diagram without ``meta`` or without ``meta.profile`` is plotted as
-    plain dots; ``verify`` refuses it in either position, naming the file."""
-    good, plain = circle_files["diag"], tmp_path / "plain.json"
-    data = json.loads(good.read_text())
-    del (data if missing == "meta" else data["meta"])[missing]
-    plain.write_text(json.dumps(data))
-    assert run("plot", "--input", plain, "--out", tmp_path / "plain.svg") == 0
-    assert "plotting plain dots" in capsys.readouterr().err
-    for pair in [(plain, good), (good, plain)]:
-        assert run("verify", *pair) == 2
-        assert capsys.readouterr() == (
-            "", f"error: {plain}: diagram carries no profile metadata\n")
-
-
 def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, capsys):
     """Both profiles record n and R, which exact and sparse diagrams of one
     input share: the exact diagrams of a 40-point and of a 32-point cloud are
     refused against the 32-point circle's eps1 0.5 diagram in either order,
-    naming both files, the second although the sizes agree; without its
-    profile, the exact diagram is refused for that."""
+    naming both files, the second although the sizes agree."""
     csv, tree, sparse = tmp_path / "c.csv", tmp_path / "c.tree", tmp_path / "c.sparse"
-    cloud, circle, plain = tmp_path / "cloud.json", tmp_path / "circle.json", tmp_path / "p.json"
+    cloud, circle = tmp_path / "cloud.json", tmp_path / "circle.json"
     assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
                "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
     assert run("persist", "--input", sparse, "--field", 3, "--out", circle) == 0
@@ -1108,11 +1131,6 @@ def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, cap
             assert out == ""
             assert err == (f"error: {full} and {other} are diagrams of different inputs "
                            f"(n {sizes}, R {radii})\n")
-    data = json.loads(cloud.read_text())
-    del data["meta"]["profile"]
-    plain.write_text(json.dumps(data))
-    assert run("verify", plain, circle) == 2
-    assert capsys.readouterr() == ("", f"error: {plain}: diagram carries no profile metadata\n")
 
 
 def test_verify_refuses_diagrams_of_different_dimensions(circle_files, tmp_path, capsys):

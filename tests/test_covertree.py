@@ -21,6 +21,7 @@ from ripsaw import (
 from ripsaw.covertree import ContractionTree, CoverTree
 
 INF = math.inf
+DIGEST = "0" * 64  # the input digest a tree file records
 
 
 def line_oracle(xs):
@@ -245,10 +246,10 @@ def test_tree_roundtrip_bytes(tmp_path):
     oracle = euclidean_oracle(random_cloud(80, 2, 4))
     ct = tighten(build(oracle), oracle)
     p1, p2 = tmp_path / "a.tree", tmp_path / "b.tree"
-    write_tree(p1, ct, config={"seed": 4})
-    back = read_tree(p1)
+    write_tree(p1, ct, DIGEST, {"seed": 4})
+    back = read_tree(p1, DIGEST)
     assert back == ct
-    write_tree(p2, back, config={"seed": 4})
+    write_tree(p2, back, DIGEST, {"seed": 4})
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -261,9 +262,9 @@ def test_build_deterministic():
 
 def test_read_tree_rejects_garbage(tmp_path):
     bad = tmp_path / "bad.tree"
-    bad.write_text("n 2\n0 -1 inf\n")
-    with pytest.raises(InputError):
-        read_tree(bad)
+    bad.write_text(f'n 2\n# config {{"digest": "{DIGEST}"}}\n0 -1 inf\n')
+    with pytest.raises(InputError, match="header says 2 nodes, found 1"):
+        read_tree(bad, DIGEST)
     bad.write_text("nonsense\n")
     with pytest.raises(InputError):
-        read_tree(bad)
+        read_tree(bad, DIGEST)

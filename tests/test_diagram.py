@@ -474,7 +474,7 @@ def test_prim_h0_is_the_exact_h0(tmp_path, dataset):
     assert len(prim.entries) == 200
     for eps1 in (0.0, 0.25):
         path = tmp_path / f"eps{eps1}.sparse"
-        write_sparse(path, sparsify(ct, oracle, make_profile(ct, eps1=eps1)))
+        write_sparse(path, sparsify(ct, oracle, make_profile(ct, eps1=eps1)), {"eps1": eps1})
         matrix = read_sparse(path)
         h0 = reduce(build_filtration(matrix, 1), 2)
         assert h0.dims() == [0]

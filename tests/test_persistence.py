@@ -448,8 +448,8 @@ def test_diagram_json_roundtrip(tmp_path):
     dist = full_distance_matrix(euclidean_oracle(random_cloud(12, 2, 4)))
     diag = reduce(build_filtration(edge_list(dist), 2), 2)
     path = tmp_path / "diag.json"
-    dump_diagram(path, diag, profile=PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0,
-                                                       N=12, n=12))
+    dump_diagram(path, diag, PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=12, n=12),
+                 {"dim": 1})
     back, profile = load_diagram(path)
     assert back == diag
     assert profile.n == 12
@@ -459,13 +459,12 @@ def test_diagram_json_roundtrip(tmp_path):
 
 def test_diagram_meta_holds_only_what_is_given(tmp_path):
     diag = PersistenceDiagram(field_char=3, max_dim=0, entries=[DiagramEntry(0, 0.0, INF)])
+    profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.5, N=1, n=1)
     path = tmp_path / "diag.json"
-    dump_diagram(path, diag)
-    assert json.loads(path.read_text())["meta"] == {}
-    assert load_diagram(path) == (diag, None)
-    dump_diagram(path, diag, config={"command": "persist"})
-    assert json.loads(path.read_text())["meta"] == {"config": {"command": "persist"}}
-    assert load_diagram(path) == (diag, None)
+    dump_diagram(path, diag, profile, {"command": "persist"})
+    assert json.loads(path.read_text())["meta"] == {"profile": profile.as_meta(),
+                                                    "config": {"command": "persist"}}
+    assert load_diagram(path) == (diag, profile)
 
 
 @pytest.mark.parametrize("profile,message", [

@@ -112,9 +112,9 @@ def test_files_read_back_equal(case):
     _exact, sparse, matrix, profile = _pipeline(case)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "space.sparse"
-        write_sparse(path, matrix)
+        write_sparse(path, matrix, {})
         assert read_sparse(path) == matrix
-        dump_diagram(path.with_suffix(".json"), sparse, profile=profile)
+        dump_diagram(path.with_suffix(".json"), sparse, profile, {})
         assert load_diagram(path.with_suffix(".json")) == (sparse, profile)
 
 

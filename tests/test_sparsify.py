@@ -399,7 +399,7 @@ def test_sparse_file_of_unsorted_edges_reads_back(tmp_path):
     matrix = SparseLengthMatrix(edges=edges, profile=PrecisionProfile(
         R=1.0, eps0=0.0, eps1=0.0, N=3, n=3))
     path = tmp_path / "edges.sparse"
-    write_sparse(path, matrix)
+    write_sparse(path, matrix, {})
     assert read_sparse(path).edges == sorted(edges)
 
 
