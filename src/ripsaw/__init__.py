@@ -27,8 +27,6 @@ _EXPORTS = {
     "errors": ("InputError", "ResourceGuardError"),
     "generators": ("circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),
-    "modules": ("ExplicitModule", "barcode_from_ranks", "normal_form",
-                "ranks_from_barcode"),
     "persistence": ("DiagramEntry", "Filtration", "PersistenceDiagram",
                     "build_filtration", "count_simplices", "reduce"),
     "sparsify": ("PrecisionProfile", "SparseLengthMatrix", "make_profile",

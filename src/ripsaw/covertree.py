@@ -23,7 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InputError, lines
+from .errors import InputError, exact_lines, fields
 
 INF = math.inf
 CONFIG_PREFIX = "# config "
@@ -243,30 +243,35 @@ def write_tree(path, ctree: ContractionTree, digest, config):
 def read_tree(path, digest) -> ContractionTree:
     """The tree ``write_tree`` wrote for the input of sha256 ``digest``;
     ``InputError`` naming the file unless it holds the header ``n <count>``,
-    a config line whose JSON object records ``digest``, then ``count`` lines
-    "index parent time" (single spaces) that make a valid tree of 0..n-1.
+    a config line of sorted-key JSON whose object records ``digest``, then
+    ``count`` lines "index parent time" that make a valid tree of 0..n-1;
+    every line exactly as written, fields joined by single spaces.
     """
-    rows = lines(path)
+    rows = ((lineno, text) for lineno, _raw, text in exact_lines(path))
     lineno, text = next(rows, (1, ""))
-    head = text.split(" ")
-    if len(head) != 2 or head[0] != "n" or not head[1].isdecimal():
+    head = fields(text, 2)
+    if head is None or head[0] != "n" or not head[1].isdecimal():
         raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
     count = int(head[1])
     lineno, text = next(rows, (lineno + 1, ""))
     if not text.startswith(CONFIG_PREFIX):
         raise InputError(f"{path}:{lineno}: expected the config line '{CONFIG_PREFIX}{{...}}'")
     try:
-        recorded = json.loads(text[len(CONFIG_PREFIX):])["digest"]
+        config = json.loads(text[len(CONFIG_PREFIX):])
+        recorded = config["digest"]
     except (ValueError, TypeError, KeyError):
         raise InputError(f"{path}:{lineno}: malformed config line: "
                          "no JSON object with a 'digest' key") from None
+    if text != CONFIG_PREFIX + json.dumps(config, sort_keys=True):
+        raise InputError(f"{path}:{lineno}: malformed config line: "
+                         "not the sorted-key JSON that ripsaw writes")
     if recorded != digest:
         raise InputError(f"{path}: tree was built from a different input "
                          f"(digest {recorded}, input has {digest})")
     order, parent_orig, times = [], [], []
     for lineno, text in rows:
-        toks = text.split(" ")
-        if len(toks) != 3:
+        toks = fields(text, 3)
+        if toks is None:
             raise InputError(f"{path}:{lineno}: expected 'index parent time'")
         try:
             order.append(int(toks[0]))

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the line reader every
-text input goes through."""
+"""Exception types shared across the package, and the line readers text
+inputs go through: a tolerant one for the files users write, and an exact
+one for the files ripsaw writes and reads back."""
 
 
 class InputError(ValueError):
@@ -29,3 +30,25 @@ def lines(path):
                     yield lineno, text
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def exact_lines(path):
+    """(line number, bytes, text) for each line of the file ``path`` exactly
+    as written: the line's bytes, and its UTF-8 text minus only the "\n"
+    that ends it, so that blank lines and stray whitespace reach the caller;
+    ``InputError`` naming the file and line when one is not UTF-8."""
+    lineno = 0
+    try:
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                yield lineno, raw, raw.decode("utf-8").removesuffix("\n")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
+
+
+def fields(text, count):
+    """The ``count`` fields of ``text`` joined by single spaces, or None if it
+    is not that: int() and float() would read a field with a tab, a "\r" or
+    a space around it."""
+    toks = text.split(" ")
+    return toks if len(toks) == count and toks == text.split() else None

@@ -11,7 +11,7 @@ by reducing coboundary columns with clearing, with every simplex and
 coface named by its key alone and every pivot that needed no addition kept
 as that key, and reports one diagram entry per persistence pair.
 The explicit-module algebra (``normal_form`` and the rank-table
-conversions) lives in ``ripsaw.modules``.
+conversions) is a test oracle in ``tests/explicit_modules.py``.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are

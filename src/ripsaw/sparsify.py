@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, lines
+from .errors import InputError, exact_lines, fields
 
 INF = math.inf
 
@@ -236,9 +236,10 @@ def write_sparse(path, matrix: SparseLengthMatrix, config):
 def read_sparse(path) -> SparseLengthMatrix:
     """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
     file for a malformed sidecar or one without ``edges`` and ``sha256``, a
-    line that is not "i j d" (single spaces) with 0 <= i < j < N and a finite
-    d >= 0, a pair (i, j) not after the previous line's, or edge lines whose
-    count and sha256 differ from those the sidecar records."""
+    line that is not exactly "i j d" (single spaces, no other whitespace)
+    with 0 <= i < j < N and a finite d >= 0, a pair (i, j) not after the
+    previous line's, or a file whose line count and byte sha256 differ from
+    those the sidecar records."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
@@ -252,9 +253,10 @@ def read_sparse(path) -> SparseLengthMatrix:
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
     edges, digest, last = [], hashlib.sha256(), (0, 0)  # every pair i < j is after (0, 0)
-    for lineno, text in lines(path):
-        toks = text.split(" ")
-        if len(toks) != 3:
+    for lineno, raw, text in exact_lines(path):
+        digest.update(raw)
+        toks = fields(text, 3)
+        if toks is None:
             raise InputError(f"{path}:{lineno}: expected 'i j d'")
         try:
             i, j, w = int(toks[0]), int(toks[1]), float(toks[2])
@@ -269,7 +271,6 @@ def read_sparse(path) -> SparseLengthMatrix:
             raise InputError(f"{path}:{lineno}: edge ({i}, {j}) does not come after {last}")
         last = (i, j)
         edges.append((i, j, w))
-        digest.update(f"{text}\n".encode())
     if count != len(edges):
         raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records {count!r}")
     if digest.hexdigest() != sha256:

@@ -5,8 +5,8 @@ rank invariant r[s, t] = rank of the composed map V(s) -> V(t) (Carlsson and
 Zomorodian 2009; Chazal, de Silva, Glisse and Oudot 2016).  So
 ``normal_form`` computes that table by elimination over Z_p and inverts it
 with ``barcode_from_ranks``; ``ranks_from_barcode`` goes the other way.
-This is the only part of ripsaw that needs numpy (the ``modules`` extra);
-the pipeline and the CLI never import it.
+A test oracle: no pipeline stage or CLI subcommand uses it, so it lives
+with the tests, which install numpy through the ``test`` extra.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .persistence import is_prime
+from ripsaw.errors import InputError
+from ripsaw.persistence import is_prime
 
 
 @dataclass

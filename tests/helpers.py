@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from explicit_modules import barcode_from_ranks
 from ripsaw.errors import InputError
-from ripsaw.modules import barcode_from_ranks
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 

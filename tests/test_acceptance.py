@@ -8,6 +8,7 @@ import time
 
 import numpy as np
 
+from explicit_modules import ExplicitModule, barcode_from_ranks, normal_form, ranks_from_barcode
 from helpers import brute_force_parent, edge_list, gauss_rank, implied_lengths, q_inv
 from ripsaw import (
     build,
@@ -19,17 +20,13 @@ from ripsaw import (
     density_violations,
     euclidean_oracle,
     make_profile,
-    normal_form,
     random_cloud,
-    ranks_from_barcode,
-    barcode_from_ranks,
     reduce,
     solenoid_sample,
     sparsify,
     tighten,
 )
 from ripsaw.covertree import CoverTree
-from ripsaw.modules import ExplicitModule
 
 INF = math.inf
 

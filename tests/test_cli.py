@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -423,9 +424,33 @@ def cloud_tree_files(tmp_path):
     return csv, tree
 
 
+# stray whitespace where ripsaw writes none, as an editor might leave it
+_WHITESPACE_FAMILIES = ["blank-line", "leading-space", "trailing-space", "trailing-tab", "crlf"]
+
+
+def _misspace(lines, family, rng):
+    """``lines`` with the whitespace defect ``family`` at a line drawn from
+    ``rng``; "crlf" ends every line with "\r"."""
+    lines = list(lines)
+    k = rng.randrange(len(lines))
+    if family == "blank-line":
+        lines.insert(k, "")
+    elif family == "leading-space":
+        lines[k] = " " + lines[k]
+    elif family == "trailing-space":
+        lines[k] += " "
+    elif family == "trailing-tab":
+        lines[k] += "\t"
+    elif family == "crlf":
+        lines = [line + "\r" for line in lines]
+    return lines
+
+
 def _mutate_tree(lines, family, rng):
     """``lines`` of a tree file with one defect of ``family``, at a node
-    position drawn from ``rng``."""
+    position drawn from ``rng`` (any line, for a whitespace family)."""
+    if family in _WHITESPACE_FAMILIES:
+        return _misspace(lines, family, rng)
     nodes = [line.split() for line in lines[2:]]
     n = len(nodes)
     k = rng.randrange(1, n)  # a node other than the root
@@ -485,7 +510,8 @@ _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x
     "drop-line", "repeat-line", "count-up", "count-down", "time-nan", "time-negative",
     "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child",
     "two-tokens", "word-field", "config-line-only", "comment-line", "no-config-line",
-    "config-without-digest", "config-not-object", "doubled-space", "tab-separated"])
+    "config-without-digest", "config-not-object", "doubled-space", "tab-separated",
+    *_WHITESPACE_FAMILIES])
 def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
     """Each defect, at three derandomized positions, is an input error:
     exit 2, a message naming the file (and the defect, for the families of
@@ -510,6 +536,26 @@ def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, famil
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
+@pytest.mark.parametrize("index,edit,defect", [
+    (0, " {}", "expected header 'n <count>'"),
+    (0, "{}\r", "expected header 'n <count>'"),
+    (1, "{} \t", "not the sorted-key JSON"),
+    (1, "{}\r", "not the sorted-key JSON"),
+], ids=["header-leading-space", "header-cr", "config-trailing-space-tab", "config-cr"])
+def test_sparsify_refuses_tree_head_with_stray_whitespace(cloud_tree_files, tmp_path, capsys,
+                                                          index, edit, defect):
+    """The header and config line are read exactly as written too: JSON
+    would read the config with whitespace around it, but ripsaw writes none."""
+    csv, tree = cloud_tree_files
+    lines = tree.read_text().splitlines()
+    _replace_line(tree, index, edit.format(lines[index]))
+    out = tmp_path / "m.sparse"
+    assert run("sparsify", "--input", csv, "--tree", tree, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tree}:{index + 1}: ") and defect in err
+    assert not out.exists()
+
+
 def test_sparsify_refuses_tree_time_beyond_float_range(cloud_tree_files, tmp_path, capsys):
     """A time of 1e309 reads as inf; as the first non-root time it would
     become the profile's R and an ``Infinity`` in the sidecar."""
@@ -527,6 +573,8 @@ def _mutate_sparse(lines, family, n, rng):
     """``lines`` of a sparse file over ``n`` points with one defect of
     ``family``, at a line drawn from ``rng``; a line that is not UTF-8 is
     the lone surrogate that encodes to the byte 0xff."""
+    if family in _WHITESPACE_FAMILIES:
+        return _misspace(lines, family, rng)
     lines = list(lines)
     k = rng.randrange(len(lines))
     toks = lines[k].split()
@@ -558,21 +606,32 @@ def _mutate_sparse(lines, family, n, rng):
 @pytest.mark.parametrize("family", [
     "two-tokens", "four-tokens", "length-nan", "length-inf", "length-negative",
     "length-1e309", "i-equals-j", "i-above-j", "j-equals-N", "fractional-index",
-    "repeat-line", "byte-0xff"])
+    "repeat-line", "byte-0xff", *_WHITESPACE_FAMILIES])
 def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, family):
     """Each defect, at three derandomized lines, is an input error: exit 2,
-    a message naming the file, and no diagram."""
+    a message naming the file and the line, and no diagram.  Each runs
+    twice, with the stale sidecar and with one whose ``edges`` and
+    ``sha256`` are recomputed over the mutated bytes, so it is the parser
+    that refuses the file, not only the hash."""
     sparse = circle_files["sparse"]
+    meta_path = sparse.with_suffix(".meta.json")
     lines = sparse.read_text().splitlines()
     assert len(lines) == 32 * 31 // 2
+    stale = json.loads(meta_path.read_text())
     out = tmp_path / "m.json"
     for seed in range(3):
         mutated = _mutate_sparse(lines, family, 32, random.Random(seed))
-        sparse.write_bytes(("\n".join(mutated) + "\n").encode("utf-8", "surrogateescape"))
-        capsys.readouterr()
-        assert run("persist", "--input", sparse, "--out", out) == 2, seed
-        assert capsys.readouterr().err.startswith(f"error: {sparse}"), seed
-        assert not out.exists()
+        data = ("\n".join(mutated) + "\n").encode("utf-8", "surrogateescape")
+        sparse.write_bytes(data)
+        recomputed = dict(stale, edges=data.count(b"\n"),
+                          sha256=hashlib.sha256(data).hexdigest())
+        for meta in (stale, recomputed):
+            meta_path.write_text(json.dumps(meta))
+            capsys.readouterr()
+            assert run("persist", "--input", sparse, "--out", out) == 2, seed
+            err = capsys.readouterr().err
+            assert re.match(rf"error: {re.escape(str(sparse))}:\d+: ", err), (seed, err)
+            assert not out.exists()
 
 
 @pytest.fixture()
@@ -1154,6 +1213,31 @@ def test_verify_refuses_diagrams_of_different_dimensions(circle_files, tmp_path,
         assert capsys.readouterr() == (
             "", f"error: diagrams computed up to different dimensions: "
                 f"{full} vs {sparse_dim}\n")
+
+
+def test_h1_guarantee_holds_on_120_point_solenoid(tmp_path, capsys):
+    """The exact H1 diagram of the 120-point solenoid (seed 0, every one of
+    its 7,140 pairs kept) against the sparse ones at eps1 0.25 and 1, with
+    all points kept and with 60: each verifies.  No other test checks the
+    H1 guarantee on more than 64 points."""
+    csv, tree, full = tmp_path / "s.csv", tmp_path / "s.tree", tmp_path / "full.json"
+    assert run("gen", "solenoid", "--n", 120, "--seed", 0, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0,
+               "--out", tmp_path / "full.sparse") == 0
+    assert run("persist", "--input", tmp_path / "full.sparse", "--dim", 1, "--out", full) == 0
+    entries = json.loads(full.read_text())["entries"]
+    assert sum(e["dim"] == 1 for e in entries) == 15
+    for eps1 in (0.25, 1.0):
+        for keep in ("all", 60):
+            sparse, diagram = tmp_path / "sp.sparse", tmp_path / "sp.json"
+            assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", eps1,
+                       "--keep", keep, "--out", sparse) == 0
+            assert run("persist", "--input", sparse, "--dim", 1, "--out", diagram) == 0
+            capsys.readouterr()
+            assert run("verify", full, diagram) == 0, (eps1, keep)
+            out = capsys.readouterr().out
+            assert out.endswith("dim 1: ranks ok, matching ok -> ok\nPASS\n"), (eps1, keep)
 
 
 @pytest.mark.parametrize("case", ["n-only", "not-json", "no-eps1", "nan-eps1",

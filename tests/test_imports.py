@@ -12,7 +12,7 @@ import ripsaw
 
 
 GEN_UNUSED = ["dataclasses", "hashlib", "inspect", "json", "numpy", "ripsaw.covertree",
-              "ripsaw.metric", "ripsaw.modules", "ripsaw.sparsify", "ripsaw.persistence",
+              "ripsaw.metric", "ripsaw.sparsify", "ripsaw.persistence",
               "ripsaw.diagram", "ripsaw.svgplot"]
 TREE_UNUSED = ["ripsaw.sparsify", "ripsaw.persistence", "ripsaw.diagram", "ripsaw.svgplot"]
 
@@ -77,19 +77,46 @@ def test_loading_the_sparsify_module_keeps_the_function(load):
 
 
 def test_module_algebra_names_resolve_lazily():
-    """Every public name, the numpy-backed ones too, is its home module's."""
+    """Every public name is its home module's, however late it is first used."""
     for module, names in ripsaw._EXPORTS.items():
         home = importlib.import_module(f"ripsaw.{module}")
         for name in names:
             assert getattr(ripsaw, name) is getattr(home, name), name
     assert isinstance(ripsaw.sparsify, types.FunctionType)
-    assert len(ripsaw.__all__) == 40
+    assert len(ripsaw.__all__) == 36
     namespace = {}
     exec("from ripsaw import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
     assert set(ripsaw.__all__) <= set(dir(ripsaw))
     with pytest.raises(AttributeError):
         ripsaw.no_such_name
+
+
+def _numpy_imports(source):
+    """Lines of the statements in ``source`` that import numpy or one of its
+    submodules."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import)
+                  and any(a.name.split(".")[0] == "numpy" for a in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and node.module.split(".")[0] == "numpy")
+
+
+def test_numpy_import_check_flags_both_forms():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nimport json, numpy.random\n"
+              "import numpyish\nfrom . import numpy\nfrom .numpy import x\n")
+    assert _numpy_imports(source) == [1, 2, 3]
+
+
+def test_package_imports_no_numpy():
+    """numpy is a test dependency only: no module of the package imports it,
+    and the explicit-module algebra that needs it is a test oracle, not a
+    submodule."""
+    found = {p.name: _numpy_imports(p.read_text())
+             for p in Path(ripsaw.__file__).parent.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("ripsaw.modules")
 
 
 def _unused_imports(source):

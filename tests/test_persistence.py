@@ -6,6 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from explicit_modules import (
+    ExplicitModule,
+    barcode_from_ranks,
+    normal_form,
+    ranks_from_barcode,
+    rref_mod,
+)
 from helpers import (
     boundary_reduce,
     brute_force_diagram,
@@ -18,11 +25,9 @@ from helpers import (
 )
 from ripsaw import (
     DiagramEntry,
-    ExplicitModule,
     InputError,
     PersistenceDiagram,
     ResourceGuardError,
-    barcode_from_ranks,
     build,
     build_filtration,
     circle_oracle,
@@ -30,14 +35,11 @@ from ripsaw import (
     count_simplices,
     euclidean_oracle,
     make_profile,
-    normal_form,
     random_cloud,
-    ranks_from_barcode,
     reduce,
     sparsify,
     tighten,
 )
-from ripsaw.modules import rref_mod
 from ripsaw.persistence import dump_diagram, is_prime, load_diagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
