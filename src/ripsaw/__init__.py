@@ -10,6 +10,10 @@ against an exact diagram.
 ``_EXPORTS`` maps each stage module to the public names it owns, and a
 name's module is imported the first time the name is used (PEP 562), so
 ``import ripsaw`` loads no stage module.
+
+``import ripsaw.sparsify as m`` binds the function ``sparsify``, not the module
+(``m._meta_path`` raises ``AttributeError``); reach the module with ``from
+ripsaw.sparsify import ...`` or ``importlib.import_module("ripsaw.sparsify")``.
 """
 
 import importlib

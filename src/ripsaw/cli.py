@@ -32,29 +32,6 @@ read_sparse = _sparsify_stage("read_sparse")
 write_sparse = _sparsify_stage("write_sparse")
 
 
-def _load_oracle(path, fmt):
-    """The oracle of an input file and a sha256 digest of its parsed values;
-    an ``InputError`` from the oracle's checks names the file."""
-    import hashlib  # here, not at module level: `ripsaw gen` never needs them
-
-    from . import metric
-
-    if fmt == "points":
-        values, make = metric.load_points(path), metric.euclidean_oracle
-    elif fmt == "circle":
-        rows = metric.load_points(path)
-        if len(rows[0]) != 1:
-            raise InputError(f"{path}: each row holds {len(rows[0])} values, not one angle")
-        values, make = [row[0] for row in rows], metric.circle_oracle
-    else:  # "lower-distance", the last of the parser's choices
-        values, make = metric.load_lower_distance(path), metric.matrix_oracle
-    try:
-        oracle = make(values)
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    return oracle, hashlib.sha256(repr(values).encode()).hexdigest()
-
-
 def _quartiles(values):
     """Min, quartiles and max of a nonempty list."""
     vals = sorted(values)
@@ -68,9 +45,9 @@ def _config(args):
 
 
 def cmd_tree(args):
-    from . import covertree  # here, not at module level: `ripsaw gen` never needs it
+    from . import covertree, metric  # here, not at module level: `ripsaw gen` never needs them
 
-    oracle, digest = _load_oracle(args.input, args.format)
+    oracle, digest = metric.load_input(args.input, args.format)
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
     covertree.write_tree(args.out, ctree, digest, _config(args))
@@ -96,8 +73,7 @@ def cmd_sparsify(args):
         keep = None if args.keep == "all" else int(args.keep)
     except ValueError:
         raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
-    oracle, digest = _load_oracle(args.input, args.format)
-    ctree = covertree.read_tree(args.tree, digest)
+    ctree, oracle = covertree.read_tree(args.tree, args.input)
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify_matrix(ctree, oracle, profile)
     write_sparse(args.out, matrix, _config(args))
@@ -170,15 +146,14 @@ def cmd_gen(args):
     return 0
 
 
-_SOURCE = [("--input", dict(required=True)),
-           ("--format", dict(choices=["points", "circle", "lower-distance"],
-                             default="points"))]
-
 # subcommand: (help line, handler, its arguments as (name, add_argument keywords))
 _COMMANDS = {
-    "tree": ("build and tighten a contraction tree", cmd_tree,
-             _SOURCE + [("--out", dict(required=True))]),
-    "sparsify": ("emit the sparse length matrix", cmd_sparsify, _SOURCE + [
+    "tree": ("build and tighten a contraction tree", cmd_tree, [
+        ("--input", dict(required=True)),
+        ("--format", dict(choices=["points", "circle", "lower-distance"], default="points")),
+        ("--out", dict(required=True))]),
+    "sparsify": ("emit the sparse length matrix", cmd_sparsify, [
+        ("--input", dict(required=True, help="read under the format its tree records")),
         ("--tree", dict(required=True)),
         ("--eps1", dict(type=float, default=0.0)),
         ("--keep", dict(default="all", help='number of points to retain, or "all"')),

@@ -23,6 +23,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from . import metric
 from .errors import InputError, exact_lines, fields
 
 INF = math.inf
@@ -221,73 +222,81 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
     return out
 
 
-def write_tree(path, ctree: ContractionTree, digest, config):
-    """Serialize the header ``n <count>``, the config line (``config`` plus
-    the input's ``digest``, as sorted-key JSON) and one node per line, in
-    contraction order.
+def _line(*values):
+    """A ``.tree`` line: ``values`` (floats in shortest round-trip form) and "\n"."""
+    return " ".join(map(str, values)) + "\n"
 
-    Fields are "index parent_index time" using original point indices (the
-    root's parent is -1); the line order encodes the contraction ordering.
-    Floats print in shortest round-trip form, so rewriting is byte-exact.
+
+def write_tree(path, ctree: ContractionTree, digest, config):
+    """Serialize the header ``n <count>``, the config line (``config``, which
+    records the input's ``format``, plus its ``digest``, as sorted-key JSON)
+    and one line "index parent_index time" per node in contraction order,
+    with original point indices (the root's parent is -1); floats print in
+    shortest round-trip form, so rewriting is byte-exact.
     """
     with open(path, "w") as fh:
-        fh.write(f"n {ctree.size}\n")
-        fh.write(CONFIG_PREFIX + json.dumps(dict(config, digest=digest), sort_keys=True) + "\n")
+        fh.write(_line("n", ctree.size))
+        fh.write(_line(CONFIG_PREFIX + json.dumps(dict(config, digest=digest), sort_keys=True)))
         for k in range(ctree.size):
-            orig = ctree.order[k]
             par = -1 if k == 0 else ctree.order[ctree.parent[k]]
-            time = ctree.times[k]
-            fh.write(f"{orig} {par} {'inf' if time == INF else repr(time)}\n")
+            fh.write(_line(ctree.order[k], par, float(ctree.times[k])))
 
 
-def read_tree(path, digest) -> ContractionTree:
-    """The tree ``write_tree`` wrote for the input of sha256 ``digest``;
-    ``InputError`` naming the file unless it holds the header ``n <count>``,
-    a config line of sorted-key JSON whose object records ``digest``, then
-    ``count`` lines "index parent time" that make a valid tree of 0..n-1;
-    every line exactly as written, fields joined by single spaces.
+def read_tree(path, input_path):
+    """(tree, oracle of ``input_path`` read under the ``format`` the tree
+    records); ``InputError`` naming the tree unless it holds the header
+    ``n <count>``, a config line of sorted-key JSON recording a ``format`` of
+    ``metric.FORMATS`` and the input's ``digest``, then ``count`` lines "index
+    parent time" that make a valid tree, each line as ``write_tree`` renders it.
     """
-    rows = ((lineno, text) for lineno, _raw, text in exact_lines(path))
-    lineno, text = next(rows, (1, ""))
-    head = fields(text, 2)
-    if head is None or head[0] != "n" or not head[1].isdecimal():
+    rows = exact_lines(path)
+    lineno, raw, text = next(rows, (1, b"", ""))
+    count = text.removeprefix("n ")
+    if not (count.isdecimal() and raw == _line("n", int(count)).encode()):
         raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
-    count = int(head[1])
-    lineno, text = next(rows, (lineno + 1, ""))
+    lineno, raw, text = next(rows, (lineno + 1, b"", ""))
     if not text.startswith(CONFIG_PREFIX):
         raise InputError(f"{path}:{lineno}: expected the config line '{CONFIG_PREFIX}{{...}}'")
     try:
         config = json.loads(text[len(CONFIG_PREFIX):])
-        recorded = config["digest"]
+        recorded, fmt = config["digest"], config.get("format")
     except (ValueError, TypeError, KeyError):
         raise InputError(f"{path}:{lineno}: malformed config line: "
                          "no JSON object with a 'digest' key") from None
-    if text != CONFIG_PREFIX + json.dumps(config, sort_keys=True):
+    if raw != _line(CONFIG_PREFIX + json.dumps(config, sort_keys=True)).encode():
         raise InputError(f"{path}:{lineno}: malformed config line: "
                          "not the sorted-key JSON that ripsaw writes")
+    if fmt not in metric.FORMATS:
+        raise InputError(f"{path}:{lineno}: the config line records no input format "
+                         f"ripsaw reads (format {fmt!r})")
+    oracle, digest = metric.load_input(input_path, fmt)
     if recorded != digest:
         raise InputError(f"{path}: tree was built from a different input "
                          f"(digest {recorded}, input has {digest})")
-    order, parent_orig, times = [], [], []
-    for lineno, text in rows:
+    nodes, misspelt = [], []  # the lines of misspelt nodes
+    for lineno, raw, text in rows:
         toks = fields(text, 3)
         if toks is None:
             raise InputError(f"{path}:{lineno}: expected 'index parent time'")
         try:
-            order.append(int(toks[0]))
-            parent_orig.append(int(toks[1]))
-            times.append(float(toks[2]))
+            nodes.append((int(toks[0]), int(toks[1]), float(toks[2])))
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from None
-    if len(order) != count:
-        raise InputError(f"{path}: header says {count} nodes, found {len(order)}")
-    pos = {orig: k for k, orig in enumerate(order)}
+        if raw != _line(*nodes[-1]).encode():
+            misspelt.append(lineno)
+    if len(nodes) != int(count):
+        raise InputError(f"{path}: header says {count} nodes, found {len(nodes)}")
+    pos = {orig: k for k, (orig, _par, _time) in enumerate(nodes)}
     pos[-1] = -1  # the root's parent
     try:
-        parent = [pos[p] for p in parent_orig]
+        ctree = ContractionTree(order=[orig for orig, _par, _time in nodes],
+                                parent=[pos[par] for _orig, par, _time in nodes],
+                                times=[time for _orig, _par, time in nodes])
     except KeyError as exc:
         raise InputError(f"{path}: parent {exc} is no node of the tree") from None
-    try:
-        return ContractionTree(order=order, parent=parent, times=times)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
+    if misspelt:  # named last: a time of 1e309 reads as inf, which no tree holds
+        expected = _line(*nodes[misspelt[0] - 3])  # node k is on line k + 3
+        raise InputError(f"{path}:{misspelt[0]}: expected {expected!r}, as ripsaw writes it")
+    return ctree, oracle

@@ -10,6 +10,7 @@ encode arbitrary weighted graphs); consumers that rely on it say so.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 from .errors import InputError, lines
@@ -117,3 +118,26 @@ def load_lower_distance(path):
                 raise InputError(f"{path}:{lineno}: {tok} is not a finite number >= 0")
             values.append(value)
     return values
+
+
+FORMATS = ("points", "circle", "lower-distance")  # as `ripsaw tree --format` names them
+
+
+def load_input(path, fmt):
+    """(oracle, sha256 digest of the parsed values) of the input file ``path``
+    read as format ``fmt``; an ``InputError`` from the oracle's checks names
+    the file.  Names are looked up at call time, so wrappers see each call."""
+    if fmt == "points":
+        values, make = load_points(path), euclidean_oracle
+    elif fmt == "circle":
+        rows = load_points(path)
+        if len(rows[0]) != 1:
+            raise InputError(f"{path}: each row holds {len(rows[0])} values, not one angle")
+        values, make = [row[0] for row in rows], circle_oracle
+    else:  # "lower-distance", the last of FORMATS
+        values, make = load_lower_distance(path), matrix_oracle
+    try:
+        oracle = make(values)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    return oracle, hashlib.sha256(repr(values).encode()).hexdigest()

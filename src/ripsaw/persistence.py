@@ -269,11 +269,7 @@ class PersistenceDiagram:
         return cls(field_char=field_char, max_dim=max_dim, entries=entries)
 
     def to_text(self):
-        lines = []
-        for e in self.entries:
-            death = "inf" if e.death == INF else repr(e.death)
-            lines.append(f"{e.dim} {e.birth!r} {death}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(f"{e.dim} {e.birth!r} {e.death!r}" for e in self.entries) + "\n"
 
 
 def dump_diagram(path, diagram: PersistenceDiagram, profile, config):
@@ -299,10 +295,6 @@ def load_diagram(path):
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{path}: {exc}") from None
     return diag, profile
-
-
-def _sorted_entries(entries):
-    return sorted(entries, key=lambda e: (e.dim, e.birth, e.death))
 
 
 def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
@@ -369,7 +361,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                 entries.append(DiagramEntry(dim=dim, birth=lengths[r], death=death))
         cleared = set(pivots)
     return PersistenceDiagram(field_char=p, max_dim=filtration.dim_cap - 1,
-                              entries=_sorted_entries(entries))
+                              entries=sorted(entries, key=lambda e: (e.dim, e.birth, e.death)))
 
 
 def _merging_edges(adj):

@@ -48,10 +48,6 @@ class _Axis:
         return (v - self.lo) / self.span
 
 
-def _fmt(v):
-    return f"{v:.6g}"
-
-
 def render_svg(diagram, profile, config, *, log_axes=False):
     """Render a diagram with its profile's error boxes and psi to SVG text,
     recording ``config`` in a comment."""
@@ -149,7 +145,7 @@ def _ticks(axis, target=5):
     ticks = []
     v = math.ceil(axis.lo / step) * step
     while v <= axis.hi:
-        ticks.append(((v - axis.lo) / axis.span, _fmt(v)))
+        ticks.append(((v - axis.lo) / axis.span, f"{v:.6g}"))
         v += step
     return ticks
 

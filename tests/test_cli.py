@@ -28,9 +28,8 @@ def circle_files(tmp_path):
     assert run("gen", "circle", "--n", 32, "--out", paths["csv"]) == 0
     assert run("tree", "--input", paths["csv"], "--format", "circle",
                "--out", paths["tree"]) == 0
-    assert run("sparsify", "--input", paths["csv"], "--format", "circle",
-               "--tree", paths["tree"], "--eps1", 0, "--keep", "all",
-               "--out", paths["sparse"]) == 0
+    assert run("sparsify", "--input", paths["csv"], "--tree", paths["tree"],
+               "--eps1", 0, "--keep", "all", "--out", paths["sparse"]) == 0
     assert run("persist", "--input", paths["sparse"], "--dim", 1,
                "--field", 2, "--out", paths["diag"]) == 0
     return paths
@@ -176,16 +175,16 @@ def test_verify_self_passes(circle_files, capsys):
 
 def test_verify_full_vs_sparse(tmp_path, circle_files, capsys):
     sp, dg = tmp_path / "sp.sparse", tmp_path / "sp.json"
-    run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-        "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sp)
+    run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+        "--eps1", 0.5, "--out", sp)
     run("persist", "--input", sp, "--dim", 1, "--out", dg)
     assert run("verify", circle_files["diag"], dg) == 0
 
 
 def test_verify_tampered_death_fails(tmp_path, circle_files):
     sp, dg = tmp_path / "sp.sparse", tmp_path / "sp.json"
-    run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-        "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sp)
+    run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+        "--eps1", 0.5, "--out", sp)
     run("persist", "--input", sp, "--dim", 1, "--out", dg)
     data = json.loads(dg.read_text())
     profile = data["meta"]["profile"]
@@ -216,8 +215,8 @@ def test_plot_svg_structure(tmp_path, circle_files):
 
 def test_plot_rectangles_and_overlay(tmp_path, circle_files):
     sp, dg, svg = tmp_path / "sp.sparse", tmp_path / "sp.json", tmp_path / "sp.svg"
-    run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-        "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sp)
+    run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+        "--eps1", 0.5, "--out", sp)
     run("persist", "--input", sp, "--dim", 1, "--out", dg)
     assert run("plot", "--input", dg, "--out", svg) == 0
     text = svg.read_text()
@@ -296,7 +295,7 @@ def test_outputs_embed_config(tmp_path):
     p = {name: tmp_path / name for name in ("c.csv", "c.tree", "c.sparse", "c.json", "c.svg")}
     steps = [
         ["tree", "--input", p["c.csv"], "--format", "circle", "--out", p["c.tree"]],
-        ["sparsify", "--input", p["c.csv"], "--format", "circle", "--tree", p["c.tree"],
+        ["sparsify", "--input", p["c.csv"], "--tree", p["c.tree"],
          "--eps1", 0.5, "--keep", 24, "--out", p["c.sparse"]],
         ["persist", "--input", p["c.sparse"], "--dim", 1, "--field", 3, "--out", p["c.json"]],
         ["plot", "--input", p["c.json"], "--out", p["c.svg"], "--log-plot"],
@@ -376,8 +375,8 @@ def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys, index, t
     assert lines[1].startswith("#") and lines[2].endswith(" inf")
     orig, parent, _t = lines[index].split()
     _replace_line(tree, index, f"{orig} {parent} {time}")
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", tree, "--out", tmp_path / "x.sparse") == 2
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", tree,
+               "--out", tmp_path / "x.sparse") == 2
     assert f"contraction time is {time}" in capsys.readouterr().err
 
 
@@ -386,8 +385,8 @@ def test_sparsify_rejects_non_ascii_tree_count(circle_files, tmp_path, capsys):
     tree = circle_files["tree"]
     assert tree.read_text().splitlines()[0] == "n 32"
     _replace_line(tree, 0, "n \u00b2")
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", tree, "--out", tmp_path / "x.sparse") == 2
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", tree,
+               "--out", tmp_path / "x.sparse") == 2
     assert "expected header 'n <count>'" in capsys.readouterr().err
 
 
@@ -447,8 +446,14 @@ def _misspace(lines, family, rng):
 
 
 def _mutate_tree(lines, family, rng):
-    """``lines`` of a tree file with one defect of ``family``, at a node
-    position drawn from ``rng`` (any line, for a whitespace family)."""
+    """The text of a tree file of ``lines`` with one defect of ``family``, at
+    a node position drawn from ``rng`` (any line, for a whitespace family)."""
+    if family == "no-final-newline":
+        return "\n".join(lines)
+    return "\n".join(_mutated_tree_lines(lines, family, rng)) + "\n"
+
+
+def _mutated_tree_lines(lines, family, rng):
     if family in _WHITESPACE_FAMILIES:
         return _misspace(lines, family, rng)
     nodes = [line.split() for line in lines[2:]]
@@ -456,6 +461,8 @@ def _mutate_tree(lines, family, rng):
     k = rng.randrange(1, n)  # a node other than the root
     times = {"time-nan": "nan", "time-negative": "-1", "time-1e309": "1e309",
              "time-inf": "inf"}
+    # a time as ripsaw never writes it, read back as the same float
+    spellings = {"time-20E": lambda t: f"{float(t):.20E}", "time-trailing-zero": lambda t: t + "0"}
     if family == "drop-line":
         del nodes[k]
     elif family == "repeat-line":
@@ -464,6 +471,10 @@ def _mutate_tree(lines, family, rng):
         n += 1 if family == "count-up" else -1
     elif family in times:
         nodes[k][2] = times[family]
+    elif family in spellings:
+        nodes[k][2] = spellings[family](nodes[k][2])
+    elif family == "plus-sign":
+        nodes[k][0] = "+" + nodes[k][0]
     elif family == "finite-root-time":
         nodes[0][2] = "1e9"
     elif family == "index-n":
@@ -488,6 +499,13 @@ def _mutate_tree(lines, family, rng):
         config = "# config " + json.dumps(recorded, sort_keys=True)
     elif family == "config-not-object":
         config = "# config []"
+    elif family in ("config-without-format", "config-format-spline"):
+        recorded = json.loads(config.removeprefix("# config "))
+        if family == "config-without-format":
+            del recorded["format"]
+        else:
+            recorded["format"] = "spline"
+        config = "# config " + json.dumps(recorded, sort_keys=True)
     elif family == "doubled-space":
         body[k] = body[k].replace(" ", "  ")
     elif family == "tab-separated":
@@ -503,7 +521,11 @@ _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x
                  "config-without-digest": "malformed config line",
                  "config-not-object": "malformed config line",
                  "doubled-space": "expected 'index parent time'",
-                 "tab-separated": "expected 'index parent time'"}
+                 "tab-separated": "expected 'index parent time'",
+                 "config-without-format": ":2: the config line records no input format",
+                 "config-format-spline": ":2: the config line records no input format",
+                 **{family: ", as ripsaw writes it" for family in
+                    ("no-final-newline", "plus-sign", "time-20E", "time-trailing-zero")}}
 
 
 @pytest.mark.parametrize("family", [
@@ -511,7 +533,8 @@ _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x
     "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child",
     "two-tokens", "word-field", "config-line-only", "comment-line", "no-config-line",
     "config-without-digest", "config-not-object", "doubled-space", "tab-separated",
-    *_WHITESPACE_FAMILIES])
+    "config-without-format", "config-format-spline", "no-final-newline", "plus-sign",
+    "time-20E", "time-trailing-zero", *_WHITESPACE_FAMILIES])
 def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
     """Each defect, at three derandomized positions, is an input error:
     exit 2, a message naming the file (and the defect, for the families of
@@ -526,7 +549,7 @@ def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, famil
     lines = tree.read_text().splitlines()
     out = tmp_path / "m.sparse"
     for seed in range(3):
-        tree.write_text("\n".join(_mutate_tree(lines, family, random.Random(seed))) + "\n")
+        tree.write_text(_mutate_tree(lines, family, random.Random(seed)))
         capsys.readouterr()
         assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
                    "--out", out) == 2, seed
@@ -638,8 +661,8 @@ def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, fam
 def half_sparse(circle_files, tmp_path):
     """The circle's sparse file at eps1 0.5, which misses most pairs."""
     sparse = tmp_path / "half.sparse"
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               "--eps1", 0.5, "--out", sparse) == 0
     return sparse
 
 
@@ -747,10 +770,10 @@ def test_undecodable_input_is_input_error(circle_files, tmp_path, capsys, case):
     lower.write_text("1.0\n2.0, 1.5\n")
     points = tmp_path / "cloud.csv"
     write_points_csv(points, random_cloud(10, 2, 0))
-    circle = ["--input", circle_files["csv"], "--format", "circle"]
+    circle = ["--input", circle_files["csv"]]
     bad, out, argv = {
         "points": (points, "x.tree", ["tree", "--input", points]),
-        "circle": (circle_files["csv"], "x.tree", ["tree", *circle]),
+        "circle": (circle_files["csv"], "x.tree", ["tree", *circle, "--format", "circle"]),
         "lower-distance": (lower, "x.tree",
                            ["tree", "--input", lower, "--format", "lower-distance"]),
         "tree": (circle_files["tree"], "x.sparse",
@@ -893,11 +916,11 @@ def test_non_metric_tree_sparsifies_and_persists(tmp_path, capsys):
     rows = _lower_rows(8, lambda i, j: "0.05" if (i, j) == (7, 1) else str(i - j))
     lower.write_text("".join(row + "\n" for row in rows))
     tree, sparse, diag = tmp_path / "line.tree", tmp_path / "line.sparse", tmp_path / "line.json"
-    source = ["--input", lower, "--format", "lower-distance"]
-    assert run("tree", *source, "--out", tree) == 0
+    assert run("tree", "--input", lower, "--format", "lower-distance", "--out", tree) == 0
     assert "density bound" in capsys.readouterr().err
     for eps1 in (0, 0.5):
-        assert run("sparsify", *source, "--tree", tree, "--eps1", eps1, "--out", sparse) == 0
+        assert run("sparsify", "--input", lower, "--tree", tree, "--eps1", eps1,
+                   "--out", sparse) == 0
         assert run("persist", "--input", sparse, "--dim", 1, "--out", diag) == 0
         assert json.loads(diag.read_text())["entries"]
 
@@ -920,7 +943,7 @@ def test_sparsify_refuses_circle_rows_of_two_values(tmp_path, capsys):
     write_points_csv(cloud, points)
     assert run("tree", "--input", angles, "--format", "circle", "--out", tree) == 0
     capsys.readouterr()
-    assert run("sparsify", "--input", cloud, "--format", "circle", "--tree", tree,
+    assert run("sparsify", "--input", cloud, "--tree", tree,
                "--out", tmp_path / "x.sparse") == 2
     assert "each row holds 2 values, not one angle" in capsys.readouterr().err
 
@@ -973,9 +996,9 @@ README_CIRCLE_SHA256 = {
     "circle.csv": "063b492efb0c85f9b0f84ac1981c48ccaaee2f34ac9e4ced66f64bbeca28fb55",
     "circle.tree": "93b304fc3be4d58651432620132f9babbe96c28eb85cba3221d5b16f23e0cfce",
     "full.sparse": "80ff37d3a6df79215263bf758b85d2150a4fcfbf4611da84cfe349e4872b6d50",
-    "full.meta.json": "d37292101ee86dd2f03fa91a35dcb458e8c4315dfd132f9ffe4970b75896cc98",
+    "full.meta.json": "df317862c20fd1ba6284ad013db04284a157f2395aabf174025141be184f3ae5",
     "sp.sparse": "fb398f6e046314d07d25afe442d5df1fefe8b46471d7178fcf016569b3cc8a25",
-    "sp.meta.json": "f706d2f0c6bec5e14d5fc3b67be540f433b2b7f7dd301ab11c139d4915cdae5b",
+    "sp.meta.json": "6f39103883a27f544de13539673e8c24f5b1b7ce270ee797fe1fc863e813a779",
     "full.json": "a94959dc25a4508aa9186e402803ce41f7c22b74c787478f45aaecf8f27d8258",
     "sp.json": "60f6b66f031f269ea06628e6b56940f9070d6e287813efe70eeec56cd70e6460",
     "sp.svg": "6c97c8437df1973eb5db2267dc5a69a3606271308a47461daab31ac1532cf018",
@@ -1000,7 +1023,7 @@ def test_readme_circle_pipeline_writes_golden_bytes(tmp_path, monkeypatch, capsy
 def test_persist_has_no_threshold_option(circle_files, tmp_path, command):
     """The filtration is never truncated: neither command takes a threshold."""
     source = {"persist": ["--input", circle_files["sparse"]],
-              "sparsify": ["--input", circle_files["csv"], "--format", "circle",
+              "sparsify": ["--input", circle_files["csv"],
                            "--tree", circle_files["tree"]]}[command]
     before = sorted(tmp_path.iterdir())
     with pytest.raises(SystemExit) as exc:
@@ -1173,8 +1196,8 @@ def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, cap
     naming both files, the second although the sizes agree."""
     csv, tree, sparse = tmp_path / "c.csv", tmp_path / "c.tree", tmp_path / "c.sparse"
     cloud, circle = tmp_path / "cloud.json", tmp_path / "circle.json"
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               "--eps1", 0.5, "--out", sparse) == 0
     assert run("persist", "--input", sparse, "--field", 3, "--out", circle) == 0
     for n in (40, 32):
         assert run("gen", "cloud", "--n", n, "--out", csv) == 0
@@ -1197,8 +1220,8 @@ def test_verify_refuses_diagrams_of_different_dimensions(circle_files, tmp_path,
     --dim 1 diagram, and the reverse pair: each records the highest
     dimension it computed, and verify refuses them rather than fail."""
     sparse = tmp_path / "half.sparse"
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", circle_files["tree"], "--eps1", 0.5, "--out", sparse) == 0
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               "--eps1", 0.5, "--out", sparse) == 0
     diagrams = {}
     for name, source in [("exact", circle_files["sparse"]), ("half", sparse)]:
         for dim in (0, 1):
@@ -1282,8 +1305,8 @@ def test_malformed_sidecar_is_input_error(circle_files, tmp_path, capsys, case):
 ], ids=["eps1-nan", "eps1-inf", "keep-0", "keep-negative"])
 def test_sparsify_rejects_bad_profile(circle_files, tmp_path, capsys, argv):
     out = tmp_path / "x.sparse"
-    assert run("sparsify", "--input", circle_files["csv"], "--format", "circle",
-               "--tree", circle_files["tree"], *argv, "--out", out) == 2
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               *argv, "--out", out) == 2
     assert "profile out of range" in capsys.readouterr().err
     assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
@@ -1304,6 +1327,20 @@ def test_plot_rejects_bad_overlay(circle_files, tmp_path, capsys, argv):
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not svg.exists()
+
+
+def test_sparsify_has_no_format_option(circle_files, tmp_path, capsys):
+    """`sparsify` reads its input under the format the tree records, so the
+    parser refuses --format, and its five settable values are recorded."""
+    out = tmp_path / "x.sparse"
+    with pytest.raises(SystemExit) as exc:
+        run("sparsify", "--input", circle_files["csv"], "--format", "circle",
+            "--tree", circle_files["tree"], "--out", out)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format circle" in capsys.readouterr().err
+    assert not out.exists()
+    config = _parsed(["sparsify", "--input", "c.csv", "--tree", "c.tree", "--out", "c.sparse"])
+    assert sorted(config) == ["command", "eps1", "input", "keep", "out", "tree"]
 
 
 def test_gen_has_no_iterations_option(tmp_path, capsys):

@@ -19,9 +19,10 @@ from ripsaw import (
     write_tree,
 )
 from ripsaw.covertree import ContractionTree, CoverTree
+from ripsaw.generators import write_points_csv
+from ripsaw.metric import load_input
 
 INF = math.inf
-DIGEST = "0" * 64  # the input digest a tree file records
 
 
 def line_oracle(xs):
@@ -243,13 +244,19 @@ def test_density_on_solenoid():
 # --- serialization --------------------------------------------------------------
 
 def test_tree_roundtrip_bytes(tmp_path):
-    oracle = euclidean_oracle(random_cloud(80, 2, 4))
+    """``read_tree`` reads the input under the format the config records and
+    returns its oracle with the tree; rewriting the tree is byte-exact."""
+    csv = tmp_path / "a.csv"
+    write_points_csv(csv, random_cloud(80, 2, 4))
+    oracle, digest = load_input(csv, "points")
     ct = tighten(build(oracle), oracle)
     p1, p2 = tmp_path / "a.tree", tmp_path / "b.tree"
-    write_tree(p1, ct, DIGEST, {"seed": 4})
-    back = read_tree(p1, DIGEST)
+    config = {"format": "points", "seed": 4}
+    write_tree(p1, ct, digest, config)
+    back, back_oracle = read_tree(p1, csv)
     assert back == ct
-    write_tree(p2, back, DIGEST, {"seed": 4})
+    assert [back_oracle.eval(0, j) for j in range(80)] == [oracle.eval(0, j) for j in range(80)]
+    write_tree(p2, back, digest, config)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -261,10 +268,12 @@ def test_build_deterministic():
 
 
 def test_read_tree_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.tree"
-    bad.write_text(f'n 2\n# config {{"digest": "{DIGEST}"}}\n0 -1 inf\n')
+    csv, bad = tmp_path / "one.csv", tmp_path / "bad.tree"
+    csv.write_text("0.5\n")
+    _oracle, digest = load_input(csv, "points")
+    bad.write_text(f'n 2\n# config {{"digest": "{digest}", "format": "points"}}\n0 -1 inf\n')
     with pytest.raises(InputError, match="header says 2 nodes, found 1"):
-        read_tree(bad, DIGEST)
+        read_tree(bad, csv)
     bad.write_text("nonsense\n")
     with pytest.raises(InputError):
-        read_tree(bad, DIGEST)
+        read_tree(bad, csv)
