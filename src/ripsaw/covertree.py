@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from . import metric
@@ -54,11 +54,7 @@ class CoverTree:
         self.children.append([])
         # keep children sorted by descending radius so scans can stop early;
         # equal radii keep insertion order
-        sibs = self.children[parent]
-        pos = len(sibs)
-        while pos > 0 and self.parent_dist[sibs[pos - 1]] < dist:
-            pos -= 1
-        sibs.insert(pos, x)
+        insort(self.children[parent], x, key=lambda c: -self.parent_dist[c])
         return x
 
 
@@ -251,8 +247,11 @@ def read_tree(path, input_path):
     """
     rows = exact_lines(path)
     lineno, raw, text = next(rows, (1, b"", ""))
-    count = text.removeprefix("n ")
-    if not (count.isdecimal() and raw == _line("n", int(count)).encode()):
+    try:  # "+5", " 5" or "５" read as 5, but fail the rendering check below
+        count = int(text.removeprefix("n "))
+    except ValueError:  # not a number, or past Python's integer-string limit
+        count = -1
+    if count < 0 or raw != _line("n", count).encode():
         raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
     lineno, raw, text = next(rows, (lineno + 1, b"", ""))
     if not text.startswith(CONFIG_PREFIX):
@@ -284,7 +283,7 @@ def read_tree(path, input_path):
             raise InputError(f"{path}:{lineno}: {exc}") from None
         if raw != _line(*nodes[-1]).encode():
             misspelt.append(lineno)
-    if len(nodes) != int(count):
+    if len(nodes) != count:
         raise InputError(f"{path}: header says {count} nodes, found {len(nodes)}")
     pos = {orig: k for k, (orig, _par, _time) in enumerate(nodes)}
     pos[-1] = -1  # the root's parent

@@ -69,12 +69,13 @@ def is_prime(p):
 
 
 def _simplex_budget():
-    env = os.environ.get(MAX_SIMPLICES_ENV)
-    if not env:
-        return DEFAULT_MAX_SIMPLICES
-    if not env.strip().isdecimal():
-        raise InputError(f"{MAX_SIMPLICES_ENV}={env!r} is not a nonnegative integer")
-    return int(env)
+    env = os.environ.get(MAX_SIMPLICES_ENV) or str(DEFAULT_MAX_SIMPLICES)
+    try:
+        if env.strip().isdecimal():
+            return int(env)
+    except ValueError:  # digits past Python's integer-string limit
+        pass
+    raise InputError(f"{MAX_SIMPLICES_ENV}={env!r} is not a nonnegative integer")
 
 
 @dataclass
@@ -85,9 +86,9 @@ class Filtration:
     included, and ``adj[u][v]`` is the rank in it of the length of edge uv;
     the top dimension is implicit in this graph.  Only the simplices below
     the top dimension, the reducer's columns, are stored, each as one
-    integer key: ``columns[d]``, for d < dim_cap, lists the keys
-    rank(diameter) * n**(d+1) + base-n code of the d+1 vertices of the
-    d-simplices in increasing order, which is their filtration order.
+    integer key: ``columns[d]``, for each d < dim_cap with d-simplices (the
+    lowest, as cliques are closed under faces), lists the keys rank(diameter)
+    * n**(d+1) + base-n code of their d+1 vertices in increasing order.
     """
 
     lengths: list
@@ -151,18 +152,20 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices of
     the sparse edge list ``matrix`` (any object with ``size`` and ``edges``).
 
-    Missing edges block cliques.  Top-dimension simplices are counted from
-    the extension sets of their largest faces, not enumerated.
+    Missing edges block cliques; a dimension with none gets no column list,
+    and top-dimension simplices are counted from extension sets, not stored.
     Refuses with ``ResourceGuardError`` once the count of every simplex up
     to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
     """
     budget = _simplex_budget()
     values, adj = _graph(matrix)
     n = len(adj)
-    columns = [[] for _ in range(dim_cap)]
+    columns = []
     count = 0
     for verts, code, d, ext in _cliques(adj, dim_cap):
         m = len(verts)
+        if m > len(columns):  # the first clique of m vertices
+            columns.append([])
         columns[m - 1].append(d * n**m + code)
         count += 1 + (len(ext) if m == dim_cap else 0)
         if count > budget:
@@ -304,10 +307,10 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     Dimension 0 is Kruskal's algorithm over the edges in filtration order:
     an edge that merges two components kills a vertex class, the components
     left are essential, and the merging edges (a dimension-0 reduction's
-    pivots) are cleared in dimension 1.  Dimensions d = 1 ..
-    ``filtration.dim_cap - 1`` follow in increasing order, each visiting its
-    d-simplices in reverse filtration order and skipping those that were
-    pivots in dimension d - 1 (clearing): such a simplex kills a
+    pivots) are cleared in dimension 1.  The dimensions d >= 1 of
+    ``filtration.columns`` follow in increasing order, each visiting its
+    d-simplices in reverse filtration order and skipping the keys of
+    dimension d - 1's pivot table (clearing): such a simplex kills a
     (d-1)-class and can pair with nothing in dimension d.
 
     Each coboundary column is generated from the edge graph when its simplex
@@ -332,15 +335,14 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         raise InputError(f"field characteristic {p} is not prime")
     lengths, adj, columns = filtration.lengths, filtration.adj, filtration.columns
     n = len(adj)
-    merging = _merging_edges(adj)
-    entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(merging))
+    pivots = _merging_edges(adj)
+    entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(pivots))
     entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
-                for key in merging if key >= n * n]  # zero-length merges are dropped
-    cleared = set(merging)
-    for dim in range(1, filtration.dim_cap):
+                for key in pivots if key >= n * n]  # zero-length merges are dropped
+    for dim in range(1, len(columns)):
+        cleared, pivots = pivots, {}
         scale = n ** (dim + 2)
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
-        pivots = {}
         for key in reversed(columns[dim]):
             if key in cleared:
                 continue
@@ -359,18 +361,17 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
             if not col or r != low // scale:  # zero-length pairs are dropped
                 death = lengths[low // scale] if col else INF
                 entries.append(DiagramEntry(dim=dim, birth=lengths[r], death=death))
-        cleared = set(pivots)
     return PersistenceDiagram(field_char=p, max_dim=filtration.dim_cap - 1,
                               entries=sorted(entries, key=lambda e: (e.dim, e.birth, e.death)))
 
 
 def _merging_edges(adj):
     """Kruskal's algorithm over the edges ij, i < j, of the ranked graph in
-    filtration order: the keys rank * n**2 + i * n + j of the edges that
-    merge two components."""
+    filtration order: the set of keys rank * n**2 + i * n + j of the edges
+    that merge two components."""
     n = len(adj)
     parent = list(range(n))
-    merging = []
+    merging = set()
     for key in sorted(r * n * n + i * n + j
                       for i, ranks in enumerate(adj) for j, r in ranks.items() if j > i):
         i, j = divmod(key % (n * n), n)
@@ -380,7 +381,7 @@ def _merging_edges(adj):
             parent[j] = j = parent[parent[j]]
         if i != j:
             parent[i] = j
-            merging.append(key)
+            merging.add(key)
     return merging
 
 

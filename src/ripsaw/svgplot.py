@@ -18,6 +18,8 @@ from .diagram import approximate
 INF = math.inf
 
 _SIZE = 640.0
+_CURVE_SAMPLES = 200
+_TICK_TARGET = 5
 _MARGIN = 56.0
 _INF_BAND = 26.0
 
@@ -122,37 +124,31 @@ def render_svg(diagram, profile, config, *, log_axes=False):
     return "\n".join(parts) + "\n"
 
 
-def _curve_path(fn, axis, px, py, color, name, samples=200):
+def _curve_path(fn, axis, px, py, color, name):
     pts = []
-    for k in range(samples + 1):
+    for k in range(_CURVE_SAMPLES + 1):
         if axis.log:
-            r = 10 ** (axis.lo + axis.span * k / samples)
+            r = 10 ** (axis.lo + axis.span * k / _CURVE_SAMPLES)
         else:
-            r = axis.lo + axis.span * k / samples
+            r = axis.lo + axis.span * k / _CURVE_SAMPLES
         v = fn(r)
         pts.append(f"{px(r):.2f},{py(max(v, axis.clip if axis.log else v)):.2f}")
     return (f'<polyline class="{name}" points="{" ".join(pts)}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>')
 
 
-def _ticks(axis, target=5):
+def _ticks(axis):
     if axis.log:
         lo = math.ceil(axis.lo)
         hi = math.floor(axis.hi)
-        decades = range(lo, hi + 1, max(1, (hi - lo) // target + 1))
+        decades = range(lo, hi + 1, max(1, (hi - lo) // _TICK_TARGET + 1))
         return [((d - axis.lo) / axis.span, f"1e{d}") for d in decades]
-    step = _round_step(axis.span / target)
+    raw = axis.span / _TICK_TARGET
+    mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
+    step = next((mult * mag for mult in (1, 2, 5) if raw <= mult * mag), 10 * mag)
     ticks = []
     v = math.ceil(axis.lo / step) * step
     while v <= axis.hi:
         ticks.append(((v - axis.lo) / axis.span, f"{v:.6g}"))
         v += step
     return ticks
-
-
-def _round_step(raw):
-    mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
-    for mult in (1, 2, 5, 10):
-        if raw <= mult * mag:
-            return mult * mag
-    return 10 * mag

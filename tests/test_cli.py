@@ -488,6 +488,8 @@ def _mutated_tree_lines(lines, family, rng):
         nodes[k][rng.randrange(3)] = "x"
     elif family == "config-line-only":
         return [lines[1]]
+    elif family == "count-5000-digits":  # past int()'s 4,300-digit limit
+        return ["n " + "9" * 5000] + lines[1:]
     elif family == "comment-line":
         nodes.insert(k, ["#", "note"])
     config, body = lines[1], [" ".join(node) for node in nodes]
@@ -516,6 +518,7 @@ def _mutated_tree_lines(lines, family, rng):
 # what ``read_tree`` says of a line or file it cannot parse
 _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x'",
                  "config-line-only": "expected header 'n <count>'",
+                 "count-5000-digits": ":1: expected header 'n <count>'",
                  "comment-line": "expected 'index parent time'",
                  "no-config-line": "expected the config line",
                  "config-without-digest": "malformed config line",
@@ -534,7 +537,7 @@ _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x
     "two-tokens", "word-field", "config-line-only", "comment-line", "no-config-line",
     "config-without-digest", "config-not-object", "doubled-space", "tab-separated",
     "config-without-format", "config-format-spline", "no-final-newline", "plus-sign",
-    "time-20E", "time-trailing-zero", *_WHITESPACE_FAMILIES])
+    "time-20E", "time-trailing-zero", "count-5000-digits", *_WHITESPACE_FAMILIES])
 def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, family):
     """Each defect, at three derandomized positions, is an input error:
     exit 2, a message naming the file (and the defect, for the families of
