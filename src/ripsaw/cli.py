@@ -51,9 +51,8 @@ def cmd_tree(args):
     tree = covertree.build(oracle)
     ctree = covertree.tighten(tree, oracle)
     covertree.write_tree(args.out, ctree, digest, _config(args))
-    radius = ctree.times[1] if ctree.size > 1 else 0.0
     print(f"points: {ctree.size}")
-    print(f"R: {radius!r}")
+    print(f"R: {ctree.max_reach!r}")
     finite = ctree.times[1:]
     if finite:
         q = ", ".join(repr(v) for v in _quartiles(finite))

@@ -24,7 +24,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from . import metric
-from .errors import InputError, exact_lines, fields
+from .errors import InputError, exact_lines, record
 
 INF = math.inf
 CONFIG_PREFIX = "# config "
@@ -133,6 +133,11 @@ class ContractionTree:
     @property
     def size(self):
         return len(self.order)
+
+    @property
+    def max_reach(self):
+        """R, the largest finite contraction time (0.0 for a single node)."""
+        return self.times[1] if self.size > 1 else 0.0
 
 
 def tighten(tree: CoverTree, oracle) -> ContractionTree:
@@ -274,13 +279,7 @@ def read_tree(path, input_path):
                          f"(digest {recorded}, input has {digest})")
     nodes, misspelt = [], []  # the lines of misspelt nodes
     for lineno, raw, text in rows:
-        toks = fields(text, 3)
-        if toks is None:
-            raise InputError(f"{path}:{lineno}: expected 'index parent time'")
-        try:
-            nodes.append((int(toks[0]), int(toks[1]), float(toks[2])))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+        nodes.append(record(path, lineno, text, "index parent time"))
         if raw != _line(*nodes[-1]).encode():
             misspelt.append(lineno)
     if len(nodes) != count:

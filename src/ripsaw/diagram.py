@@ -93,8 +93,6 @@ class MatchResult:
     """
 
     pairs: list
-    unmatched_v: list
-    unmatched_w: list
     uncovered_alive_v: list
     uncovered_alive_w: list
 
@@ -177,14 +175,8 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
         if v not in match_v:
             _alternate(v, adjacency, match_v, match_w, all_v, set())
 
-    pairs = sorted(match_v.items())
-    return MatchResult(
-        pairs=pairs,
-        unmatched_v=[iv for iv in all_v if iv not in match_v],
-        unmatched_w=[jw for jw in range(n_w) if jw not in match_w],
-        uncovered_alive_v=uncovered_alive_v,
-        uncovered_alive_w=uncovered_alive_w,
-    )
+    return MatchResult(pairs=sorted(match_v.items()), uncovered_alive_v=uncovered_alive_v,
+                       uncovered_alive_w=uncovered_alive_w)
 
 
 # --- rank queries and interleaving verification ------------------------------
@@ -226,7 +218,6 @@ class RankWitness:
 
 @dataclass
 class DimensionReport:
-    dim: int
     rank_violations: list
     matching: MatchResult
 
@@ -309,5 +300,5 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
             if len(violations) >= MAX_WITNESSES:
                 break
         report.dimensions[dim] = DimensionReport(
-            dim=dim, rank_violations=violations, matching=match_diagrams(pv, pw, psi))
+            rank_violations=violations, matching=match_diagrams(pv, pw, psi))
     return report

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the line readers text
 inputs go through: a tolerant one for the files users write, and an exact
-one for the files ripsaw writes and reads back."""
+one for the files ripsaw writes and reads back, whose "int int float"
+lines (``.tree`` nodes and ``.sparse`` edges) ``record`` parses."""
 
 
 class InputError(ValueError):
@@ -46,9 +47,15 @@ def exact_lines(path):
         raise InputError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
 
 
-def fields(text, count):
-    """The ``count`` fields of ``text`` joined by single spaces, or None if it
-    is not that: int() and float() would read a field with a tab, a "\r" or
-    a space around it."""
+def record(path, lineno, text, shape):
+    """(int, int, float) read from ``text``, three fields joined by single
+    spaces; ``InputError`` naming ``path`` and ``lineno`` otherwise, saying
+    it expected ``shape``.  The spacing is checked first, as int() and
+    float() would read a field with a tab, a "\r" or a space around it."""
     toks = text.split(" ")
-    return toks if len(toks) == count and toks == text.split() else None
+    if len(toks) != 3 or toks != text.split():
+        raise InputError(f"{path}:{lineno}: expected '{shape}'")
+    try:
+        return int(toks[0]), int(toks[1]), float(toks[2])
+    except ValueError as exc:
+        raise InputError(f"{path}:{lineno}: {exc}") from None

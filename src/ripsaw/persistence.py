@@ -10,8 +10,6 @@ pairs its simplices on that graph, dimension 0 by union-find and the rest
 by reducing coboundary columns with clearing, with every simplex and
 coface named by its key alone and every pivot that needed no addition kept
 as that key, and reports one diagram entry per persistence pair.
-The explicit-module algebra (``normal_form`` and the rank-table
-conversions) is a test oracle in ``tests/explicit_modules.py``.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
@@ -75,7 +73,8 @@ def _simplex_budget():
             return int(env)
     except ValueError:  # digits past Python's integer-string limit
         pass
-    raise InputError(f"{MAX_SIMPLICES_ENV}={env!r} is not a nonnegative integer")
+    raise InputError(f"{MAX_SIMPLICES_ENV} is not a nonnegative integer ({len(env)} "
+                     f"characters: {env[:40]!r}{'...' if len(env) > 40 else ''})")
 
 
 @dataclass
@@ -430,8 +429,6 @@ def _coboundary(key, m, adj, n, p):
     verts = [code // pw % n for pw in place[1:]]
     nbrs = [adj[u] for u in verts]
     common = set(nbrs[0]).intersection(*nbrs[1:])
-    if not common:
-        return {}
     scale = n ** (m + 1)
     fixed = [code // pw * pw * n + code % pw for pw in place]
     col = {}

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, exact_lines, fields
+from .errors import InputError, exact_lines, record
 
 INF = math.inf
 
@@ -159,9 +159,8 @@ def make_profile(ctree, keep=None, eps1=0.0):
     """
     size = ctree.size
     n_keep = size if keep is None else int(keep)
-    radius = ctree.times[1] if size > 1 else 0.0
     eps0 = 2.0 * ctree.times[n_keep] if 0 < n_keep < size else 0.0
-    return PrecisionProfile(R=radius, eps0=eps0, eps1=float(eps1), N=n_keep, n=size)
+    return PrecisionProfile(R=ctree.max_reach, eps0=eps0, eps1=float(eps1), N=n_keep, n=size)
 
 
 @dataclass
@@ -255,13 +254,7 @@ def read_sparse(path) -> SparseLengthMatrix:
     edges, digest, last = [], hashlib.sha256(), (0, 0)  # every pair i < j is after (0, 0)
     for lineno, raw, text in exact_lines(path):
         digest.update(raw)
-        toks = fields(text, 3)
-        if toks is None:
-            raise InputError(f"{path}:{lineno}: expected 'i j d'")
-        try:
-            i, j, w = int(toks[0]), int(toks[1]), float(toks[2])
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+        i, j, w = record(path, lineno, text, "i j d")
         if not 0 <= i < j < profile.N:
             raise InputError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
         if not (math.isfinite(w) and w >= 0.0):

@@ -248,6 +248,33 @@ def test_gen_solenoid_and_cloud(tmp_path):
     assert cloud.read_bytes() == first
 
 
+def test_one_point_pipeline(tmp_path, capsys):
+    """A single point makes R 0, one essential H0 entry and plots whose axes
+    fall back to a unit span rather than dividing by zero."""
+    p = {name: tmp_path / name for name in ("p.csv", "p.tree", "p.sparse", "p.json")}
+    assert run("gen", "cloud", "--n", 1, "--out", p["p.csv"]) == 0
+    assert run("tree", "--input", p["p.csv"], "--out", p["p.tree"]) == 0
+    assert "R: 0.0\n" in capsys.readouterr().out
+    assert run("sparsify", "--input", p["p.csv"], "--tree", p["p.tree"],
+               "--eps1", 0.5, "--out", p["p.sparse"]) == 0
+    assert run("persist", "--input", p["p.sparse"], "--out", p["p.json"]) == 0
+    assert json.loads(p["p.json"].read_text())["entries"] == [
+        {"dim": 0, "birth": 0.0, "death": "inf"}]
+    for flags in ([], ["--log-plot"]):
+        svg = tmp_path / f"p{len(flags)}.svg"
+        assert run("plot", "--input", p["p.json"], "--out", svg, *flags) == 0
+        assert "nan" not in svg.read_text()
+
+
+@pytest.mark.parametrize("argv", [["--n", 0], ["--n", 3, "--dim", 0]],
+                         ids=["n-0", "dim-0"])
+def test_gen_cloud_refuses_empty_sample(tmp_path, capsys, argv):
+    out = tmp_path / "c.csv"
+    assert run("gen", "cloud", *argv, "--out", out) == 2
+    assert "need n >= 1 and dim >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 GEN_SHA256 = [
     (["solenoid", "--n", 8000, "--seed", 0],
      "9a1294f1c8b85b4a7beaaeea0bd651f1d16720ff2fcbf022c0bc4398988e58f5"),

@@ -110,6 +110,7 @@ def test_tighten_chain_reaches():
     ct = tighten(tree, oracle)
     assert ct.order == [0, 1, 2]
     assert ct.times == [INF, 2.5, 1.0]
+    assert ct.max_reach == 2.5
 
 
 def test_tighten_single_point():
@@ -117,6 +118,7 @@ def test_tighten_single_point():
     ct = tighten(build(oracle), oracle)
     assert ct.order == [0]
     assert ct.times == [INF]
+    assert ct.max_reach == 0.0
 
 
 def test_tighten_star_orders_far_leaf_first():

