@@ -161,7 +161,7 @@ def tighten(tree: CoverTree, oracle) -> ContractionTree:
     reach = list(spread)
     for x in range(n - 1, 0, -1):
         p = tree.parent[x]
-        if p != 0 and reach[x] > reach[p]:
+        if reach[x] > reach[p]:
             reach[p] = reach[x]
     reach[0] = INF
 

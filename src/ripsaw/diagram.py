@@ -101,7 +101,7 @@ class MatchResult:
         return not self.uncovered_alive_v and not self.uncovered_alive_w
 
 
-def _alternate(x, adjacency, match_x, match_y, keep, seen):
+def _alternate(x, adjacency, match_x, match_y, keep):
     """Match ``x`` along an alternating path that ends at a free vertex of
     the other side or at a vertex of x's side outside ``keep``, which gives
     up its partner.  No other vertex of x's side loses its partner.
@@ -109,7 +109,7 @@ def _alternate(x, adjacency, match_x, match_y, keep, seen):
     A depth-first search on an explicit stack, so long paths cannot exhaust
     the interpreter's; ``path`` holds the x-side vertices being extended and
     ``ys[k]`` the partner ``path[k]`` tries."""
-    path, ys = [(x, iter(adjacency[x]))], []
+    path, ys, seen = [(x, iter(adjacency[x]))], [], set()
     while path:
         for y in path[-1][1]:
             if y not in seen:
@@ -159,7 +159,7 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
     all_v = range(len(adjacency))
     match_v, match_w = {}, {}
     for v in alive_v:
-        _alternate(v, adjacency, match_v, match_w, all_v, set())
+        _alternate(v, adjacency, match_v, match_w, all_v)
     uncovered_alive_v = [iv for iv in alive_v if iv not in match_v]
 
     radjacency = [[] for _ in range(n_w)]
@@ -169,11 +169,11 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
     keep_w = set(alive_w)
     uncovered_alive_w = [
         jw for jw in alive_w if jw not in match_w
-        and not _alternate(jw, radjacency, match_w, match_v, keep_w, set())]
+        and not _alternate(jw, radjacency, match_w, match_v, keep_w)]
 
     for v in all_v:
         if v not in match_v:
-            _alternate(v, adjacency, match_v, match_w, all_v, set())
+            _alternate(v, adjacency, match_v, match_w, all_v)
 
     return MatchResult(pairs=sorted(match_v.items()), uncovered_alive_v=uncovered_alive_v,
                        uncovered_alive_w=uncovered_alive_w)

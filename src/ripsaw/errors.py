@@ -9,14 +9,8 @@ class InputError(ValueError):
 
 
 class ResourceGuardError(RuntimeError):
-    """A computation would exceed the configured size budget.
-
-    ``count`` holds the number of items enumerated before the guard tripped.
-    """
-
-    def __init__(self, message, count=None):
-        super().__init__(message)
-        self.count = count
+    """A computation would exceed the configured size budget; the message
+    names the budget and how many items were enumerated before it tripped."""
 
 
 def lines(path):

@@ -108,11 +108,19 @@ class Filtration:
 def _graph(matrix):
     """The ranked graph of a sparse edge list, any object with ``size`` and
     ``edges`` (i, j, w) with i < j: (sorted distinct lengths, 0.0 included;
-    adjacency ``adj[u][v]`` = rank in them of the length of edge uv)."""
+    adjacency ``adj[u][v]`` = rank in them of the length of edge uv).
+    ``InputError`` for an edge that is not 0 <= i < j < size with a finite
+    length w >= 0, or a pair listed twice."""
+    size = matrix.size
     values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
     rank = {w: k for k, w in enumerate(values)}
-    adj = [{} for _ in range(matrix.size)]
+    adj = [{} for _ in range(size)]
     for i, j, w in matrix.edges:
+        if not (0 <= i < j < size and 0.0 <= w < INF):
+            raise InputError(f"edge ({i!r}, {j!r}) of length {w!r} is not 0 <= i < j "
+                             f"< {size} with a finite length >= 0")
+        if j in adj[i]:
+            raise InputError(f"edge ({i}, {j}) is listed twice")
         adj[i][j] = adj[j][i] = rank[w]
     return values, adj
 
@@ -170,7 +178,7 @@ def build_filtration(matrix, dim_cap) -> Filtration:
         if count > budget:
             raise ResourceGuardError(
                 f"simplex count exceeds cap {budget} "
-                f"(aborted after {count} simplices)", count=count)
+                f"(aborted after {count} simplices)")
     for keys in columns:
         keys.sort()
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)

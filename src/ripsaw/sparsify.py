@@ -90,8 +90,6 @@ class PrecisionProfile:
 
     def psi_inv(self, x):
         """Smallest preimage of x under the uncapped shift map (0 below eps0)."""
-        if x == INF:
-            return INF
         if x <= self.eps0:
             return 0.0
         if self.eps1 == 0.0 or x <= (1.0 + 1.0 / self.eps1) * self.eps0:
@@ -155,12 +153,17 @@ def make_profile(ctree, keep=None, eps1=0.0):
 
     ``eps0`` is twice the contraction time of the first discarded point (0
     when nothing is discarded); ``PrecisionProfile.cutoffs`` derives the edge
-    cutoffs from the same tree.
+    cutoffs from the same tree.  ``InputError`` unless ``keep`` is None or
+    an int and ``eps1`` an int or a float (a bool is neither).
     """
     size = ctree.size
-    n_keep = size if keep is None else int(keep)
+    try:
+        n_keep = size if keep is None else json_int(keep)
+        eps1 = json_number(eps1)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"make_profile: {exc}") from None
     eps0 = 2.0 * ctree.times[n_keep] if 0 < n_keep < size else 0.0
-    return PrecisionProfile(R=ctree.max_reach, eps0=eps0, eps1=float(eps1), N=n_keep, n=size)
+    return PrecisionProfile(R=ctree.max_reach, eps0=eps0, eps1=eps1, N=n_keep, n=size)
 
 
 @dataclass

@@ -29,14 +29,13 @@ _PSI_COLOR = "#d62728"
 
 
 class _Axis:
-    """Maps data coordinates to pixels, linearly or log10 with a clip."""
+    """Maps [0, hi] to [0, 1] linearly, or log10 from ``clip`` up with every
+    coordinate clamped to ``clip``; a span that is not positive becomes 1."""
 
-    def __init__(self, lo, hi, log, clip):
+    def __init__(self, hi, log, clip):
         self.log = log
         self.clip = clip
-        if log:
-            lo = math.log10(max(lo, clip))
-            hi = math.log10(max(hi, clip))
+        lo, hi = (math.log10(clip), math.log10(max(hi, clip))) if log else (0.0, hi)
         if hi <= lo:
             hi = lo + 1.0
         self.lo, self.hi = lo, hi
@@ -54,14 +53,12 @@ def render_svg(diagram, profile, config, *, log_axes=False):
     """Render a diagram with its profile's error boxes and psi to SVG text,
     recording ``config`` in a comment."""
     approx = approximate(diagram, profile)
-    finite = [v for e in diagram.entries for v in (e.birth, e.death) if v != INF]
-    finite += [v for e in approx for v in (e.rect[0], e.rect[2]) if v != INF]
+    finite = [v for e in approx for v in e.rect if v != INF]
     finite.append(profile.R)
     hi = max(finite)
     positives = [v for v in finite if v > 0]
     clip = min(positives) if positives else 1e-6
-    lo = clip if log_axes else 0.0
-    axis = _Axis(lo, hi * 1.02, log_axes, clip)
+    axis = _Axis(hi * 1.02, log_axes, clip)
 
     plot = _SIZE - 2 * _MARGIN
     inf_y = _MARGIN - _INF_BAND / 2.0
@@ -116,7 +113,7 @@ def render_svg(diagram, profile, config, *, log_axes=False):
     parts.append(_curve_path(lambda r: r, axis, px, py, "black", "identity"))
     parts.append(_curve_path(profile.psi, axis, px, py, _PSI_COLOR, "psi"))
 
-    for e in diagram.entries:
+    for e in approx:
         parts.append(f'<circle cx="{px(e.birth):.2f}" cy="{py(e.death):.2f}" '
                      'r="2.6" fill="#222"/>')
 
@@ -131,8 +128,7 @@ def _curve_path(fn, axis, px, py, color, name):
             r = 10 ** (axis.lo + axis.span * k / _CURVE_SAMPLES)
         else:
             r = axis.lo + axis.span * k / _CURVE_SAMPLES
-        v = fn(r)
-        pts.append(f"{px(r):.2f},{py(max(v, axis.clip if axis.log else v)):.2f}")
+        pts.append(f"{px(r):.2f},{py(fn(r)):.2f}")
     return (f'<polyline class="{name}" points="{" ".join(pts)}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>')
 
@@ -144,7 +140,7 @@ def _ticks(axis):
         decades = range(lo, hi + 1, max(1, (hi - lo) // _TICK_TARGET + 1))
         return [((d - axis.lo) / axis.span, f"1e{d}") for d in decades]
     raw = axis.span / _TICK_TARGET
-    mag = 10 ** math.floor(math.log10(raw)) if raw > 0 else 1.0
+    mag = 10 ** math.floor(math.log10(raw))
     step = next((mult * mag for mult in (1, 2, 5) if raw <= mult * mag), 10 * mag)
     ticks = []
     v = math.ceil(axis.lo / step) * step

@@ -993,6 +993,16 @@ def _readme_commands():
     return [block for block in blocks if block]
 
 
+def test_readme_python_blocks_run():
+    """Every Python block of the README, run in order in one namespace."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = readme.read_text().split("```python\n")[1:]
+    assert len(blocks) >= 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block.split("```")[0], str(readme), "exec"), namespace)
+
+
 def test_parser_builds_only_the_named_subcommand(capsys):
     """``ripsaw --help`` lists all six subcommands; a parser for one
     subcommand's argv gives no other subcommand an argument beyond -h."""
@@ -1032,16 +1042,19 @@ README_CIRCLE_SHA256 = {
     "full.json": "a94959dc25a4508aa9186e402803ce41f7c22b74c787478f45aaecf8f27d8258",
     "sp.json": "60f6b66f031f269ea06628e6b56940f9070d6e287813efe70eeec56cd70e6460",
     "sp.svg": "6c97c8437df1973eb5db2267dc5a69a3606271308a47461daab31ac1532cf018",
+    "sp.log.svg": "01ad2a64ba9e189c390507f3b01220b8936d846b8bae7a63b4c9ab99497daee1",
 }
 
 
 def test_readme_circle_pipeline_writes_golden_bytes(tmp_path, monkeypatch, capsys):
-    """The README's circle block, then a plot of its sparse diagram, run from
-    one directory so that every recorded config holds relative paths: each
-    command exits 0, ``verify`` prints PASS, and every file written is pinned
-    byte for byte."""
+    """The README's circle block, then linear and log-log plots of its sparse
+    diagram, run from one directory so that every recorded config holds
+    relative paths: each command exits 0, ``verify`` prints PASS, and every
+    file written is pinned byte for byte."""
     monkeypatch.chdir(tmp_path)
-    for argv in _readme_commands()[1] + [["plot", "--input", "sp.json", "--out", "sp.svg"]]:
+    plots = [["plot", "--input", "sp.json", "--out", "sp.svg"],
+             ["plot", "--input", "sp.json", "--out", "sp.log.svg", "--log-plot"]]
+    for argv in _readme_commands()[1] + plots:
         assert run(*argv) == 0, argv
         if argv[0] == "verify":
             assert capsys.readouterr().out.endswith("PASS\n")

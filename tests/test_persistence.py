@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -215,13 +216,18 @@ def test_union_find_h0_two_components_and_a_duplicate():
             0: [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0), (0.0, INF), (0.0, INF)], 1: []}
 
 
+def _aborted_after(err):
+    """The simplex count a ``ResourceGuardError``'s message reports."""
+    return int(re.search(r"aborted after (\d+) simplices", str(err.value)).group(1))
+
+
 def test_memory_guard_env(monkeypatch):
     for cap, n, seed, dim_cap in [(50, 20, 2, 2), (1000, 30, 1, 3)]:
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(cap))
         dist = full_distance_matrix(euclidean_oracle(random_cloud(n, 2, seed)))
         with pytest.raises(ResourceGuardError) as err:
             build_filtration(edge_list(dist), dim_cap)
-        assert err.value.count > cap
+        assert _aborted_after(err) > cap
 
 
 def _guard_inputs():
@@ -243,7 +249,28 @@ def test_memory_guard_counts_what_count_simplices_counts(monkeypatch, dim_cap):
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total - 1))
         with pytest.raises(ResourceGuardError) as err:
             build_filtration(lengths, dim_cap)
-        assert err.value.count > total - 1, name
+        assert _aborted_after(err) > total - 1, name
+
+
+@pytest.mark.parametrize("edges,message", [
+    ([(0, 1, math.nan)], "length nan is not"),
+    ([(0, 1, -1.0)], "length -1.0 is not"),
+    ([(0, 1, INF)], "length inf is not"),
+    ([(0, 1, 0.5), (0, 1, 0.5)], r"edge \(0, 1\) is listed twice"),
+    ([(0, 3, 0.5)], r"edge \(0, 3\) of length 0.5 is not 0 <= i < j < 3"),
+    ([(1, 0, 0.5)], r"edge \(1, 0\) of length 0.5 is not"),
+    ([(1, 1, 0.5)], r"edge \(1, 1\) of length 0.5 is not"),
+], ids=["nan", "negative", "inf", "repeated", "j-past-size", "i-above-j", "loop"])
+@pytest.mark.parametrize("stage", [build_filtration, count_simplices])
+def test_malformed_edge_list_is_input_error(stage, edges, message):
+    """A library edge list is checked where its graph is built.  Unchecked, a
+    NaN length gives an H0 death of nan that ``load_diagram`` refuses, a
+    repeated pair keeps its last length, a negative length shares rank 0
+    with the vertices, and j >= size raises IndexError."""
+    matrix = SparseLengthMatrix(edges=edges,
+                                profile=PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=3, n=3))
+    with pytest.raises(InputError, match=message):
+        stage(matrix, 2)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6",

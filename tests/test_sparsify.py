@@ -66,6 +66,31 @@ def test_make_profile_rejects_bad_keep():
         make_profile(rad_tree(), keep=5)
 
 
+@pytest.mark.parametrize("options", [
+    dict(keep=2.9), dict(keep=True), dict(keep="3"), dict(keep=3.0),
+    dict(eps1=True), dict(eps1="0.5"), dict(eps1=None), dict(eps1=10**400)],
+    ids=["keep-2.9", "keep-True", "keep-str", "keep-3.0",
+         "eps1-True", "eps1-str", "eps1-None", "eps1-past-float"])
+def test_make_profile_refuses_values_it_would_coerce(options):
+    """Converted with int(), ``keep=2.9`` would keep 2 points and
+    ``keep=True`` 1."""
+    with pytest.raises(InputError, match="make_profile: "):
+        make_profile(rad_tree(), **options)
+
+
+def test_make_profile_takes_an_int_eps1():
+    assert make_profile(rad_tree(), keep=3, eps1=1) == make_profile(rad_tree(), keep=3, eps1=1.0)
+
+
+@pytest.mark.parametrize("eps1", [0.0, 5e-324, 1e-300, 0.5, 1e300])
+@pytest.mark.parametrize("eps0", [0.0, 5e-324, 1e-300, 0.5, 1e300])
+def test_psi_inv_maps_inf_to_inf(eps0, eps1):
+    """psi_inv has no case for inf: each of its formulas gives inf for it,
+    however small or large eps0 and eps1 are."""
+    profile = PrecisionProfile(R=1.0, eps0=eps0, eps1=eps1, N=1, n=1)
+    assert profile.psi_inv(INF) == INF
+
+
 VALID = dict(R=5.0, eps0=0.5, eps1=0.25, N=3, n=4)
 
 
