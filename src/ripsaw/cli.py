@@ -10,33 +10,14 @@ adds the input's digest), and reruns on identical inputs are byte-identical.
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 
 from . import generators
 from .errors import InputError, ResourceGuardError
 
-
-def _sparsify_stage(name):
-    """A caller of ``ripsaw.sparsify.<name>`` that imports the module on its
-    first call, so that `ripsaw gen` and `ripsaw tree` never load it."""
-    def call(*args, **kwargs):
-        return getattr(importlib.import_module(".sparsify", __package__), name)(*args, **kwargs)
-    return call
-
-
-# Module attributes, as bench/spans.py wraps them (CLI_ALIASES).
-make_profile = _sparsify_stage("make_profile")
-sparsify_matrix = _sparsify_stage("sparsify")
-read_sparse = _sparsify_stage("read_sparse")
-write_sparse = _sparsify_stage("write_sparse")
-
-
-def _quartiles(values):
-    """Min, quartiles and max of a nonempty list."""
-    vals = sorted(values)
-    return [vals[0], vals[len(vals) // 4], vals[len(vals) // 2],
-            vals[(3 * len(vals)) // 4], vals[-1]]
+# Placeholders that bench/spans.py patches (its CLI_ALIASES) until it stops
+# patching them; the commands import the ripsaw.sparsify functions they call.
+make_profile = sparsify_matrix = read_sparse = write_sparse = None
 
 
 def _config(args):
@@ -53,9 +34,10 @@ def cmd_tree(args):
     covertree.write_tree(args.out, ctree, digest, _config(args))
     print(f"points: {ctree.size}")
     print(f"R: {ctree.max_reach!r}")
-    finite = ctree.times[1:]
+    finite = ctree.times[:0:-1]  # ascending: the times after the root's never increase
     if finite:
-        q = ", ".join(repr(v) for v in _quartiles(finite))
+        m = len(finite)
+        q = ", ".join(repr(finite[k]) for k in (0, m // 4, m // 2, 3 * m // 4, m - 1))
         print(f"reach quartiles (min/q1/med/q3/max): {q}")
     bad = covertree.density_violations(ctree, oracle)
     if bad:
@@ -67,6 +49,7 @@ def cmd_tree(args):
 
 def cmd_sparsify(args):
     from . import covertree
+    from .sparsify import make_profile, sparsify, write_sparse
 
     try:
         keep = None if args.keep == "all" else int(args.keep)
@@ -74,7 +57,7 @@ def cmd_sparsify(args):
         raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
     ctree, oracle = covertree.read_tree(args.tree, args.input)
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
-    matrix = sparsify_matrix(ctree, oracle, profile)
+    matrix = sparsify(ctree, oracle, profile)
     write_sparse(args.out, matrix, _config(args))
     full = profile.N * (profile.N - 1) // 2
     ratio = len(matrix.edges) / full if full else 0.0
@@ -87,12 +70,13 @@ def cmd_sparsify(args):
 
 def cmd_persist(args):
     from . import persistence  # here, not at module level: `ripsaw gen` never needs it
+    from .sparsify import read_sparse
 
-    matrix = read_sparse(args.input)
     if args.dim < 0:
         raise InputError(f"--dim must be at least 0, got {args.dim}")
     if not persistence.is_prime(args.field):
         raise InputError(f"--field must be a prime, got {args.field}")
+    matrix = read_sparse(args.input)
     filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
     diag = persistence.reduce(filtration, args.field)
     persistence.dump_diagram(args.out, diag, matrix.profile, _config(args))
@@ -122,6 +106,11 @@ def cmd_verify(args):
         raise InputError(f"{args.full} and {args.sparse} are diagrams of different inputs "
                          f"(n {full_profile.n} and {profile.n}, "
                          f"R {full_profile.R!r} and {profile.R!r})")
+    if (full_profile.eps0, full_profile.eps1, full_profile.N) != (0.0, 0.0, full_profile.n):
+        raise InputError(f"{args.full}: not an exact diagram (eps0 {full_profile.eps0!r}, "
+                         f"eps1 {full_profile.eps1!r}, N {full_profile.N} of "
+                         f"{full_profile.n}); verify takes the --eps1 0 --keep all "
+                         "diagram first")
     report = diagram.verify_interleaving(full_diag, sparse_diag, profile)
     print(report.summary())
     if report.passed:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 from .diagram import approximate
 
@@ -26,6 +27,9 @@ _INF_BAND = 26.0
 _DEFINITE_FILL = "#4878cf"
 _POSSIBLE_FILL = "#ee854a"
 _PSI_COLOR = "#d62728"
+
+_FLOAT_MAX = sys.float_info.max
+_LOG_FLOAT_MAX = math.nextafter(math.log10(_FLOAT_MAX), 0.0)  # 10 ** this is finite
 
 
 class _Axis:
@@ -58,7 +62,7 @@ def render_svg(diagram, profile, config, *, log_axes=False):
     hi = max(finite)
     positives = [v for v in finite if v > 0]
     clip = min(positives) if positives else 1e-6
-    axis = _Axis(hi * 1.02, log_axes, clip)
+    axis = _Axis(min(hi * 1.02, _FLOAT_MAX), log_axes, clip)
 
     plot = _SIZE - 2 * _MARGIN
     inf_y = _MARGIN - _INF_BAND / 2.0
@@ -124,10 +128,8 @@ def render_svg(diagram, profile, config, *, log_axes=False):
 def _curve_path(fn, axis, px, py, color, name):
     pts = []
     for k in range(_CURVE_SAMPLES + 1):
-        if axis.log:
-            r = 10 ** (axis.lo + axis.span * k / _CURVE_SAMPLES)
-        else:
-            r = axis.lo + axis.span * k / _CURVE_SAMPLES
+        x = axis.lo + axis.span * (k / _CURVE_SAMPLES)  # span * k may overflow
+        r = 10 ** min(x, _LOG_FLOAT_MAX) if axis.log else x
         pts.append(f"{px(r):.2f},{py(fn(r)):.2f}")
     return (f'<polyline class="{name}" points="{" ".join(pts)}" fill="none" '
             f'stroke="{color}" stroke-width="1.4"/>')

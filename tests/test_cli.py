@@ -235,6 +235,29 @@ def test_plot_log_axes_clip(tmp_path, circle_files):
         assert float(circle.get("cy")) <= 640.0 - 56.0 + 1e-9
 
 
+def test_plot_diagram_near_float_maximum(tmp_path, capsys):
+    """Two points 1.77e308 apart (and one between them) give a diagram whose
+    axis top, 1.02 times its largest value, is beyond float range: both plots
+    exit 0 and draw every shape at finite coordinates inside the SVG."""
+    csv, tree, sparse, diagram = (tmp_path / f"big.{ext}"
+                                  for ext in ("csv", "tree", "sparse", "json"))
+    csv.write_text("8.85e307,0\n-8.85e307,0\n0,1\n")
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0, "--out", sparse) == 0
+    assert run("persist", "--input", sparse, "--out", diagram) == 0
+    capsys.readouterr()
+    for flags in ([], ["--log-plot"]):
+        svg = tmp_path / "big.svg"
+        assert run("plot", "--input", diagram, "--out", svg, *flags) == 0, flags
+        assert capsys.readouterr().err == ""
+        coords = []
+        for element in ET.parse(svg).getroot().iter():
+            coords += [float(element.get(a)) for a in ("x", "y", "cx", "cy", "x1", "y1")
+                       if element.get(a) is not None]
+            coords += [float(v) for v in re.split("[ ,]", element.get("points", "")) if v]
+        assert coords and all(0.0 <= v <= 640.0 for v in coords), flags
+
+
 def test_gen_solenoid_and_cloud(tmp_path):
     sol = tmp_path / "sol.csv"
     assert run("gen", "solenoid", "--n", 25, "--seed", 7, "--out", sol) == 0
@@ -1095,6 +1118,19 @@ def test_persist_rejects_composite_field_before_building(circle_files, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--dim", -1, "--dim must be at least 0, got -1"),
+    ("--field", 4, "--field must be a prime, got 4"),
+])
+def test_persist_checks_arguments_before_reading_input(tmp_path, capsys, flag, value,
+                                                       message):
+    """A bad --dim or --field is refused before the edge list is read, so
+    even a missing input file reports the argument."""
+    assert run("persist", "--input", tmp_path / "missing.sparse", flag, value,
+               "--out", tmp_path / "x.json") == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def _bad_diagram(case, data):
     """The text of a malformed diagram derived from ``data``."""
     h1 = next(e for e in data["entries"] if e["dim"] == 1)
@@ -1256,6 +1292,31 @@ def test_verify_refuses_diagrams_of_different_inputs(circle_files, tmp_path, cap
             assert out == ""
             assert err == (f"error: {full} and {other} are diagrams of different inputs "
                            f"(n {sizes}, R {radii})\n")
+
+
+def test_verify_refuses_first_diagram_that_is_not_exact(tmp_path, capsys):
+    """verify grades a sparse diagram against the exact one, so it exits 2,
+    naming the first file, when that one was sparsified (eps1 0.25 against
+    1.0 and the reverse) or truncated (--eps1 0 --keep 32): diagrams of the
+    64-point cloud, Z_3, that share n and R."""
+    csv, tree = tmp_path / "cloud.csv", tmp_path / "cloud.tree"
+    assert run("gen", "cloud", "--n", 64, "--dim", 2, "--seed", 0, "--out", csv) == 0
+    assert run("tree", "--input", csv, "--out", tree) == 0
+    diagrams = {}
+    for name, eps1, keep in [("eps0.25", 0.25, "all"), ("eps1.0", 1.0, "all"),
+                             ("keep32", 0, 32)]:
+        sparse, diagrams[name] = tmp_path / f"{name}.sparse", tmp_path / f"{name}.json"
+        assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", eps1,
+                   "--keep", keep, "--out", sparse) == 0
+        assert run("persist", "--input", sparse, "--field", 3, "--out", diagrams[name]) == 0
+    capsys.readouterr()
+    for first, second in [("eps0.25", "eps1.0"), ("eps1.0", "eps0.25"),
+                          ("keep32", "eps0.25")]:
+        assert run("verify", diagrams[first], diagrams[second]) == 2, first
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {diagrams[first]}: not an exact diagram ("), first
+        assert err.endswith("; verify takes the --eps1 0 --keep all diagram first\n"), first
 
 
 def test_verify_refuses_diagrams_of_different_dimensions(circle_files, tmp_path, capsys):

@@ -421,6 +421,17 @@ def test_verify_detects_field_via_report_only():
     assert "dim 0" in report.summary()
 
 
+def test_summary_describes_second_rank_inequality_witness():
+    """An exact H1 class that the other diagram lacks breaks the second
+    inequality, and the summary names it with its cell and both ranks."""
+    dv = diag([(0, 0.0, INF), (1, 1.0, 2.0)])
+    dw = diag([(0, 0.0, INF)])
+    report = verify_interleaving(dv, dw, SimpleNamespace(psi=identity, psi_inv=identity))
+    assert not report.passed
+    assert ("rank_V(s -> t) <= rank_W(psi(s) -> t) fails at (s=2.0, t=2.0): 1 > 0"
+            in report.summary())
+
+
 # --- exact against sparse diagrams, swept ------------------------------------------------
 
 SWEEP_EPS1 = (0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 32.0, 100.0)
