@@ -32,7 +32,7 @@ _EXPORTS = {
     "generators": ("circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),
     "persistence": ("DiagramEntry", "Filtration", "PersistenceDiagram",
-                    "build_filtration", "count_simplices", "reduce"),
+                    "build_filtration", "reduce"),
     "sparsify": ("PrecisionProfile", "SparseLengthMatrix", "make_profile",
                  "read_sparse", "sparsify", "write_sparse"),
 }

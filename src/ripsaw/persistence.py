@@ -184,19 +184,6 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
 
-def count_simplices(matrix, dim_cap):
-    """Clique counts of the sparse edge list's graph, per dimension
-    0..dim_cap, streamed from the enumeration ``build_filtration`` stores;
-    the top dimension is counted from extension sets, and nothing is
-    stored."""
-    counts = [0] * (dim_cap + 1)
-    for verts, _code, _d, ext in _cliques(_graph(matrix)[1], dim_cap):
-        counts[len(verts) - 1] += 1
-        if len(verts) == dim_cap:
-            counts[dim_cap] += len(ext)
-    return counts
-
-
 def _json_death(value):
     """A death as ``to_json_dict`` writes it: the string "inf" or a finite
     JSON number (ValueError for a number that reads as infinite)."""
@@ -277,9 +264,6 @@ class PersistenceDiagram:
         if max_dim < max((e.dim for e in entries), default=0):
             raise InputError(f"diagram max_dim {max_dim} is below 0 or an entry's dim")
         return cls(field_char=field_char, max_dim=max_dim, entries=entries)
-
-    def to_text(self):
-        return "\n".join(f"{e.dim} {e.birth!r} {e.death!r}" for e in self.entries) + "\n"
 
 
 def dump_diagram(path, diagram: PersistenceDiagram, profile, config):

@@ -237,11 +237,10 @@ def write_sparse(path, matrix: SparseLengthMatrix, config):
 
 def read_sparse(path) -> SparseLengthMatrix:
     """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
-    file for a malformed sidecar or one without ``edges`` and ``sha256``, a
-    line that is not exactly "i j d" (single spaces, no other whitespace)
-    with 0 <= i < j < N and a finite d >= 0, a pair (i, j) not after the
-    previous line's, or a file whose line count and byte sha256 differ from
-    those the sidecar records."""
+    file for a malformed sidecar, one without ``sha256`` or a JSON integer
+    ``edges``, a line other than exactly "i j d" with single spaces, 0 <= i <
+    j < N and a finite d >= 0, a pair (i, j) not after the previous line's,
+    or a file whose line count and byte sha256 differ from the sidecar's."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
@@ -249,9 +248,11 @@ def read_sparse(path) -> SparseLengthMatrix:
         with open(meta_path) as fh:
             meta = json.load(fh)
         profile = PrecisionProfile.from_meta(meta)
-        count, sha256 = meta["edges"], meta["sha256"]
+        count, sha256 = json_int(meta["edges"]), meta["sha256"]
     except KeyError as exc:
         raise InputError(f"{meta_path}: sidecar has no {exc} key") from None
+    except TypeError as exc:
+        raise InputError(f"{meta_path}: sidecar 'edges': {exc}") from None
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
     edges, digest, last = [], hashlib.sha256(), (0, 0)  # every pair i < j is after (0, 0)

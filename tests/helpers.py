@@ -1,5 +1,6 @@
 """Independent test oracles, deliberately written from scratch so they share
-no code path with the implementations they check."""
+no code path with the implementations they check; ``simplex_counts`` reuses
+the package's clique enumerator, and checks only what is counted without it."""
 
 import itertools
 import math
@@ -10,7 +11,7 @@ import numpy as np
 
 from explicit_modules import barcode_from_ranks
 from ripsaw.errors import InputError
-from ripsaw.persistence import DiagramEntry, PersistenceDiagram
+from ripsaw.persistence import DiagramEntry, PersistenceDiagram, _cliques, _graph
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
@@ -367,6 +368,17 @@ def decode_simplex_key(key, m, n):
         code, digit = divmod(code, n)
         digits.append(digit)
     return tuple(digits[::-1]), rank
+
+
+def simplex_counts(matrix, dim_cap):
+    """Simplices per dimension 0..dim_cap of the sparse edge list's flag
+    complex, every clique enumerated and counted, the top dimension
+    included, as ``Filtration.simplices`` lists them; ``build_filtration``
+    counts the top dimension from extension sets instead."""
+    counts = [0] * (dim_cap + 1)
+    for verts, _code, _d, _ext in _cliques(_graph(matrix)[1], dim_cap + 1):
+        counts[len(verts) - 1] += 1
+    return counts
 
 
 def boundary_reduce(filtration, p):

@@ -771,12 +771,14 @@ def test_sparse_sidecar_records_count_and_hash_of_edge_lines(half_sparse, tmp_pa
 
 
 @pytest.mark.parametrize("case", ["comment-line", "swapped-lines", "doubled-space",
-                                  "no-edges-key", "no-sha256-key", "no-keys-tripled-length"])
+                                  "no-edges-key", "no-sha256-key", "no-keys-tripled-length",
+                                  "float-edges", "boolean-edges"])
 def test_persist_reads_a_sparse_file_only_as_written(half_sparse, tmp_path, capsys, case):
-    """A comment, two lines out of (i, j) order, a doubled space, or a
-    sidecar without ``edges`` or ``sha256`` (even with the length it would
-    not check changed) is an input error naming the file, and the line for a
-    defect in one; no diagram is written."""
+    """A comment, two lines out of (i, j) order, a doubled space, a sidecar
+    without ``edges`` or ``sha256`` (even with the length it would not check
+    changed), or one whose ``edges`` is the line count written as a float or
+    is ``true`` is an input error naming the file, and the line for a defect
+    in one or the key for a defect in the sidecar; no diagram is written."""
     meta_path = half_sparse.with_suffix(".meta.json")
     lines = half_sparse.read_text().splitlines()
     meta = json.loads(meta_path.read_text())
@@ -791,6 +793,9 @@ def test_persist_reads_a_sparse_file_only_as_written(half_sparse, tmp_path, caps
     elif case == "doubled-space":
         lines[k] = lines[k].replace(" ", "  ", 1)
         where = f"{half_sparse}:{k + 1}: expected 'i j d'"
+    elif case in ("float-edges", "boolean-edges"):
+        meta["edges"] = float(len(lines)) if case == "float-edges" else True
+        where = f"{meta_path}: sidecar 'edges': {meta['edges']!r} is not an integer"
     else:
         dropped = {"no-edges-key": ["edges"], "no-sha256-key": ["sha256"],
                    "no-keys-tripled-length": ["edges", "sha256"]}[case]

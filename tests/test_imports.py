@@ -83,13 +83,20 @@ def test_module_algebra_names_resolve_lazily():
         for name in names:
             assert getattr(ripsaw, name) is getattr(home, name), name
     assert isinstance(ripsaw.sparsify, types.FunctionType)
-    assert len(ripsaw.__all__) == 36
+    assert len(ripsaw.__all__) == 35
     namespace = {}
     exec("from ripsaw import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
     assert set(ripsaw.__all__) <= set(dir(ripsaw))
     with pytest.raises(AttributeError):
         ripsaw.no_such_name
+
+
+def test_package_keeps_no_test_only_counter():
+    """Per-dimension counts and a text dump of a diagram are test helpers,
+    not package code."""
+    assert not hasattr(importlib.import_module("ripsaw.persistence"), "count_simplices")
+    assert not hasattr(ripsaw.PersistenceDiagram, "to_text")
 
 
 def _numpy_imports(source):

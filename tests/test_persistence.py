@@ -23,6 +23,7 @@ from helpers import (
     full_distance_matrix,
     gauss_rank,
     random_invertible,
+    simplex_counts,
 )
 from ripsaw import (
     DiagramEntry,
@@ -33,7 +34,6 @@ from ripsaw import (
     build_filtration,
     circle_oracle,
     circle_sample,
-    count_simplices,
     euclidean_oracle,
     make_profile,
     random_cloud,
@@ -239,11 +239,12 @@ def _guard_inputs():
 
 
 @pytest.mark.parametrize("dim_cap", [1, 2, 3])
-def test_memory_guard_counts_what_count_simplices_counts(monkeypatch, dim_cap):
-    """The guard trips exactly one simplex below the total count_simplices
-    reports: both read the same graph."""
+def test_memory_guard_counts_every_clique(monkeypatch, dim_cap):
+    """The guard trips exactly one simplex below the total of an enumeration
+    that lists every clique, the top dimension included: extension sets
+    count the top dimension exactly."""
     for name, lengths in _guard_inputs():
-        total = sum(count_simplices(lengths, dim_cap))
+        total = sum(simplex_counts(lengths, dim_cap))
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total))
         assert build_filtration(lengths, dim_cap).dim_cap == dim_cap, name
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total - 1))
@@ -261,7 +262,7 @@ def test_memory_guard_counts_what_count_simplices_counts(monkeypatch, dim_cap):
     ([(1, 0, 0.5)], r"edge \(1, 0\) of length 0.5 is not"),
     ([(1, 1, 0.5)], r"edge \(1, 1\) of length 0.5 is not"),
 ], ids=["nan", "negative", "inf", "repeated", "j-past-size", "i-above-j", "loop"])
-@pytest.mark.parametrize("stage", [build_filtration, count_simplices])
+@pytest.mark.parametrize("stage", [build_filtration])
 def test_malformed_edge_list_is_input_error(stage, edges, message):
     """A library edge list is checked where its graph is built.  Unchecked, a
     NaN length gives an H0 death of nan that ``load_diagram`` refuses, a
@@ -546,11 +547,3 @@ def test_load_diagram_refuses_bad_profile_naming_the_file(tmp_path, profile, mes
     with pytest.raises(InputError) as exc:
         load_diagram(path)
     assert str(exc.value).startswith(f"{path}: {message}")
-
-
-def test_diagram_text_dump():
-    dist = full_distance_matrix(euclidean_oracle(UNIT_SQUARE))
-    diag = reduce(build_filtration(edge_list(dist), 2), 2)
-    lines = diag.to_text().strip().splitlines()
-    assert lines[0].split() == ["0", "0.0", "1.0"]
-    assert lines[3].split() == ["0", "0.0", "inf"]

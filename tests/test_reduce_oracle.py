@@ -5,8 +5,7 @@ lists must be equal, not merely close.  Inputs are seeded random: Euclidean
 clouds, evenly spaced circle samples (ties everywhere), sparsified clouds
 with eps1 > 0, and integer-valued lower-distance matrices that break the
 triangle inequality, tie heavily and miss some edges (some cut at a drawn
-length), and complete graphs with distinct random lengths.  Every case
-also checks ``count_simplices`` against the filtration's simplices.
+length), and complete graphs with distinct random lengths.
 A last case scatters small clusters over 2**15 vertex ids, so the reducer's
 packed tetrahedron keys exceed 2**63 and cannot use 64-bit storage.
 """
@@ -14,7 +13,6 @@ packed tetrahedron keys exceed 2**63 and cannot use 64-bit storage.
 import itertools
 import math
 import random
-from collections import Counter
 
 import pytest
 
@@ -23,7 +21,6 @@ from ripsaw import (
     build,
     build_filtration,
     circle_oracle,
-    count_simplices,
     circle_sample,
     euclidean_oracle,
     make_profile,
@@ -100,9 +97,6 @@ def test_reduce_matches_boundary_reduction(kind, p):
         got = reduce(filt, p)
         assert got.entries == boundary_reduce(filt, p).entries, (case, dim_cap)
         assert got.field_char == p
-        by_dim = Counter(len(verts) - 1 for verts, _d in filt.simplices)
-        assert count_simplices(lengths, dim_cap) == [
-            by_dim[d] for d in range(dim_cap + 1)], (case, dim_cap)
 
 
 @pytest.mark.parametrize("p", [3, 5])

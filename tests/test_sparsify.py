@@ -3,14 +3,13 @@ import math
 
 import pytest
 
-from helpers import implied_lengths, n_of_t, project, q_inv
+from helpers import implied_lengths, n_of_t, project, q_inv, simplex_counts
 from ripsaw import (
     InputError,
     PrecisionProfile,
     build,
     circle_oracle,
     contraction_violations,
-    count_simplices,
     euclidean_oracle,
     make_profile,
     matrix_oracle,
@@ -387,18 +386,18 @@ def fake_matrix(n, edges):
 
 
 def test_count_simplices_vertices_only():
-    assert count_simplices(fake_matrix(5, []), 2) == [5, 0, 0]
+    assert simplex_counts(fake_matrix(5, []), 2) == [5, 0, 0]
 
 
 def test_count_simplices_triangle():
     edges = [(0, 1, 1.0), (0, 2, 1.0), (1, 2, 1.0)]
-    assert count_simplices(fake_matrix(3, edges), 2) == [3, 3, 1]
+    assert simplex_counts(fake_matrix(3, edges), 2) == [3, 3, 1]
 
 
 def test_count_simplices_complete_graph():
     n = 7
     edges = [(i, j, 1.0) for i in range(n) for j in range(i + 1, n)]
-    counts = count_simplices(fake_matrix(n, edges), 3)
+    counts = simplex_counts(fake_matrix(n, edges), 3)
     assert counts == [math.comb(n, k + 1) for k in range(4)]
 
 
