@@ -42,11 +42,6 @@ class CoverTree:
     def size(self):
         return len(self.parent)
 
-    def radius(self, x):
-        """A-priori radius r(x) = 2 d(x, parent x); bounds d to any descendant
-        by r(x)/2 and hence d from grandparent to any descendant by r(x)."""
-        return 2.0 * self.parent_dist[x]
-
     def add(self, parent, dist):
         x = len(self.parent)
         self.parent.append(parent)
@@ -75,7 +70,7 @@ def find_parent(tree: CoverTree, oracle, x):
         if 2.0 * d <= tree.parent_dist[y] and (d < best_d or (d == best_d and y < best)):
             best_d, best = d, y
         for c in tree.children[y]:
-            if d <= tree.radius(c):
+            if d <= 2.0 * tree.parent_dist[c]:
                 stack.append(c)
             else:
                 break
@@ -202,7 +197,7 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
     For each node the constraint binds only at the smallest multiset time
     mapping to each ancestor, so the scan is O(n * depth * log n).
     """
-    finite = sorted(t for t in ctree.times if t != INF)
+    finite = ctree.times[:0:-1]  # ascending: the times after the root's never increase
     order = ctree.order
     out = []
     for x in range(1, ctree.size):

@@ -41,13 +41,13 @@ def test_build_invalid_candidate_skipped():
     # inserting 1: candidate at 10 is invalid since d=9 > d(10, root)/2 = 5
     tree = build(line_oracle([0.0, 10.0, 1.0]))
     assert tree.parent[2] == 0
-    assert tree.radius(2) == 2.0
+    assert 2.0 * tree.parent_dist[2] == 2.0
 
 
 def test_build_duplicate_points():
     tree = build(line_oracle([3.0, 3.0]))
     assert tree.parent[1] == 0
-    assert tree.radius(1) == 0.0
+    assert 2.0 * tree.parent_dist[1] == 0.0
 
 
 def test_find_parent_root_only():
@@ -69,7 +69,7 @@ def test_children_sorted_descending_by_radius():
         oracle = euclidean_oracle(random_cloud(120, 2, seed))
         tree = build(oracle)
         for node_children in tree.children:
-            radii = [tree.radius(c) for c in node_children]
+            radii = [2.0 * tree.parent_dist[c] for c in node_children]
             assert radii == sorted(radii, reverse=True)
 
 
@@ -151,7 +151,7 @@ def test_tighten_never_exceeds_a_priori_radius():
         ct = tighten(tree, oracle)
         pos = {orig: k for k, orig in enumerate(ct.order)}
         for x in range(1, tree.size):
-            assert ct.times[pos[x]] <= tree.radius(x)
+            assert ct.times[pos[x]] <= 2.0 * tree.parent_dist[x]
 
 
 # --- construction --------------------------------------------------------------

@@ -15,6 +15,7 @@ from ripsaw import (
     matrix_oracle,
     random_cloud,
     read_sparse,
+    solenoid_sample,
     sparsify,
     tighten,
     write_sparse,
@@ -376,6 +377,44 @@ def test_truncated_complexes_agree_at_their_scale():
                 in_sparse = (a, b) in kept and kept[(a, b)] < r
                 in_implied = imp.lbar[a, b] < r
                 assert in_sparse == in_implied
+
+
+# --- size ---------------------------------------------------------------------------
+
+SIZE_EPS1 = (1.0, 0.5, 0.25)
+
+
+@pytest.mark.parametrize("make,edges,edge_growth,eval_growth", [
+    pytest.param(lambda n: solenoid_sample(n, seed=0),
+                 {500: (5169, 9955, 21474), 1000: (10480, 20660, 46640),
+                  2000: (21033, 42237, 97847)}, 1.2, 1.3, id="solenoid"),
+    pytest.param(lambda n: random_cloud(n, 2, 0),
+                 {500: (6836, 13748, 28657), 1000: (15515, 32416, 73472),
+                  2000: (33651, 72192, 173043)}, 1.6, 1.6, id="cloud"),
+])
+def test_sparse_size_is_linear_in_n(make, edges, edge_growth, eval_growth):
+    """The kept edges at eps1 1.0 / 0.5 / 0.25 for n = 500, 1000, 2000, and
+    per point both they and the oracle evaluations of ``build`` plus
+    ``sparsify`` grow by at most a fixed factor from n=500 to n=2000.
+    Measured growth: edges 1.02 / 1.06 / 1.14 (solenoid) and 1.23 / 1.31 /
+    1.51 (cloud), evaluations 1.27 / 1.24 / 1.23 and 1.39 / 1.40 / 1.51."""
+    edges_per_point, evals_per_point = {}, {}
+    for n in edges:
+        oracle = euclidean_oracle(make(n))
+        counted, calls = counting(oracle)
+        tree = build(counted)
+        built = len(calls)
+        ct = tighten(tree, oracle)
+        kept = []
+        for eps1 in SIZE_EPS1:
+            calls.clear()
+            kept.append(len(sparsify(ct, counted, make_profile(ct, eps1=eps1)).edges))
+            edges_per_point[n, eps1] = kept[-1] / n
+            evals_per_point[n, eps1] = (built + len(calls)) / n
+        assert tuple(kept) == edges[n]
+    for eps1 in SIZE_EPS1:
+        assert edges_per_point[2000, eps1] <= edge_growth * edges_per_point[500, eps1]
+        assert evals_per_point[2000, eps1] <= eval_growth * evals_per_point[500, eps1]
 
 
 # --- simplex counting ---------------------------------------------------------------
