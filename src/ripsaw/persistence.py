@@ -31,7 +31,7 @@ from functools import partial
 from heapq import heapify, heappop, heappush
 
 from .errors import InputError, ResourceGuardError
-from .sparsify import PrecisionProfile, json_int, json_number
+from .sparsify import PrecisionProfile, SparseLengthMatrix, json_int, json_number
 
 INF = math.inf
 
@@ -106,21 +106,12 @@ class Filtration:
 
 
 def _graph(matrix):
-    """The ranked graph of a sparse edge list, any object with ``size`` and
-    ``edges`` (i, j, w) with i < j: (sorted distinct lengths, 0.0 included;
-    adjacency ``adj[u][v]`` = rank in them of the length of edge uv).
-    ``InputError`` for an edge that is not 0 <= i < j < size with a finite
-    length w >= 0, or a pair listed twice."""
-    size = matrix.size
+    """The ranked graph of a ``SparseLengthMatrix``, checked where it was built:
+    (sorted distinct lengths, 0.0 included; ``adj[u][v]`` = rank of edge uv's length)."""
     values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
     rank = {w: k for k, w in enumerate(values)}
-    adj = [{} for _ in range(size)]
+    adj = [{} for _ in range(matrix.profile.N)]
     for i, j, w in matrix.edges:
-        if not (0 <= i < j < size and 0.0 <= w < INF):
-            raise InputError(f"edge ({i!r}, {j!r}) of length {w!r} is not 0 <= i < j "
-                             f"< {size} with a finite length >= 0")
-        if j in adj[i]:
-            raise InputError(f"edge ({i}, {j}) is listed twice")
         adj[i][j] = adj[j][i] = rank[w]
     return values, adj
 
@@ -157,13 +148,16 @@ def _cliques(adj, dim_cap):
 
 def build_filtration(matrix, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices of
-    the sparse edge list ``matrix`` (any object with ``size`` and ``edges``).
+    the ``SparseLengthMatrix`` ``matrix`` (``InputError`` for anything else).
 
     Missing edges block cliques; a dimension with none gets no column list,
     and top-dimension simplices are counted from extension sets, not stored.
     Refuses with ``ResourceGuardError`` once the count of every simplex up
     to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
     """
+    if not isinstance(matrix, SparseLengthMatrix):
+        raise InputError("build_filtration takes a SparseLengthMatrix, "
+                         f"not {type(matrix).__name__}")
     budget = _simplex_budget()
     values, adj = _graph(matrix)
     n = len(adj)

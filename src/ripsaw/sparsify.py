@@ -169,23 +169,29 @@ def make_profile(ctree, keep=None, eps1=0.0):
 @dataclass
 class SparseLengthMatrix:
     """Symmetric edge list over the ``profile.N`` retained points, stored
-    once with i < j.
-
-    Every listed edge carries the exact oracle distance; absent pairs are
-    implicitly missing (infinite length).
-    """
+    once with i < j, each edge at its exact oracle distance; absent pairs are
+    missing (infinite length).  Valid or never built: ``InputError``, opening
+    with the edge's 1-based position, unless each edge (i, j, w) has
+    0 <= i < j < N, a finite w >= 0 and (i, j) after the previous edge's."""
 
     edges: list
     profile: PrecisionProfile
 
-    @property
-    def size(self):
-        return self.profile.N
+    def __post_init__(self):
+        n, last = self.profile.N, (0, 0)  # every pair i < j is after (0, 0)
+        for k, (i, j, w) in enumerate(self.edges, start=1):
+            if not 0 <= i < j < n:
+                raise InputError(f"{k}: edge ({i}, {j}) out of range")
+            if not 0.0 <= w < INF:
+                raise InputError(f"{k}: edge length {w!r} is not a finite nonnegative number")
+            if (i, j) <= last:
+                raise InputError(f"{k}: edge ({i}, {j}) does not come after {last}")
+            last = (i, j)
 
 
 def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
-    """Kept edges of the retained points, visited in contraction order and
-    sorted by (i, j); ``InputError`` when oracle and tree differ in size."""
+    """Kept edges of the retained points, found in contraction order and
+    gathered per i into (i, j) order; ``InputError`` when oracle and tree differ in size."""
     if oracle.size != ctree.size:
         raise InputError(f"tree has {ctree.size} nodes but input has {oracle.size} points")
     cutoff = profile.cutoffs(ctree)
@@ -209,8 +215,12 @@ def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
                     near[i].append(edge)
                 if j in near:
                     near[j].append(edge)
-    edges.sort()
-    return SparseLengthMatrix(edges=edges, profile=profile)
+    # each i is found at most once per j, and j only grows, so each row is in
+    # j order (rows grown inside the loop, among the edges, strand freed memory)
+    rows = [[] for _ in range(profile.N)]
+    for edge in edges:
+        rows[edge[0]].append(edge)
+    return SparseLengthMatrix(edges=[e for row in rows for e in row], profile=profile)
 
 
 def _meta_path(path):
@@ -218,17 +228,16 @@ def _meta_path(path):
 
 
 def write_sparse(path, matrix: SparseLengthMatrix, config):
-    """Write "i j d" lines, sorted by (i, j), plus the sidecar: the profile's
-    {n, N, eps0, eps1, R}, the edge count ``edges``, the ``sha256`` of the
-    lines written and ``config``."""
-    edges = sorted(matrix.edges)
+    """Write "i j d" lines, in the (i, j) order the matrix holds, plus the
+    sidecar: the profile's {n, N, eps0, eps1, R}, the edge count ``edges``,
+    the ``sha256`` of the lines written and ``config``."""
     digest = hashlib.sha256()
     with open(path, "w") as fh:
-        for k in range(0, len(edges), 4096):
-            block = "".join([f"{i} {j} {w!r}\n" for i, j, w in edges[k:k + 4096]])
+        for k in range(0, len(matrix.edges), 4096):
+            block = "".join([f"{i} {j} {w!r}\n" for i, j, w in matrix.edges[k:k + 4096]])
             fh.write(block)
             digest.update(block.encode())
-    meta = dict(matrix.profile.as_meta(), edges=len(edges), sha256=digest.hexdigest(),
+    meta = dict(matrix.profile.as_meta(), edges=len(matrix.edges), sha256=digest.hexdigest(),
                 config=config)
     with open(_meta_path(path), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
@@ -238,9 +247,9 @@ def write_sparse(path, matrix: SparseLengthMatrix, config):
 def read_sparse(path) -> SparseLengthMatrix:
     """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
     file for a malformed sidecar, one without ``sha256`` or a JSON integer
-    ``edges``, a line other than exactly "i j d" with single spaces, 0 <= i <
-    j < N and a finite d >= 0, a pair (i, j) not after the previous line's,
-    or a file whose line count and byte sha256 differ from the sidecar's."""
+    ``edges``, a line other than exactly "i j d" with single spaces, a last
+    line without "\n", edges ``SparseLengthMatrix`` refuses (line k holds
+    edge k), or a line count and byte sha256 other than the sidecar's."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
@@ -255,21 +264,18 @@ def read_sparse(path) -> SparseLengthMatrix:
         raise InputError(f"{meta_path}: sidecar 'edges': {exc}") from None
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
-    edges, digest, last = [], hashlib.sha256(), (0, 0)  # every pair i < j is after (0, 0)
+    edges, digest, raw = [], hashlib.sha256(), b"\n"
     for lineno, raw, text in exact_lines(path):
         digest.update(raw)
-        i, j, w = record(path, lineno, text, "i j d")
-        if not 0 <= i < j < profile.N:
-            raise InputError(f"{path}:{lineno}: edge ({i}, {j}) out of range")
-        if not (math.isfinite(w) and w >= 0.0):
-            raise InputError(f"{path}:{lineno}: edge length {w!r} is not "
-                             "a finite nonnegative number")
-        if (i, j) <= last:
-            raise InputError(f"{path}:{lineno}: edge ({i}, {j}) does not come after {last}")
-        last = (i, j)
-        edges.append((i, j, w))
+        edges.append(record(path, lineno, text, "i j d"))
+    if not raw.endswith(b"\n"):
+        raise InputError(f"{path}:{len(edges)}: last line does not end in a newline")
+    try:
+        matrix = SparseLengthMatrix(edges=edges, profile=profile)
+    except InputError as exc:
+        raise InputError(f"{path}:{exc}") from None
     if count != len(edges):
         raise InputError(f"{path}: {len(edges)} edges, where {meta_path} records {count!r}")
     if digest.hexdigest() != sha256:
         raise InputError(f"{path}: edges do not match the sha256 {meta_path} records")
-    return SparseLengthMatrix(edges=edges, profile=profile)
+    return matrix

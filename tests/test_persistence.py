@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -254,24 +255,32 @@ def test_memory_guard_counts_every_clique(monkeypatch, dim_cap):
 
 
 @pytest.mark.parametrize("edges,message", [
-    ([(0, 1, math.nan)], "length nan is not"),
-    ([(0, 1, -1.0)], "length -1.0 is not"),
-    ([(0, 1, INF)], "length inf is not"),
-    ([(0, 1, 0.5), (0, 1, 0.5)], r"edge \(0, 1\) is listed twice"),
-    ([(0, 3, 0.5)], r"edge \(0, 3\) of length 0.5 is not 0 <= i < j < 3"),
-    ([(1, 0, 0.5)], r"edge \(1, 0\) of length 0.5 is not"),
-    ([(1, 1, 0.5)], r"edge \(1, 1\) of length 0.5 is not"),
-], ids=["nan", "negative", "inf", "repeated", "j-past-size", "i-above-j", "loop"])
-@pytest.mark.parametrize("stage", [build_filtration])
-def test_malformed_edge_list_is_input_error(stage, edges, message):
-    """A library edge list is checked where its graph is built.  Unchecked, a
-    NaN length gives an H0 death of nan that ``load_diagram`` refuses, a
-    repeated pair keeps its last length, a negative length shares rank 0
-    with the vertices, and j >= size raises IndexError."""
-    matrix = SparseLengthMatrix(edges=edges,
-                                profile=PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=3, n=3))
+    ([(0, 1, math.nan)], r"^1: edge length nan is not a finite nonnegative number$"),
+    ([(0, 1, -1.0)], r"^1: edge length -1.0 is not"),
+    ([(0, 1, INF)], r"^1: edge length inf is not"),
+    ([(0, 1, 0.5), (0, 1, 0.5)], r"^2: edge \(0, 1\) does not come after \(0, 1\)$"),
+    ([(0, 2, 0.5), (0, 1, 0.5)], r"^2: edge \(0, 1\) does not come after \(0, 2\)$"),
+    ([(0, 3, 0.5)], r"^1: edge \(0, 3\) out of range$"),
+    ([(1, 0, 0.5)], r"^1: edge \(1, 0\) out of range$"),
+    ([(1, 1, 0.5)], r"^1: edge \(1, 1\) out of range$"),
+], ids=["nan", "negative", "inf", "repeated", "out-of-order", "j-past-size", "i-above-j",
+        "loop"])
+def test_malformed_edge_list_is_input_error(edges, message):
+    """An edge list is checked where its matrix is built, so ``_graph`` never
+    sees a malformed one.  Unchecked, a NaN length gives an H0 death of nan
+    that ``load_diagram`` refuses, a repeated pair keeps its last length, a
+    negative length shares rank 0 with the vertices, and j >= N raises
+    IndexError."""
     with pytest.raises(InputError, match=message):
-        stage(matrix, 2)
+        SparseLengthMatrix(edges=edges,
+                           profile=PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=3, n=3))
+
+
+def test_build_filtration_takes_only_a_sparse_length_matrix():
+    """An object that merely has ``size`` and ``edges`` skipped the checks
+    a ``SparseLengthMatrix`` makes where it is built, so it is refused."""
+    with pytest.raises(InputError, match="takes a SparseLengthMatrix, not SimpleNamespace"):
+        build_filtration(SimpleNamespace(size=2, edges=[(0, 1, 0.5)]), 1)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6",

@@ -355,7 +355,7 @@ def test_truncation_restricts_indices():
     ct, oracle = cloud_tree(40, 9)
     profile = make_profile(ct, keep=15, eps1=0.25)
     matrix = sparsify(ct, oracle, profile)
-    assert matrix.size == 15
+    assert matrix.profile.N == 15
     assert all(j < 15 for _i, j, _w in matrix.edges)
 
 
@@ -449,21 +449,18 @@ def test_sparse_file_roundtrip(tmp_path):
     path = tmp_path / "edges.sparse"
     write_sparse(path, matrix, config={"eps1": 0.5})
     back = read_sparse(path)
-    assert back.size == matrix.size
+    assert back.profile.N == matrix.profile.N
     assert back.edges == matrix.edges
     assert back.profile.as_meta() == matrix.profile.as_meta()
     assert (tmp_path / "edges.meta.json").exists()
 
 
-def test_sparse_file_of_unsorted_edges_reads_back(tmp_path):
-    """Edges in any order are written sorted, so the sidecar's sha256 matches
-    the edges ``read_sparse`` parses and sorts."""
-    edges = [(1, 2, 0.5), (0, 2, 0.25), (0, 1, 1.0)]
-    matrix = SparseLengthMatrix(edges=edges, profile=PrecisionProfile(
-        R=1.0, eps0=0.0, eps1=0.0, N=3, n=3))
-    path = tmp_path / "edges.sparse"
-    write_sparse(path, matrix, {})
-    assert read_sparse(path).edges == sorted(edges)
+def test_unsorted_edges_are_refused_where_the_matrix_is_built():
+    """The matrix holds its edges in (i, j) order, so neither ``write_sparse``
+    nor ``read_sparse`` sorts them; edges in another order make no matrix."""
+    profile = PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=3, n=3)
+    with pytest.raises(InputError, match=r"^2: edge \(0, 2\) does not come after \(1, 2\)$"):
+        SparseLengthMatrix(edges=[(1, 2, 0.5), (0, 2, 0.25), (0, 1, 1.0)], profile=profile)
 
 
 def test_read_sparse_requires_sidecar(tmp_path):
