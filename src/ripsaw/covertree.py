@@ -86,7 +86,7 @@ def build(oracle) -> CoverTree:
     return tree
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContractionTree:
     """Reordered tree with nonincreasing contraction times.
 
@@ -98,11 +98,13 @@ class ContractionTree:
     the times after the root's are finite, >= 0 and never increase.
     """
 
-    order: list
-    parent: list
-    times: list
+    order: tuple
+    parent: tuple
+    times: tuple
 
     def __post_init__(self):
+        for name in ("order", "parent", "times"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = len(self.order)
         if n == 0 or len(self.parent) != n or len(self.times) != n:
             raise InputError(f"{n} nodes, {len(self.parent)} parents and "

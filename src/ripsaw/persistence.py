@@ -178,17 +178,6 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
 
-def _json_death(value):
-    """A death as ``to_json_dict`` writes it: the string "inf" or a finite
-    JSON number (ValueError for a number that reads as infinite)."""
-    if value == "inf":
-        return INF
-    death = json_number(value)
-    if math.isinf(death):
-        raise ValueError(f'death {value!r} is infinite but not "inf"')
-    return death
-
-
 @dataclass(frozen=True)
 class DiagramEntry:
     dim: int
@@ -196,14 +185,28 @@ class DiagramEntry:
     death: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class PersistenceDiagram:
     """Per-dimension multiset of (birth, death] entries over Z_p, for the
-    dimensions 0 .. ``max_dim`` that were computed."""
+    dimensions 0 .. ``max_dim`` that were computed, held as a tuple.  A
+    diagram is valid or is never built: ``InputError`` unless the field is a
+    prime, each entry has dim >= 0 and a finite birth >= 0 with a death at or
+    after it, and max_dim is >= 0 and every entry's dim."""
 
     field_char: int
     max_dim: int
-    entries: list
+    entries: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if not is_prime(self.field_char):
+            raise InputError(f"diagram field {self.field_char} is not a prime")
+        for e in self.entries:
+            if not (e.dim >= 0 and 0.0 <= e.birth < INF and e.death >= e.birth):
+                raise InputError(f"bad diagram entry: dim {e.dim}, birth "
+                                 f"{e.birth!r}, death {e.death!r}")
+        if self.max_dim < max((e.dim for e in self.entries), default=0):
+            raise InputError(f"diagram max_dim {self.max_dim} is below 0 or an entry's dim")
 
     def dims(self):
         return sorted({e.dim for e in self.entries})
@@ -212,70 +215,44 @@ class PersistenceDiagram:
         """The (birth, death) pairs of one homological dimension."""
         return [(e.birth, e.death) for e in self.entries if e.dim == dim]
 
-    def to_json_dict(self, meta):
-        return {
-            "field": self.field_char,
-            "max_dim": self.max_dim,
-            "entries": [
-                {
-                    "dim": e.dim,
-                    "birth": e.birth,
-                    "death": "inf" if e.death == INF else e.death,
-                }
-                for e in self.entries
-            ],
-            "meta": meta,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        """The diagram ``to_json_dict`` wrote; ``InputError`` when a key is
-        missing, a value is not a JSON number (field, max_dim and dim not JSON
-        integers; an infinite death only the string "inf"), the field is not a
-        prime, an entry is not a finite birth >= 0 with a death at or after
-        it, or max_dim is below 0 or an entry's dim."""
-        try:
-            field_char = json_int(data["field"])
-            max_dim = json_int(data["max_dim"])
-            entries = [
-                DiagramEntry(
-                    dim=json_int(e["dim"]),
-                    birth=json_number(e["birth"]),
-                    death=_json_death(e["death"]),
-                )
-                for e in data["entries"]
-            ]
-        except KeyError as exc:
-            raise InputError(f"diagram has no {exc} key") from None
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"malformed diagram: {exc}") from None
-        if not is_prime(field_char):
-            raise InputError(f"diagram field {field_char} is not a prime")
-        for e in entries:
-            if not (e.dim >= 0 and 0.0 <= e.birth < INF and e.death >= e.birth):
-                raise InputError(f"bad diagram entry: dim {e.dim}, birth "
-                                 f"{e.birth!r}, death {e.death!r}")
-        if max_dim < max((e.dim for e in entries), default=0):
-            raise InputError(f"diagram max_dim {max_dim} is below 0 or an entry's dim")
-        return cls(field_char=field_char, max_dim=max_dim, entries=entries)
-
 
 def dump_diagram(path, diagram: PersistenceDiagram, profile, config):
-    """Write ``diagram`` as JSON, with the profile and the config in its ``meta``."""
-    meta = {"profile": profile.as_meta(), "config": config}
+    """Write ``diagram`` as JSON: its ``field``, ``max_dim`` and ``entries``
+    (an infinite death as the string "inf"), with the profile and the config
+    in its ``meta``."""
+    entries = [{"dim": e.dim, "birth": e.birth, "death": "inf" if e.death == INF else e.death}
+               for e in diagram.entries]
+    data = {"field": diagram.field_char, "max_dim": diagram.max_dim, "entries": entries,
+            "meta": {"profile": profile.as_meta(), "config": config}}
     with open(path, "w") as fh:
-        json.dump(diagram.to_json_dict(meta), fh, sort_keys=True, indent=2)
+        json.dump(data, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
 def load_diagram(path):
     """(diagram, its ``PrecisionProfile``) from a JSON file as ``dump_diagram``
-    writes it; ``InputError`` naming the file when it is malformed or its
-    ``meta`` records no profile."""
+    writes it; ``InputError`` naming the file when a key is missing, a value
+    is not a JSON number (field, max_dim and dim not JSON integers; an
+    infinite death only the string "inf"), the constructor refuses the
+    diagram, or ``meta`` records no profile."""
     try:
         with open(path) as fh:
             data = json.load(fh)
-        diag = PersistenceDiagram.from_json_dict(data)
+        try:
+            field_char, max_dim = json_int(data["field"]), json_int(data["max_dim"])
+            entries = []
+            for e in data["entries"]:
+                dim, birth, death = json_int(e["dim"]), json_number(e["birth"]), e["death"]
+                if death == "inf":
+                    death = INF
+                elif math.isinf(death := json_number(death)):
+                    raise ValueError(f'death {e["death"]!r} is infinite but not "inf"')
+                entries.append(DiagramEntry(dim=dim, birth=birth, death=death))
+        except KeyError as exc:
+            raise InputError(f"diagram has no {exc} key") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"malformed diagram: {exc}") from None
+        diag = PersistenceDiagram(field_char=field_char, max_dim=max_dim, entries=entries)
         meta = data.get("meta")
         if not (isinstance(meta, dict) and "profile" in meta):
             raise InputError("diagram has no 'meta' object with a 'profile' key")
@@ -391,7 +368,8 @@ def _reduce_column(col, pivots, m, adj, n, p):
             # a pivot kept as its simplex's key: regenerate its column, scaled to
             # pivot coefficient 1 through the factor
             gen = _coboundary(other, m, adj, n, p)
-            factor = factor * pow(gen[low], -1, p) % p
+            # gen[low] is 1 or p - 1, each its own inverse mod p
+            factor = factor * gen[low] % p
             other = (gen, gen.values())
         for row, c in zip(*other):
             if row in col:

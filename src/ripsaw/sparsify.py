@@ -62,7 +62,7 @@ def json_number(value):
         raise ValueError(f"{value} is beyond float range") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrecisionProfile:
     """Interleaving budget plus the evaluable maps psi, psi_inv and q.
 
@@ -166,7 +166,7 @@ def make_profile(ctree, keep=None, eps1=0.0):
     return PrecisionProfile(R=ctree.max_reach, eps0=eps0, eps1=eps1, N=n_keep, n=size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SparseLengthMatrix:
     """Symmetric edge list over the ``profile.N`` retained points, stored
     once with i < j, each edge at its exact oracle distance; absent pairs are
@@ -174,10 +174,11 @@ class SparseLengthMatrix:
     with the edge's 1-based position, unless each edge (i, j, w) has
     0 <= i < j < N, a finite w >= 0 and (i, j) after the previous edge's."""
 
-    edges: list
+    edges: tuple
     profile: PrecisionProfile
 
     def __post_init__(self):
+        object.__setattr__(self, "edges", tuple(self.edges))
         n, last = self.profile.N, (0, 0)  # every pair i < j is after (0, 0)
         for k, (i, j, w) in enumerate(self.edges, start=1):
             if not 0 <= i < j < n:

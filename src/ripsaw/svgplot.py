@@ -34,7 +34,9 @@ _LOG_FLOAT_MAX = math.nextafter(math.log10(_FLOAT_MAX), 0.0)  # 10 ** this is fi
 
 class _Axis:
     """Maps [0, hi] to [0, 1] linearly, or log10 from ``clip`` up with every
-    coordinate clamped to ``clip``; a span that is not positive becomes 1."""
+    coordinate clamped to ``clip``; a span that is not positive becomes 1.
+    The linear map clamps nothing: every entry, rectangle corner and curve
+    sample of a valid diagram and profile is >= 0."""
 
     def __init__(self, hi, log, clip):
         self.log = log
@@ -48,8 +50,6 @@ class _Axis:
     def unit(self, v):
         if self.log:
             v = math.log10(max(v, self.clip))
-        else:
-            v = max(v, self.lo)
         return (v - self.lo) / self.span
 
 

@@ -317,12 +317,12 @@ class ImpliedLengths:
 
     def kept_edges(self):
         n = self.lbar.shape[0]
-        return [
+        return tuple(
             (i, j, float(self.lbar[i, j]))
             for i in range(n)
             for j in range(i + 1, n)
             if not self.missing[i, j]
-        ]
+        )
 
 
 def implied_lengths(ctree, oracle, profile):

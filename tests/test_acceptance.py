@@ -2,7 +2,6 @@
 PASS line (run with -s to see them).  Tolerances and budgets are fixed here,
 not tuned at run time."""
 
-import json
 import math
 import time
 
@@ -192,6 +191,7 @@ def test_criterion_7_pruned_search_equivalence():
 def test_criterion_8_format_fidelity(tmp_path):
     """The sparse file round-trips to a bit-identical diagram JSON."""
     from ripsaw import read_sparse, write_sparse
+    from ripsaw.persistence import dump_diagram
 
     pts = random_cloud(40, 2, 77)
     oracle = euclidean_oracle(pts)
@@ -199,15 +199,13 @@ def test_criterion_8_format_fidelity(tmp_path):
     profile = make_profile(ct, keep=35, eps1=0.25)
     matrix = sparsify(ct, oracle, profile)
 
-    meta = {"profile": matrix.profile.as_meta()}
-    direct = reduce(build_filtration(matrix, 2), 2)
-    direct_json = json.dumps(direct.to_json_dict(meta), sort_keys=True)
+    direct = tmp_path / "direct.json"
+    dump_diagram(direct, reduce(build_filtration(matrix, 2), 2), matrix.profile, {})
 
     path = tmp_path / "m.sparse"
     write_sparse(path, matrix, {"keep": 35, "eps1": 0.25})
     reread = read_sparse(path)
-    again = reduce(build_filtration(reread, 2), 2)
-    again_json = json.dumps(
-        again.to_json_dict({"profile": reread.profile.as_meta()}), sort_keys=True)
-    assert direct_json == again_json
+    again = tmp_path / "again.json"
+    dump_diagram(again, reduce(build_filtration(reread, 2), 2), reread.profile, {})
+    assert direct.read_bytes() == again.read_bytes()
     print("criterion 8 PASS: bit-identical diagram JSON after file round-trip")

@@ -108,16 +108,16 @@ def chain_tree():
 def test_tighten_chain_reaches():
     tree, oracle = chain_tree()
     ct = tighten(tree, oracle)
-    assert ct.order == [0, 1, 2]
-    assert ct.times == [INF, 2.5, 1.0]
+    assert ct.order == (0, 1, 2)
+    assert ct.times == (INF, 2.5, 1.0)
     assert ct.max_reach == 2.5
 
 
 def test_tighten_single_point():
     oracle = line_oracle([0.0])
     ct = tighten(build(oracle), oracle)
-    assert ct.order == [0]
-    assert ct.times == [INF]
+    assert ct.order == (0,)
+    assert ct.times == (INF,)
     assert ct.max_reach == 0.0
 
 
@@ -126,8 +126,8 @@ def test_tighten_star_orders_far_leaf_first():
     tree = build(oracle)
     assert tree.parent == [-1, 0, 0]
     ct = tighten(tree, oracle)
-    assert ct.order == [0, 2, 1]
-    assert ct.times == [INF, 5.0, 3.0]
+    assert ct.order == (0, 2, 1)
+    assert ct.times == (INF, 5.0, 3.0)
 
 
 def test_tighten_lifts_a_reach_to_a_child_spread_above_it():
@@ -141,7 +141,7 @@ def test_tighten_lifts_a_reach_to_a_child_spread_above_it():
     tree.add(0, 1.0)
     tree.add(1, 2.0)
     ct = tighten(tree, oracle)
-    assert (ct.order, ct.parent, ct.times) == ([0, 1, 2], [-1, 0, 1], [INF, 2.0, 2.0])
+    assert (ct.order, ct.parent, ct.times) == ((0, 1, 2), (-1, 0, 1), (INF, 2.0, 2.0))
 
 
 def test_tighten_never_exceeds_a_priori_radius():

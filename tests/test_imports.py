@@ -94,9 +94,11 @@ def test_module_algebra_names_resolve_lazily():
 
 def test_package_keeps_no_test_only_counter():
     """Per-dimension counts and a text dump of a diagram are test helpers,
-    not package code."""
+    not package code, and the diagram's JSON lives only in ``dump_diagram``
+    and ``load_diagram``."""
     assert not hasattr(importlib.import_module("ripsaw.persistence"), "count_simplices")
-    assert not hasattr(ripsaw.PersistenceDiagram, "to_text")
+    for name in ("to_text", "to_json_dict", "from_json_dict"):
+        assert not hasattr(ripsaw.PersistenceDiagram, name), name
 
 
 def _numpy_imports(source):
@@ -324,3 +326,38 @@ def test_unguarded_read_check_flags_a_bare_reader():
 def test_module_reads_text_only_through_a_guarded_open(path):
     source = (Path(ripsaw.__file__).parent / path).read_text()
     assert _unguarded_reads(source) == []
+
+
+def _unfrozen_checked_dataclasses(source):
+    """(line, class) for each ``@dataclass`` class in ``source`` whose body
+    defines ``__post_init__`` but whose decorator does not pass
+    ``frozen=True``: a value checked where it is built could change after."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and any(
+                isinstance(f, ast.FunctionDef) and f.name == "__post_init__"
+                for f in node.body)):
+            continue
+        for deco in node.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            func = call.func if call else deco
+            if isinstance(func, ast.Name) and func.id == "dataclass" and not (call and any(
+                    k.arg == "frozen" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in call.keywords)):
+                found.append((node.lineno, node.name))
+    return sorted(found)
+
+
+def test_frozen_check_flags_an_unfrozen_checked_dataclass():
+    source = ("@dataclass\nclass A:\n    def __post_init__(self): pass\n"
+              "@dataclass(order=True)\nclass B:\n    def __post_init__(self): pass\n"
+              "@dataclass(frozen=True)\nclass C:\n    def __post_init__(self): pass\n"
+              "@dataclass\nclass D:\n    x: int\n")
+    assert _unfrozen_checked_dataclasses(source) == [(2, "A"), (5, "B")]
+
+
+@pytest.mark.parametrize("path", sorted(
+    p.name for p in Path(ripsaw.__file__).parent.glob("*.py")))
+def test_checked_dataclass_is_frozen(path):
+    source = (Path(ripsaw.__file__).parent / path).read_text()
+    assert _unfrozen_checked_dataclasses(source) == []

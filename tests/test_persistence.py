@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -541,6 +542,39 @@ def test_diagram_meta_holds_only_what_is_given(tmp_path):
     assert json.loads(path.read_text())["meta"] == {"profile": profile.as_meta(),
                                                     "config": {"command": "persist"}}
     assert load_diagram(path) == (diag, profile)
+
+
+@pytest.mark.parametrize("field,max_dim,entries,message", [
+    (4, 0, [], "diagram field 4 is not a prime"),
+    (2, 0, [DiagramEntry(0, math.nan, 1.0)], "bad diagram entry: dim 0, birth nan, death 1.0"),
+    (2, 0, [DiagramEntry(0, INF, INF)], "bad diagram entry: dim 0, birth inf, death inf"),
+    (2, 0, [DiagramEntry(0, 0.5, 0.25)], "bad diagram entry: dim 0, birth 0.5, death 0.25"),
+    (2, -1, [], "diagram max_dim -1 is below 0 or an entry's dim"),
+    (2, 0, [DiagramEntry(1, 0.0, 1.0)], "diagram max_dim 0 is below 0 or an entry's dim"),
+], ids=["field-4", "nan-birth", "inf-birth", "death-below-birth", "max-dim-negative",
+        "max-dim-below-entry"])
+def test_diagram_refuses_invalid_values_where_built(field, max_dim, entries, message):
+    with pytest.raises(InputError) as exc:
+        PersistenceDiagram(field_char=field, max_dim=max_dim, entries=entries)
+    assert str(exc.value) == message
+
+
+def test_checked_values_cannot_change_after_construction():
+    """Each type checked where it is built stays as checked: no field can be
+    reassigned, and each sequence field is a tuple that cannot grow."""
+    oracle = euclidean_oracle(UNIT_SQUARE[:3])
+    ct = tighten(build(oracle), oracle)
+    profile = make_profile(ct, eps1=0.25)
+    matrix = sparsify(ct, oracle, profile)
+    diag = reduce(build_filtration(matrix, 1), 2)
+    for value, sequences in [(ct, ("order", "parent", "times")), (profile, ()),
+                             (matrix, ("edges",)), (diag, ("entries",))]:
+        for field in dataclasses.fields(value):
+            with pytest.raises(AttributeError):
+                setattr(value, field.name, getattr(value, field.name))
+        for name in sequences:
+            with pytest.raises(AttributeError):
+                getattr(value, name).append((0, 2, math.nan))
 
 
 @pytest.mark.parametrize("profile,message", [

@@ -229,7 +229,7 @@ def test_duplicate_point_keeps_parent_edge():
     profile = make_profile(ct, eps1=0.25)
     assert profile.cutoffs(ct) == [INF, 0.0]
     matrix = sparsify(ct, oracle, profile)
-    assert matrix.edges == [(0, 1, 0.0)]
+    assert matrix.edges == ((0, 1, 0.0),)
     imp = implied_lengths(ct, oracle, profile)
     assert matrix.edges == imp.kept_edges()
 
@@ -257,7 +257,7 @@ def counting(oracle):
 def lowered(ct, start, factor):
     """``ct`` with the times from index ``start`` on scaled by ``factor`` < 1:
     still a valid shape, but its cutoffs may drop parent edges."""
-    times = ct.times[:start] + [t * factor for t in ct.times[start:]]
+    times = ct.times[:start] + tuple(t * factor for t in ct.times[start:])
     return ContractionTree(order=ct.order, parent=ct.parent, times=times)
 
 
