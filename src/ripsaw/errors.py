@@ -10,7 +10,7 @@ class InputError(ValueError):
 
 class ResourceGuardError(RuntimeError):
     """A computation would exceed the configured size budget; the message
-    names the budget and how many items were enumerated before it tripped."""
+    names the budget and how many items were counted before it tripped."""
 
 
 def lines(path):

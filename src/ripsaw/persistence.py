@@ -3,13 +3,13 @@
 ``build_filtration`` turns a sparse edge list, as ``sparsify`` and
 ``read_sparse`` build it, into one graph with edges labelled by length
 rank and enumerates its flag filtration up to a simplex-dimension cap,
-storing only the simplices below the top dimension, each as one integer
-key, rank(diameter) * n**(d+1) + base-n code of its d+1 vertices, whose
-order is the filtration order; ``reduce``
-pairs its simplices on that graph, dimension 0 by union-find and the rest
-by reducing coboundary columns with clearing, with every simplex and
-coface named by its key alone and every pivot that needed no addition kept
-as that key, and reports one diagram entry per persistence pair.
+storing the vertices, the edges and the simplices below the top dimension,
+each as one integer key, rank(diameter) * n**(d+1) + base-n code of its
+d+1 vertices, whose order is the filtration order; ``reduce`` pairs its
+simplices on that graph, dimension 0 by union-find over the stored edges
+and the rest by reducing coboundary columns with clearing, with every
+simplex and coface named by its key alone and every pivot that needed no
+addition kept as that key, and reports one diagram entry per persistence pair.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
@@ -83,9 +83,10 @@ class Filtration:
 
     ``lengths`` lists the distinct edge lengths in increasing order, 0.0
     included, and ``adj[u][v]`` is the rank in it of the length of edge uv;
-    the top dimension is implicit in this graph.  Only the simplices below
-    the top dimension, the reducer's columns, are stored, each as one
-    integer key: ``columns[d]``, for each d < dim_cap with d-simplices (the
+    the top dimension is implicit in this graph.  The vertices, the edges
+    (union-find reads them even as the top dimension) and the simplices
+    below the top dimension are stored, each as one integer key:
+    ``columns[d]``, for d = 0, 1 and each d < dim_cap with d-simplices (the
     lowest, as cliques are closed under faces), lists the keys rank(diameter)
     * n**(d+1) + base-n code of their d+1 vertices in increasing order.
     """
@@ -100,8 +101,8 @@ class Filtration:
         """Every simplex, top dimension included, as (vertex tuple, diameter)
         sorted by (diameter, dimension, vertex order); every face precedes
         its cofaces.  Built on each read."""
-        out = sorted((r, len(verts), verts)
-                     for verts, _code, r, _ext in _cliques(self.adj, self.dim_cap + 1))
+        out = [(0, 1, (v,)) for v in range(len(self.adj))] + sorted(
+            (r, len(verts), verts) for verts, _, r, _ in _cliques(self.adj, self.dim_cap + 1))
         return [(verts, self.lengths[r]) for r, _m, verts in out]
 
 
@@ -117,20 +118,15 @@ def _graph(matrix):
 
 
 def _cliques(adj, dim_cap):
-    """Every vertex and every clique below dimension dim_cap of the ranked
-    graph ``adj`` on n vertices, yielded as (increasing vertex tuple, its
-    base-n code, diameter rank, extensions): the code reads the vertices as
-    digits, the last one least significant, and the extensions are the
-    vertices above the last one adjacent to all of them, so a clique with
-    dim_cap vertices has exactly len(extensions) top-dimension cofaces.
-    Every vertex comes first, then a depth-first growth from each vertex."""
-    if dim_cap < 1:
-        raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
+    """Every clique of 2 to dim_cap >= 2 vertices of the ranked graph ``adj``
+    on n vertices, grown depth-first from each vertex, yielded as (increasing
+    vertex tuple, its base-n code, diameter rank, extensions): the code reads
+    the vertices as digits, the last one least significant, and the
+    extensions are the vertices above the last one adjacent to all of them,
+    so a clique with dim_cap vertices has len(extensions) top cofaces."""
     n = len(adj)
     above = [{u for u in ranks if u > v} for v, ranks in enumerate(adj)]
-    for v in range(n):
-        yield (v,), v, 0, above[v]
-    stack = [((v,), v, 0, above[v]) for v in range(n)] if dim_cap > 1 else []
+    stack = [((v,), v, 0, above[v]) for v in range(n)]
     while stack:
         verts, code, diam, cands = stack.pop()
         for v in cands:
@@ -150,30 +146,36 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices of
     the ``SparseLengthMatrix`` ``matrix`` (``InputError`` for anything else).
 
-    Missing edges block cliques; a dimension with none gets no column list,
-    and top-dimension simplices are counted from extension sets, not stored.
-    Refuses with ``ResourceGuardError`` once the count of every simplex up
-    to dim_cap exceeds the RIPSAW_MAX_SIMPLICES environment variable's cap.
+    The vertices and the edges, sorted once, are stored at every dim_cap;
+    larger cliques are enumerated only at dim_cap >= 2, a dimension with none
+    gets no column list, and the top dimension is counted, not stored.
+    Refuses with ``ResourceGuardError`` once the count of every simplex up to
+    dim_cap, vertices and edges first, exceeds the cap in RIPSAW_MAX_SIMPLICES.
     """
     if not isinstance(matrix, SparseLengthMatrix):
         raise InputError("build_filtration takes a SparseLengthMatrix, "
                          f"not {type(matrix).__name__}")
     budget = _simplex_budget()
+    if dim_cap < 1:
+        raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
     values, adj = _graph(matrix)
     n = len(adj)
-    columns = []
-    count = 0
-    for verts, code, d, ext in _cliques(adj, dim_cap):
-        m = len(verts)
-        if m > len(columns):  # the first clique of m vertices
-            columns.append([])
-        columns[m - 1].append(d * n**m + code)
-        count += 1 + (len(ext) if m == dim_cap else 0)
+    columns = [list(range(n)), sorted(adj[i][j] * n * n + i * n + j for i, j, _w in matrix.edges)]
+    count = n + len(columns[1])
+    for verts, code, d, ext in _cliques(adj, dim_cap) if dim_cap > 1 else ():
         if count > budget:
-            raise ResourceGuardError(
-                f"simplex count exceeds cap {budget} "
-                f"(aborted after {count} simplices)")
-    for keys in columns:
+            break
+        m = len(verts)
+        if m > 2:  # edges are stored already
+            if m > len(columns):  # the first clique of m vertices
+                columns.append([])
+            columns[m - 1].append(d * n**m + code)
+        count += (m > 2) + (len(ext) if m == dim_cap else 0)
+    if count > budget:
+        raise ResourceGuardError(
+            f"simplex count exceeds cap {budget} "
+            f"(aborted after {count} simplices)")
+    for keys in columns[2:]:
         keys.sort()
     return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
 
@@ -266,10 +268,10 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     """Persistence pairs over Z_p: union-find for dimension 0, coboundary
     reduction with clearing above it.
 
-    Dimension 0 is Kruskal's algorithm over the edges in filtration order:
+    Dimension 0 is Kruskal's algorithm over ``columns[1]``, the sorted edges:
     an edge that merges two components kills a vertex class, the components
     left are essential, and the merging edges (a dimension-0 reduction's
-    pivots) are cleared in dimension 1.  The dimensions d >= 1 of
+    pivots) are cleared in dimension 1.  The dimensions 1 <= d < dim_cap of
     ``filtration.columns`` follow in increasing order, each visiting its
     d-simplices in reverse filtration order and skipping the keys of
     dimension d - 1's pivot table (clearing): such a simplex kills a
@@ -297,11 +299,11 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         raise InputError(f"field characteristic {p} is not prime")
     lengths, adj, columns = filtration.lengths, filtration.adj, filtration.columns
     n = len(adj)
-    pivots = _merging_edges(adj)
+    pivots = _merging_edges(columns[1], n)
     entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(pivots))
     entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
                 for key in pivots if key >= n * n]  # zero-length merges are dropped
-    for dim in range(1, len(columns)):
+    for dim in range(1, min(filtration.dim_cap, len(columns))):
         cleared, pivots = pivots, {}
         scale = n ** (dim + 2)
         pack = partial(array, "q") if max(len(lengths) * scale, p) <= 2**63 else tuple
@@ -327,15 +329,13 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                               entries=sorted(entries, key=lambda e: (e.dim, e.birth, e.death)))
 
 
-def _merging_edges(adj):
-    """Kruskal's algorithm over the edges ij, i < j, of the ranked graph in
-    filtration order: the set of keys rank * n**2 + i * n + j of the edges
-    that merge two components."""
-    n = len(adj)
+def _merging_edges(edges, n):
+    """Kruskal's algorithm over ``edges``, the keys rank * n**2 + i * n + j
+    of the edges ij, i < j, in filtration order (``columns[1]``): the set of
+    the keys of the edges that merge two components."""
     parent = list(range(n))
     merging = set()
-    for key in sorted(r * n * n + i * n + j
-                      for i, ranks in enumerate(adj) for j, r in ranks.items() if j > i):
+    for key in edges:
         i, j = divmod(key % (n * n), n)
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]

@@ -372,11 +372,12 @@ def decode_simplex_key(key, m, n):
 
 def simplex_counts(matrix, dim_cap):
     """Simplices per dimension 0..dim_cap of the sparse edge list's flag
-    complex, every clique enumerated and counted, the top dimension
-    included, as ``Filtration.simplices`` lists them; ``build_filtration``
-    counts the top dimension from extension sets instead."""
-    counts = [0] * (dim_cap + 1)
-    for verts, _code, _d, _ext in _cliques(_graph(matrix)[1], dim_cap + 1):
+    complex, the n vertices and every larger clique enumerated and counted,
+    the top dimension included, as ``Filtration.simplices`` lists them;
+    ``build_filtration`` counts the top dimension from extension sets instead."""
+    adj = _graph(matrix)[1]
+    counts = [len(adj)] + [0] * dim_cap
+    for verts, _code, _d, _ext in _cliques(adj, dim_cap + 1):
         counts[len(verts) - 1] += 1
     return counts
 

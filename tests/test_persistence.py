@@ -116,18 +116,20 @@ def _far_apart_clusters(n, seed):
 
 @pytest.mark.parametrize("lengths,dim_cap,past_64_bits", [
     (edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))), 3, False),
+    (edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))), 1, False),
     (edge_list(full_distance_matrix(circle_oracle(circle_sample(32)))), 2, False),
     (_far_apart_clusters(2**15, 0), 4, True),
-], ids=["cloud64", "circle32", "sparse-2**15"])
+], ids=["cloud64", "cloud64-dim_cap1", "circle32", "sparse-2**15"])
 def test_columns_hold_the_simplex_keys_in_filtration_order(lengths, dim_cap, past_64_bits):
     """``columns[d]`` decodes to the d-simplices of ``simplices``, in order;
-    at n = 2**15 the stored tetrahedron keys pass 2**63."""
+    the edges are stored even at dim_cap 1, where they are the top
+    dimension, and at n = 2**15 the stored tetrahedron keys pass 2**63."""
     filt = build_filtration(lengths, dim_cap)
     n = len(filt.adj)
     by_dim = [[] for _ in range(dim_cap + 1)]
     for verts, w in filt.simplices:
         by_dim[len(verts) - 1].append((verts, w))
-    assert len(filt.columns) == dim_cap
+    assert len(filt.columns) == max(dim_cap, 2)
     for d, keys in enumerate(filt.columns):
         decoded = [decode_simplex_key(key, d + 1, n) for key in keys]
         assert [(verts, filt.lengths[r]) for verts, r in decoded] == by_dim[d]
@@ -200,22 +202,46 @@ def test_columns_stop_at_the_largest_clique():
     assert diag.dims() == [0, 1]
 
 
-def test_union_find_h0_two_components_and_a_duplicate():
-    """Points 0-3 (3 a copy of 0, so edge 03 has length 0) and points 4-5,
-    with no edge between the groups: two essential H0 classes, and the
-    zero-length merge is dropped; the H1 cycle 0-1-2 dies as it is born."""
+def _two_components_and_a_duplicate():
+    """Points 0-3 (3 a copy of 0) and points 4-5, with no edge between the
+    groups."""
     dist = [[INF] * 6 for _ in range(6)]
     for (i, j), w in {(0, 1): 1.0, (1, 2): 2.0, (0, 2): 2.5, (0, 3): 0.0,
                       (1, 3): 1.0, (2, 3): 2.5, (4, 5): 1.5}.items():
         dist[i][j] = dist[j][i] = w
     for k in range(6):
         dist[k][k] = 0.0
-    filt = build_filtration(edge_list(dist), 2)
+    return edge_list(dist)
+
+
+def test_union_find_h0_two_components_and_a_duplicate():
+    """Two essential H0 classes, and the zero-length merge (edge 03) is
+    dropped; the H1 cycle 0-1-2 dies as it is born."""
+    filt = build_filtration(_two_components_and_a_duplicate(), 2)
     for p in (2, 3):
         diag = reduce(filt, p)
         assert diag == boundary_reduce(filt, p)
         assert diagram_to_multisets(diag, 1) == {
             0: [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0), (0.0, INF), (0.0, INF)], 1: []}
+
+
+@pytest.mark.parametrize("lengths", [
+    _two_components_and_a_duplicate(),
+    edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))),
+], ids=["two-components", "cloud64"])
+def test_dim_cap_1_enumerates_no_clique(monkeypatch, lengths):
+    """At dim_cap 1, H0 is union-find over the stored sorted edges alone:
+    with the clique enumerator made to raise, building and reducing still
+    give boundary-matrix reduction's diagram."""
+    filt = build_filtration(lengths, 1)
+    expected = {p: boundary_reduce(filt, p) for p in (2, 3)}
+
+    def no_cliques(*_args):
+        raise AssertionError("cliques enumerated at dim_cap 1")
+
+    monkeypatch.setattr("ripsaw.persistence._cliques", no_cliques)
+    for p in (2, 3):
+        assert reduce(build_filtration(lengths, 1), p) == expected[p]
 
 
 def _aborted_after(err):
