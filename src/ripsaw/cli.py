@@ -29,8 +29,7 @@ def cmd_tree(args):
     from . import covertree, metric  # here, not at module level: `ripsaw gen` never needs them
 
     oracle, digest = metric.load_input(args.input, args.format)
-    tree = covertree.build(oracle)
-    ctree = covertree.tighten(tree, oracle)
+    ctree = covertree.tighten(covertree.build(oracle), oracle)
     covertree.write_tree(args.out, ctree, digest, _config(args))
     print(f"points: {ctree.size}")
     print(f"R: {ctree.max_reach!r}")
@@ -77,9 +76,10 @@ def cmd_persist(args):
     if not persistence.is_prime(args.field):
         raise InputError(f"--field must be a prime, got {args.field}")
     matrix = read_sparse(args.input)
-    filtration = persistence.build_filtration(matrix, dim_cap=args.dim + 1)
+    profile, filtration = matrix.profile, persistence.build_filtration(matrix, args.dim + 1)
+    del matrix  # the edges are in the filtration now; reduce needs only that
     diag = persistence.reduce(filtration, args.field)
-    persistence.dump_diagram(args.out, diag, matrix.profile, _config(args))
+    persistence.dump_diagram(args.out, diag, profile, _config(args))
     print(f"entries: {len(diag.entries)}")
     print(f"wrote {args.out}")
     return 0

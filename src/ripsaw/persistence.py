@@ -106,17 +106,6 @@ class Filtration:
         return [(verts, self.lengths[r]) for r, _m, verts in out]
 
 
-def _graph(matrix):
-    """The ranked graph of a ``SparseLengthMatrix``, checked where it was built:
-    (sorted distinct lengths, 0.0 included; ``adj[u][v]`` = rank of edge uv's length)."""
-    values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
-    rank = {w: k for k, w in enumerate(values)}
-    adj = [{} for _ in range(matrix.profile.N)]
-    for i, j, w in matrix.edges:
-        adj[i][j] = adj[j][i] = rank[w]
-    return values, adj
-
-
 def _cliques(adj, dim_cap):
     """Every clique of 2 to dim_cap >= 2 vertices of the ranked graph ``adj``
     on n vertices, grown depth-first from each vertex, yielded as (increasing
@@ -158,10 +147,18 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     budget = _simplex_budget()
     if dim_cap < 1:
         raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
-    values, adj = _graph(matrix)
-    n = len(adj)
-    columns = [list(range(n)), sorted(adj[i][j] * n * n + i * n + j for i, j, _w in matrix.edges)]
-    count = n + len(columns[1])
+    values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
+    rank = {w: k for k, w in enumerate(values)}
+    n = matrix.profile.N
+    adj = [{} for _ in range(n)]
+    edges = []
+    for i, j, w in matrix.edges:  # each rank looked up once, for adj and the key
+        adj[i][j] = adj[j][i] = r = rank[w]
+        edges.append(r * n * n + i * n + j)
+    del rank  # one entry per distinct length; the cliques need it no more
+    edges.sort()
+    columns = [list(range(n)), edges]
+    count = n + len(edges)
     for verts, code, d, ext in _cliques(adj, dim_cap) if dim_cap > 1 else ():
         if count > budget:
             break

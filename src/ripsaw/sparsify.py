@@ -221,7 +221,8 @@ def sparsify(ctree, oracle, profile: PrecisionProfile) -> SparseLengthMatrix:
     rows = [[] for _ in range(profile.N)]
     for edge in edges:
         rows[edge[0]].append(edge)
-    return SparseLengthMatrix(edges=[e for row in rows for e in row], profile=profile)
+    del edges  # the rows hold every edge now
+    return SparseLengthMatrix(edges=(e for row in rows for e in row), profile=profile)
 
 
 def _meta_path(path):

@@ -1,9 +1,11 @@
 import bisect
 import hashlib
+import importlib
 import json
 import math
 import random
 import re
+import weakref
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -166,6 +168,61 @@ def test_persist_memory_guard(tmp_path, monkeypatch, capsys):
     assert run("persist", "--input", sparse, "--dim", 1,
                "--out", tmp_path / "d.json") == 3
     assert "hand the .sparse file to an external engine" in capsys.readouterr().err
+
+
+def test_persist_holds_no_matrix_during_reduce(circle_files, monkeypatch):
+    """Once ``build_filtration`` returns, ``persist`` keeps only the matrix's
+    profile: the edge list is not alive while ``reduce`` runs."""
+    from ripsaw import persistence
+
+    sparsify = importlib.import_module("ripsaw.sparsify")  # ripsaw.sparsify is the function
+    read_sparse, reduce = sparsify.read_sparse, persistence.reduce
+    matrices, alive = [], []
+
+    def tracked_read_sparse(path):
+        matrix = read_sparse(path)
+        matrices.append(weakref.ref(matrix))
+        return matrix
+
+    def checked_reduce(filtration, p):
+        alive.append([ref() is not None for ref in matrices])
+        return reduce(filtration, p)
+
+    monkeypatch.setattr(sparsify, "read_sparse", tracked_read_sparse)
+    monkeypatch.setattr(persistence, "reduce", checked_reduce)
+    out = circle_files["diag"]
+    written = out.read_bytes()
+    assert run("persist", "--input", circle_files["sparse"], "--dim", 1,
+               "--field", 2, "--out", out) == 0
+    assert alive == [[False]]
+    assert out.read_bytes() == written
+
+
+def test_tree_holds_no_cover_tree_during_write(circle_files, monkeypatch):
+    """``tree`` hands the cover tree straight to ``tighten``, so it is not
+    alive while ``write_tree`` runs."""
+    from ripsaw import covertree
+
+    build, write_tree = covertree.build, covertree.write_tree
+    trees, alive = [], []
+
+    def tracked_build(oracle):
+        tree = build(oracle)
+        trees.append(weakref.ref(tree))
+        return tree
+
+    def checked_write_tree(*args):
+        alive.append([ref() is not None for ref in trees])
+        return write_tree(*args)
+
+    monkeypatch.setattr(covertree, "build", tracked_build)
+    monkeypatch.setattr(covertree, "write_tree", checked_write_tree)
+    out = circle_files["tree"]
+    written = out.read_bytes()
+    assert run("tree", "--input", circle_files["csv"], "--format", "circle",
+               "--out", out) == 0
+    assert alive == [[False]]
+    assert out.read_bytes() == written
 
 
 def test_verify_self_passes(circle_files, capsys):

@@ -293,11 +293,11 @@ def test_memory_guard_counts_every_clique(monkeypatch, dim_cap):
 ], ids=["nan", "negative", "inf", "repeated", "out-of-order", "j-past-size", "i-above-j",
         "loop"])
 def test_malformed_edge_list_is_input_error(edges, message):
-    """An edge list is checked where its matrix is built, so ``_graph`` never
-    sees a malformed one.  Unchecked, a NaN length gives an H0 death of nan
-    that ``load_diagram`` refuses, a repeated pair keeps its last length, a
-    negative length shares rank 0 with the vertices, and j >= N raises
-    IndexError."""
+    """An edge list is checked where its matrix is built, so
+    ``build_filtration`` never sees a malformed one.  Unchecked, a NaN
+    length gives an H0 death of nan that ``load_diagram`` refuses, a
+    repeated pair keeps its last length, a negative length shares rank 0
+    with the vertices, and j >= N raises IndexError."""
     with pytest.raises(InputError, match=message):
         SparseLengthMatrix(edges=edges,
                            profile=PrecisionProfile(R=0.0, eps0=0.0, eps1=0.0, N=3, n=3))
@@ -308,6 +308,29 @@ def test_build_filtration_takes_only_a_sparse_length_matrix():
     a ``SparseLengthMatrix`` makes where it is built, so it is refused."""
     with pytest.raises(InputError, match="takes a SparseLengthMatrix, not SimpleNamespace"):
         build_filtration(SimpleNamespace(size=2, edges=[(0, 1, 0.5)]), 1)
+
+
+class PassCountingEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("dim_cap", [1, 2, 3])
+def test_build_filtration_reads_the_edges_in_two_passes(dim_cap):
+    """One pass over ``matrix.edges`` gathers the distinct lengths, and one
+    more looks up each edge's rank once, for the adjacency and the edge key
+    alike; nothing reads the ranks back in a third pass."""
+    matrix = edge_list(full_distance_matrix(euclidean_oracle(random_cloud(16, 2, 3))))
+    expected = build_filtration(matrix, dim_cap)
+    edges = PassCountingEdges(matrix.edges)
+    object.__setattr__(matrix, "edges", edges)
+    assert build_filtration(matrix, dim_cap) == expected
+    assert edges.passes == 2
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6",
