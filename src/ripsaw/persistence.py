@@ -1,15 +1,15 @@
 """Desk-scale persistent homology over prime fields.
 
 ``build_filtration`` turns a sparse edge list, as ``sparsify`` and
-``read_sparse`` build it, into one graph with edges labelled by length
-rank and enumerates its flag filtration up to a simplex-dimension cap,
-storing the vertices, the edges and the simplices below the top dimension,
-each as one integer key, rank(diameter) * n**(d+1) + base-n code of its
-d+1 vertices, whose order is the filtration order; ``reduce`` pairs its
-simplices on that graph, dimension 0 by union-find over the stored edges
-and the rest by reducing coboundary columns with clearing, with every
-simplex and coface named by its key alone and every pivot that needed no
-addition kept as that key, and reports one diagram entry per persistence pair.
+``read_sparse`` build it, into its flag filtration up to a simplex-dimension
+cap: one stable sort by length ranks the edges (ties keep
+``SparseLengthMatrix``'s (i, j) order), and the vertices, the edges and the
+simplices below the top dimension are stored, each as one integer key,
+rank(diameter) * n**(d+1) + base-n code of its d+1 vertices, in filtration
+order; the ranked graph is built from the edge keys on first read.
+``reduce`` pairs the simplices, dimension 0 by union-find over the edges and
+the rest by reducing coboundary columns on that graph with clearing, naming
+a simplex, a coface or a pivot that needed no addition by its key alone.
 
 Conventions: a simplex of diameter w enters the filtration at scales r > w,
 so entries mean "feature present for r in (birth, death]".  Vertices are
@@ -27,8 +27,9 @@ import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
+from operator import itemgetter
 
 from .errors import InputError, ResourceGuardError
 from .sparsify import PrecisionProfile, SparseLengthMatrix, json_int, json_number
@@ -82,26 +83,34 @@ class Filtration:
     """The flag filtration of a ranked graph up to ``dim_cap``-simplices.
 
     ``lengths`` lists the distinct edge lengths in increasing order, 0.0
-    included, and ``adj[u][v]`` is the rank in it of the length of edge uv;
-    the top dimension is implicit in this graph.  The vertices, the edges
-    (union-find reads them even as the top dimension) and the simplices
-    below the top dimension are stored, each as one integer key:
+    included.  The vertices, the edges (union-find reads them even as the top
+    dimension) and the simplices below the top are stored as integer keys:
     ``columns[d]``, for d = 0, 1 and each d < dim_cap with d-simplices (the
     lowest, as cliques are closed under faces), lists the keys rank(diameter)
-    * n**(d+1) + base-n code of their d+1 vertices in increasing order.
+    * n**(d+1) + base-n code of their d+1 vertices in increasing order, ties
+    in ``SparseLengthMatrix``'s (i, j) order.  The top dimension is implicit in
+    ``adj``, built from ``columns[1]`` on first read: adj[u][v] is uv's rank.
     """
 
     lengths: list
-    adj: list
     dim_cap: int
     columns: list
+
+    @cached_property
+    def adj(self):
+        n = len(vertex := self.columns[0])  # the dict keys share its ints
+        adj = [{} for _ in vertex]
+        for key in self.columns[1]:
+            i, j = divmod(key % (n * n), n)
+            adj[i][vertex[j]] = adj[j][vertex[i]] = key // (n * n)
+        return adj
 
     @property
     def simplices(self):
         """Every simplex, top dimension included, as (vertex tuple, diameter)
         sorted by (diameter, dimension, vertex order); every face precedes
         its cofaces.  Built on each read."""
-        out = [(0, 1, (v,)) for v in range(len(self.adj))] + sorted(
+        out = [(0, 1, (v,)) for v in self.columns[0]] + sorted(
             (r, len(verts), verts) for verts, _, r, _ in _cliques(self.adj, self.dim_cap + 1))
         return [(verts, self.lengths[r]) for r, _m, verts in out]
 
@@ -112,9 +121,11 @@ def _cliques(adj, dim_cap):
     vertex tuple, its base-n code, diameter rank, extensions): the code reads
     the vertices as digits, the last one least significant, and the
     extensions are the vertices above the last one adjacent to all of them,
-    so a clique with dim_cap vertices has len(extensions) top cofaces."""
+    so a clique with dim_cap vertices has len(extensions) top cofaces.
+    Sorting each ``adj[v]`` makes the walk, and so where the guard stops it,
+    independent of the order adj was filled in."""
     n = len(adj)
-    above = [{u for u in ranks if u > v} for v, ranks in enumerate(adj)]
+    above = [{u for u in sorted(ranks) if u > v} for v, ranks in enumerate(adj)]
     stack = [((v,), v, 0, above[v]) for v in range(n)]
     while stack:
         verts, code, diam, cands = stack.pop()
@@ -135,9 +146,10 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices of
     the ``SparseLengthMatrix`` ``matrix`` (``InputError`` for anything else).
 
-    The vertices and the edges, sorted once, are stored at every dim_cap;
-    larger cliques are enumerated only at dim_cap >= 2, a dimension with none
-    gets no column list, and the top dimension is counted, not stored.
+    One walk over the edges, stably sorted by length, ranks them; ties keep
+    ``SparseLengthMatrix``'s (i, j) order, so the edge keys come out sorted.
+    Only at dim_cap >= 2 are larger cliques enumerated, on ``Filtration.adj``
+    (built on first read); the top dimension is counted, not stored.
     Refuses with ``ResourceGuardError`` once the count of every simplex up to
     dim_cap, vertices and edges first, exceeds the cap in RIPSAW_MAX_SIMPLICES.
     """
@@ -147,19 +159,16 @@ def build_filtration(matrix, dim_cap) -> Filtration:
     budget = _simplex_budget()
     if dim_cap < 1:
         raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
-    values = sorted({0.0, *(w for _i, _j, w in matrix.edges)})
-    rank = {w: k for k, w in enumerate(values)}
     n = matrix.profile.N
-    adj = [{} for _ in range(n)]
-    edges = []
-    for i, j, w in matrix.edges:  # each rank looked up once, for adj and the key
-        adj[i][j] = adj[j][i] = r = rank[w]
-        edges.append(r * n * n + i * n + j)
-    del rank  # one entry per distinct length; the cliques need it no more
-    edges.sort()
-    columns = [list(range(n)), edges]
-    count = n + len(edges)
-    for verts, code, d, ext in _cliques(adj, dim_cap) if dim_cap > 1 else ():
+    lengths, edges, base = [0.0], [], 0  # base = rank * n**2 of the last length
+    for i, j, w in sorted(matrix.edges, key=itemgetter(2)):
+        if w > lengths[-1]:
+            lengths.append(w)
+            base += n * n
+        edges.append(base + i * n + j)
+    filt = Filtration(lengths=lengths, dim_cap=dim_cap, columns=[list(range(n)), edges])
+    columns, count = filt.columns, n + len(edges)
+    for verts, code, d, ext in _cliques(filt.adj, dim_cap) if dim_cap > 1 else ():
         if count > budget:
             break
         m = len(verts)
@@ -174,7 +183,7 @@ def build_filtration(matrix, dim_cap) -> Filtration:
             f"(aborted after {count} simplices)")
     for keys in columns[2:]:
         keys.sort()
-    return Filtration(lengths=values, adj=adj, dim_cap=dim_cap, columns=columns)
+    return filt
 
 
 @dataclass(frozen=True)
@@ -274,18 +283,18 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     dimension d - 1's pivot table (clearing): such a simplex kills a
     (d-1)-class and can pair with nothing in dimension d.
 
-    Each coboundary column is generated from the edge graph when its simplex
-    is visited: its rows are the (d+1)-simplices formed with the common
-    neighbours of the simplex's vertices, with coefficient (-1)^k when the
-    added vertex sits at position k.  A row is never stored as a simplex:
-    it is the key rank(diameter) * n**(d+2) + base-n code of its vertices,
-    the encoding of ``filtration.columns``, so keys order like the
-    filtration, the pivot is the smallest key, and a d-simplex is cleared
-    when its own key was a pivot in dimension d - 1.
+    Each coboundary column is generated from ``filtration.adj``, read only
+    past dimension 0, when its simplex is visited: its rows are the
+    (d+1)-simplices formed with the common neighbours of the simplex's
+    vertices, with coefficient (-1)^k when the added vertex sits at position
+    k.  A row is never stored as a simplex: it is the key rank(diameter) *
+    n**(d+2) + base-n code of its vertices, the encoding of the columns, so
+    keys order like the filtration, the pivot is the smallest key, and a
+    d-simplex is cleared when its own key was a pivot in dimension d - 1.
     A column whose pivot is still free needs no addition and is kept as its
     simplex's key alone, its coboundary regenerated when a later column
-    reaches that pivot; one that needed additions is kept
-    reduced, as row and coefficient arrays (64-bit when every key fits).
+    reaches that pivot; one that needed additions is kept reduced, as row
+    and coefficient arrays (64-bit when every key fits).
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
     simplex, diameter of tau]; one whose column reduces to zero is an
@@ -294,8 +303,8 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     """
     if not is_prime(p):
         raise InputError(f"field characteristic {p} is not prime")
-    lengths, adj, columns = filtration.lengths, filtration.adj, filtration.columns
-    n = len(adj)
+    lengths, columns = filtration.lengths, filtration.columns
+    n = len(columns[0])
     pivots = _merging_edges(columns[1], n)
     entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(pivots))
     entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
@@ -307,10 +316,10 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
         for key in reversed(columns[dim]):
             if key in cleared:
                 continue
-            col = _coboundary(key, dim + 1, adj, n, p)
+            col = _coboundary(key, dim + 1, filtration.adj, n, p)
             low = min(col, default=None)
             if low in pivots:
-                low = _reduce_column(col, pivots, dim + 1, adj, n, p)
+                low = _reduce_column(col, pivots, dim + 1, filtration.adj, n, p)
                 if col:
                     # stored scaled so that the pivot coefficient is 1
                     inv = pow(col[low], -1, p)

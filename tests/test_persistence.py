@@ -43,7 +43,7 @@ from ripsaw import (
     sparsify,
     tighten,
 )
-from ripsaw.persistence import dump_diagram, is_prime, load_diagram
+from ripsaw.persistence import _cliques, dump_diagram, is_prime, load_diagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
@@ -125,7 +125,7 @@ def test_columns_hold_the_simplex_keys_in_filtration_order(lengths, dim_cap, pas
     the edges are stored even at dim_cap 1, where they are the top
     dimension, and at n = 2**15 the stored tetrahedron keys pass 2**63."""
     filt = build_filtration(lengths, dim_cap)
-    n = len(filt.adj)
+    n = len(filt.columns[0])
     by_dim = [[] for _ in range(dim_cap + 1)]
     for verts, w in filt.simplices:
         by_dim[len(verts) - 1].append((verts, w))
@@ -168,6 +168,23 @@ def test_free_pivots_keep_only_their_simplex(p):
     finally:
         tracemalloc.stop()
     assert peak < 2.0e6
+
+
+def test_dimension_0_builds_no_graph():
+    """The exact 64-point cloud at dim_cap 1 over Z_3: union-find reads only
+    the edge keys, so neither building nor reducing builds the ranked graph,
+    and the two peak at 0.12 MB, where the graph built with the filtration
+    took them to 0.36 MB."""
+    matrix = edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0))))
+    tracemalloc.start()
+    try:
+        filt = build_filtration(matrix, 1)
+        reduce(filt, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2e6
+    assert "adj" not in vars(filt)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -258,6 +275,18 @@ def test_memory_guard_env(monkeypatch):
         assert _aborted_after(err) > cap
 
 
+def test_clique_walk_ignores_the_order_adj_was_filled_in():
+    """Where the guard stops the clique walk depends on the walk's order, so
+    that order depends on the graph alone: ``adj`` filled in filtration
+    order, as ``Filtration.adj`` fills it, and in vertex order give the same
+    walk."""
+    oracle = euclidean_oracle(random_cloud(100, 2, 0))
+    ct = tighten(build(oracle), oracle)
+    adj = build_filtration(sparsify(ct, oracle, make_profile(ct, eps1=0.5)), 1).adj
+    by_vertex = [dict(sorted(ranks.items())) for ranks in adj]
+    assert list(_cliques(adj, 3)) == list(_cliques(by_vertex, 3))
+
+
 def _guard_inputs():
     oracle = euclidean_oracle(random_cloud(40, 2, 7))
     ct = tighten(build(oracle), oracle)
@@ -321,16 +350,16 @@ class PassCountingEdges(tuple):
 
 
 @pytest.mark.parametrize("dim_cap", [1, 2, 3])
-def test_build_filtration_reads_the_edges_in_two_passes(dim_cap):
-    """One pass over ``matrix.edges`` gathers the distinct lengths, and one
-    more looks up each edge's rank once, for the adjacency and the edge key
-    alike; nothing reads the ranks back in a third pass."""
+def test_build_filtration_reads_the_edges_in_one_pass(dim_cap):
+    """The one stable sort of ``matrix.edges`` by length is the only pass
+    over them: the ranks, the lengths and the sorted edge keys come from one
+    walk over the sorted list, and the graph is read off the keys."""
     matrix = edge_list(full_distance_matrix(euclidean_oracle(random_cloud(16, 2, 3))))
     expected = build_filtration(matrix, dim_cap)
     edges = PassCountingEdges(matrix.edges)
     object.__setattr__(matrix, "edges", edges)
     assert build_filtration(matrix, dim_cap) == expected
-    assert edges.passes == 2
+    assert edges.passes == 1
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5e6",
