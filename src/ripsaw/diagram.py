@@ -12,18 +12,20 @@ W(r) includes into V(r) and V(r) into W(psi(r)): the rank inequalities
 
     rank_W(s -> psi(t)) <= rank_V(s -> t) <= rank_W(psi(s) -> t)
 
-over a grid of critical scales, plus the existence of a matching that covers
-every alive entry on both sides.  One shift map psi does all of it: an entry
-(b, d) of V is related to (bw, dw) of W when b <= bw <= psi(b) and
-d <= dw <= psi(d), and an entry must be matched when psi(b) <= d.  Every
-psi here, ``PrecisionProfile.psi`` included, maps inf to inf.
+on every cell (s, t), s <= t, of a grid of critical scales, read off rows of
+counts that follow s up the grid, plus a matching that covers every alive
+entry on both sides.  One shift map psi does all of it: an entry (b, d) of V
+is related to (bw, dw) of W when b <= bw <= psi(b) and d <= dw <= psi(d), and
+an entry must be matched when psi(b) <= d.  Every psi here maps inf to inf.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import gt
 
 from .errors import InputError
 from .persistence import PersistenceDiagram
@@ -181,27 +183,6 @@ def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
 
 # --- rank queries and interleaving verification ------------------------------
 
-def _ranks(pairs):
-    """``rank(s, t)``, the number of pairs with birth < s and death >= t
-    (features persisting from s to t), for s <= t, by bisection: the deaths
-    of the pairs born before s are kept sorted, so s must never decrease
-    from one call to the next (InputError)."""
-    births, deaths = sorted(pairs), []
-    i, last = 0, -INF  # pairs moved into deaths, the last s
-
-    def rank(s, t):
-        nonlocal i, last
-        if s < last:
-            raise InputError(f"rank threshold went down from {last!r} to {s!r}: "
-                             "is the shift map nondecreasing?")
-        last = s
-        while i < len(births) and births[i][0] < s:
-            insort(deaths, births[i][1])
-            i += 1
-        return len(deaths) - bisect_left(deaths, t)
-    return rank
-
-
 @dataclass
 class RankWitness:
     inequality: int  # 1: rank_W(s->psi(t)) <= rank_V(s->t); 2: the reverse bound
@@ -261,6 +242,38 @@ def _grid(values, psi_inv):
     return sorted(pts)
 
 
+def _rank_violations(grid, t_grid, shifted, pv, pw):
+    """The failing cells (s, t) in scan order (s up ``grid``, then t, 1 before
+    2) until MAX_WITNESSES.  Row a[j] is rank_V(s, t_j), b[j] rank_W(s,
+    shifted[j]) and c[j] rank_W(psi(s), t_j): a pair born below s (psi(s) for
+    c) adds 1 up to the last t-grid index its death covers.  An inequality asks
+    a suffix of the t-grid, so rows unchanged since a clean scan are skipped."""
+    if down := [(lo, hi) for lo, hi in zip(shifted, shifted[1:]) if hi < lo]:
+        raise InputError(f"rank threshold went down from {down[0][0]!r} to {down[0][1]!r}: "
+                         "is the shift map nondecreasing?")
+    starts = [sorted((b, e - 1) for b, d in pairs if (e := bisect_right(cover, d)))[::-1]
+              for pairs, cover in ((pv, t_grid), (pw, shifted), (pw, t_grid))]
+    ends = [[0] * len(t_grid) for _ in starts]
+    rows, violations, cleared = [None] * 3, [], False
+    for k, (s, ps) in enumerate(zip(grid, shifted)):
+        for r, cut in enumerate((s, s, ps)):
+            while starts[r] and starts[r][-1][0] < cut:  # born below the cut: enters row r
+                ends[r][starts[r].pop()[1]] += 1
+                rows[r], cleared = None, False
+        a, b, c = rows = [x or list(accumulate(reversed(e)))[::-1] for x, e in zip(rows, ends)]
+        lo1, lo2 = max(k, bisect_left(shifted, s)), max(k, bisect_left(t_grid, ps))
+        if cleared or not (any(map(gt, b[lo1:], a[lo1:])) or any(map(gt, a[lo2:], c[lo2:]))):
+            cleared = True
+            continue
+        for j, t in enumerate(t_grid[k:], k):
+            for ineq, lo, lhs, rhs in ((1, lo1, b[j], a[j]), (2, lo2, a[j], c[j])):
+                if j >= lo and lhs > rhs:
+                    violations.append(RankWitness(ineq, s, t, lhs, rhs))
+            if len(violations) >= MAX_WITNESSES:
+                return violations
+    return violations
+
+
 def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
                         profile) -> InterleavingReport:
     """Check that ``diag_w`` is psi-interleaved into ``diag_v``.
@@ -271,11 +284,11 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
     object with both); ``psi_inv`` lays out the test grid so that count
     regimes between critical values are not skipped.
 
-    The grid closure covers every distinct value the rank counts can take:
-    counts change only where s or t crosses an entry value or a psi-preimage
-    of one.  The cells (s, t), s <= t, are visited with s ascending, so psi
-    must be nondecreasing, and both diagrams over one field and computed up
-    to one dimension (InputError otherwise).
+    The grid holds every value where a rank count can change: the entry
+    values and their psi-preimages.  Each cell (s, t), s <= t, is read off
+    three rows of counts over t that follow s up the grid, so psi must be
+    nondecreasing, and both diagrams over one field and up to one dimension
+    (InputError otherwise).
     """
     if (p := diag_v.field_char) != (q := diag_w.field_char):
         raise InputError(f"field characteristics differ: {p} vs {q}")
@@ -288,17 +301,7 @@ def verify_interleaving(diag_v: PersistenceDiagram, diag_w: PersistenceDiagram,
         grid = _grid([v for pair in pv + pw for v in pair], psi_inv)
         t_grid = grid + [INF]
         shifted = [psi(t) for t in t_grid]
-        rank_v, rank_w, rank_w_shifted = _ranks(pv), _ranks(pw), _ranks(pw)
-        violations = []
-        for s, ps, t, pt in ((s, shifted[k], t, pt) for k, s in enumerate(grid)
-                             for t, pt in zip(t_grid[k:], shifted[k:])):
-            rv = rank_v(s, t)
-            if s <= pt and (lhs := rank_w(s, pt)) > rv:
-                violations.append(RankWitness(1, s, t, lhs, rv))
-            if ps <= t and rv > (rhs := rank_w_shifted(ps, t)):
-                violations.append(RankWitness(2, s, t, rv, rhs))
-            if len(violations) >= MAX_WITNESSES:
-                break
         report.dimensions[dim] = DimensionReport(
-            rank_violations=violations, matching=match_diagrams(pv, pw, psi))
+            rank_violations=_rank_violations(grid, t_grid, shifted, pv, pw),
+            matching=match_diagrams(pv, pw, psi))
     return report

@@ -291,29 +291,14 @@ def _random_pairs(seed, salt=0):
     return pairs
 
 
-def test_rank_closure_matches_rank_at_on_every_grid_query():
-    """``_ranks`` answers every cell verify asks, s ascending and t >= s,
-    exactly as ``rank_at`` counts, on random diagrams with tied values and
-    infinite deaths."""
-    from ripsaw.diagram import _grid, _ranks
+def _h0_pairs(seed, salt):
+    """An H0-shaped diagram: every birth 0.0, up to 8 deaths on a half grid
+    (so deaths tie), and one or two infinite deaths."""
+    from helpers import splitmix_draw
 
-    psi_inv = lambda r: max(0.0, r / 1.5 - 0.25)  # noqa: E731
-    for seed in range(40):
-        pairs = _random_pairs(seed)
-        grid = _grid([v for pair in pairs for v in pair], psi_inv)
-        rank = _ranks(pairs)
-        for k, s in enumerate(grid):
-            for t in grid[k:] + [INF]:
-                assert rank(s, t) == rank_at(pairs, s, t), (seed, s, t)
-
-
-def test_rank_closure_refuses_a_threshold_that_goes_down():
-    from ripsaw.diagram import _ranks
-
-    rank = _ranks([(1.0, 3.0)])
-    assert rank(2.0, 2.5) == 1
-    with pytest.raises(InputError, match="nondecreasing"):
-        rank(1.5, 2.5)
+    finite = [(0.0, 0.5 + int(splitmix_draw(seed, salt + k + 2) * 6) / 2)
+              for k in range(int(splitmix_draw(seed, salt) * 9))]
+    return finite + [(0.0, INF)] * (1 + int(splitmix_draw(seed, salt + 1) * 2))
 
 
 # --- interleaving verification --------------------------------------------------------
@@ -325,25 +310,39 @@ def test_verify_refuses_diagrams_over_two_fields():
                             SimpleNamespace(psi=identity, psi_inv=identity))
 
 
-def test_verify_refuses_a_decreasing_shift():
-    d = diag([(1, 1.0, 3.0)])
-    with pytest.raises(InputError, match="nondecreasing"):
-        verify_interleaving(d, d, SimpleNamespace(psi=lambda r: -r, psi_inv=identity))
+@pytest.mark.parametrize("psi, first_drop", [
+    (lambda r: -r, "from -1.0 to -2.0"),
+    (lambda r: r if r < 4.0 else r - 2.5, "from 3.0 to 2.5"),
+], ids=["at-once", "past-three-grid-values"])
+def test_verify_refuses_a_decreasing_shift(psi, first_drop):
+    """psi is checked on the whole grid before any cell is scanned, and the
+    refusal names the first pair of grid values where it goes down."""
+    d = diag([(1, 1.0, 3.0), (1, 2.0, 5.0)])
+    with pytest.raises(InputError, match=f"went down {first_drop}: .* nondecreasing"):
+        verify_interleaving(d, d, SimpleNamespace(psi=psi, psi_inv=identity))
 
 
 def test_verify_witnesses_equal_a_scan_with_rank_at():
     """On random diagram pairs, most of them not interleaved, the witnesses
     are those of the plain scan: every grid cell (s, t) with s <= t, s
     ascending, then t, counted by ``rank_at``, stopping after the cell that
-    brings the count to MAX_WITNESSES."""
+    brings the count to MAX_WITNESSES.  The pairs come as ``_random_pairs``
+    and as H0-shaped diagrams, each under an affine shift, under a profile
+    capped at R, whose psi is flat on the grid past R, and under psi = id."""
     from ripsaw.diagram import MAX_WITNESSES, _grid
 
-    psi = lambda r: 1.25 * r + 0.125  # noqa: E731
-    psi_inv = lambda r: max(0.0, (r - 0.125) / 1.25)  # noqa: E731
+    affine = SimpleNamespace(psi=lambda r: 1.25 * r + 0.125,
+                             psi_inv=lambda r: max(0.0, (r - 0.125) / 1.25))
+    capped_at_r = PrecisionProfile(R=1.5, eps0=0.125, eps1=0.25, N=9, n=9)
+    shifts = (affine, capped_at_r, SimpleNamespace(psi=identity, psi_inv=identity))
+    cases = [(_random_pairs(seed), _random_pairs(seed, salt=100), profile, seed)
+             for profile in shifts for seed in range(40)]
+    cases += [(_h0_pairs(seed, 0), _h0_pairs(seed, 50), profile, seed)
+              for profile in shifts for seed in range(20)]
     capped = 0
-    for seed in range(40):
-        pv, pw = _random_pairs(seed), _random_pairs(seed, salt=100)
-        grid = _grid([v for pair in pv + pw for v in pair], psi_inv)
+    for pv, pw, profile, seed in cases:
+        psi = profile.psi
+        grid = _grid([v for pair in pv + pw for v in pair], profile.psi_inv)
         expected = []
         for s, t in ((s, t) for s in grid for t in grid + [INF] if s <= t):
             if s <= psi(t) and rank_at(pw, s, psi(t)) > rank_at(pv, s, t):
@@ -354,11 +353,10 @@ def test_verify_witnesses_equal_a_scan_with_rank_at():
                 break
         capped += len(expected) >= MAX_WITNESSES
         report = verify_interleaving(diag([(1, b, d) for b, d in pv]),
-                                     diag([(1, b, d) for b, d in pw]),
-                                     SimpleNamespace(psi=psi, psi_inv=psi_inv))
+                                     diag([(1, b, d) for b, d in pw]), profile)
         rep = report.dimensions.get(1)
         got = [(w.inequality, w.s, w.t, w.lhs, w.rhs) for w in rep.rank_violations] if rep else []
-        assert got == expected, seed
+        assert got == expected, (pv, pw, profile, seed)
     assert capped >= 10
 
 
