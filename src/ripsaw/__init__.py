@@ -26,8 +26,8 @@ _EXPORTS = {
     "covertree": ("ContractionTree", "CoverTree", "build", "contraction_violations",
                   "density_violations", "find_parent", "read_tree", "tighten",
                   "write_tree"),
-    "diagram": ("InterleavingReport", "MatchResult", "alive", "approximate",
-                "match_diagrams", "related", "verify_interleaving"),
+    "diagram": ("InterleavingReport", "MatchResult", "approximate", "match_diagrams",
+                "verify_interleaving"),
     "errors": ("InputError", "ResourceGuardError"),
     "generators": ("circle_sample", "random_cloud", "solenoid_sample"),
     "metric": ("circle_oracle", "euclidean_oracle", "matrix_oracle"),

@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from . import generators
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, ResourceGuardError, excerpt
 
 # Placeholders that bench/spans.py patches (its CLI_ALIASES) until it stops
 # patching them; the commands import the ripsaw.sparsify functions they call.
@@ -53,7 +53,7 @@ def cmd_sparsify(args):
     try:
         keep = None if args.keep == "all" else int(args.keep)
     except ValueError:
-        raise InputError(f'--keep must be an integer or "all", got {args.keep!r}') from None
+        raise InputError(f'--keep must be an integer or "all" ({excerpt(args.keep)})') from None
     ctree, oracle = covertree.read_tree(args.tree, args.input)
     profile = make_profile(ctree, keep=keep, eps1=args.eps1)
     matrix = sparsify(ctree, oracle, profile)
@@ -121,6 +121,8 @@ def cmd_verify(args):
 
 
 def cmd_gen(args):
+    if args.dim is not None and args.dataset != "cloud":
+        raise InputError(f"--dim is for cloud only: {args.dataset} points have a fixed dimension")
     if args.dataset == "circle":
         # one angle per line; feed back through --format circle for the
         # geodesic metric
@@ -128,7 +130,7 @@ def cmd_gen(args):
     elif args.dataset == "solenoid":
         points = generators.solenoid_sample(args.n, args.seed)
     else:  # "cloud", the last of the parser's choices
-        points = generators.random_cloud(args.n, args.dim, args.seed)
+        points = generators.random_cloud(args.n, 2 if args.dim is None else args.dim, args.seed)
     generators.write_points_csv(args.out, points)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0
@@ -161,7 +163,7 @@ _COMMANDS = {
     "gen": ("write a sample dataset as point CSV", cmd_gen, [
         ("dataset", dict(choices=["circle", "solenoid", "cloud"])),
         ("--n", dict(type=int, required=True)),
-        ("--dim", dict(type=int, default=2)),
+        ("--dim", dict(type=int, help="cloud only; default 2")),
         ("--seed", dict(type=int, default=0)),
         ("--out", dict(required=True))]),
 }

@@ -65,24 +65,6 @@ def approximate(diagram: PersistenceDiagram, profile) -> list:
             for e in diagram.entries]
 
 
-# --- relatedness and aliveness ----------------------------------------------
-
-def related(entry_v, entry_w, psi):
-    """May these two entries describe the same feature?  ``entry_w`` lies
-    within the shift of ``entry_v``: its birth and death are no earlier and
-    at most psi later; with psi = id, the entries are equal."""
-    b, d = entry_v
-    bw, dw = entry_w
-    return b <= bw <= psi(b) and d <= dw <= psi(d)
-
-
-def alive(entry, psi):
-    """Must this entry be matched?  True when it survives the shift:
-    psi(b) <= d."""
-    b, d = entry
-    return psi(b) <= d
-
-
 # --- matching ----------------------------------------------------------------
 
 @dataclass
@@ -138,11 +120,17 @@ def _alternate(x, adjacency, match_x, match_y, keep):
 
 
 def match_diagrams(entries_v, entries_w, psi) -> MatchResult:
-    """Search for a matching of related pairs covering all alive entries."""
-    adjacency = [[jw for jw, ew in enumerate(entries_w) if related(ev, ew, psi)]
-                 for ev in entries_v]
-    alive_v = [iv for iv, ev in enumerate(entries_v) if alive(ev, psi)]
-    alive_w = [jw for jw, ew in enumerate(entries_w) if alive(ew, psi)]
+    """Search for a matching of related pairs covering all alive entries.
+
+    V entry (b, d) is related to the W entries in its box [b, psi(b)] x
+    [d, psi(d)], and an entry (b, d) of either side is alive when psi(b) <= d.
+    psi runs once per entry value, 2|V| + |W| times; every (V, W) pair is
+    then compared against the V entry's box."""
+    boxes = [(b, psi(b), d, psi(d)) for b, d in entries_v]
+    adjacency = [[jw for jw, (bw, dw) in enumerate(entries_w) if b <= bw <= pb and d <= dw <= pd]
+                 for b, pb, d, pd in boxes]
+    alive_v = [iv for iv, (_b, pb, d, _pd) in enumerate(boxes) if pb <= d]
+    alive_w = [jw for jw, (bw, dw) in enumerate(entries_w) if psi(bw) <= dw]
     return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
 
 

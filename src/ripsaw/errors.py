@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and the line readers text
-inputs go through: a tolerant one for the files users write, and an exact
-one for the files ripsaw writes and reads back, whose "int int float"
-lines (``.tree`` nodes and ``.sparse`` edges) ``record`` parses."""
+"""Exception types shared across the package, how a refusal echoes a value
+(``excerpt``), and the line readers text inputs go through: a tolerant one
+for the files users write, and an exact one for the files ripsaw writes and
+reads back, whose "int int float" lines (``.tree`` nodes and ``.sparse``
+edges) ``record`` parses."""
 
 
 class InputError(ValueError):
@@ -11,6 +12,12 @@ class InputError(ValueError):
 class ResourceGuardError(RuntimeError):
     """A computation would exceed the configured size budget; the message
     names the budget and how many items were counted before it tripped."""
+
+
+def excerpt(text):
+    """``text`` as a refusal echoes it: its length and its first 40
+    characters, so that a value of any size gives a one-line message."""
+    return f"{len(text)} characters: {text[:40]!r}{'...' if len(text) > 40 else ''}"
 
 
 def lines(path):

@@ -31,7 +31,7 @@ from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from operator import itemgetter
 
-from .errors import InputError, ResourceGuardError
+from .errors import InputError, ResourceGuardError, excerpt
 from .sparsify import PrecisionProfile, SparseLengthMatrix, json_int, json_number
 
 INF = math.inf
@@ -74,8 +74,7 @@ def _simplex_budget():
             return int(env)
     except ValueError:  # digits past Python's integer-string limit
         pass
-    raise InputError(f"{MAX_SIMPLICES_ENV} is not a nonnegative integer ({len(env)} "
-                     f"characters: {env[:40]!r}{'...' if len(env) > 40 else ''})")
+    raise InputError(f"{MAX_SIMPLICES_ENV} is not a nonnegative integer ({excerpt(env)})")
 
 
 @dataclass

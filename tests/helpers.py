@@ -1,6 +1,8 @@
 """Independent test oracles, deliberately written from scratch so they share
 no code path with the implementations they check; ``simplex_counts`` reuses
-the package's clique enumerator, and checks only what is counted without it."""
+the package's clique enumerator, and checks only what is counted without it,
+and ``match_by_pairs`` the package's ``cover_matching``, and checks only the
+graph it is handed."""
 
 import itertools
 import math
@@ -10,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from explicit_modules import barcode_from_ranks
+from ripsaw.diagram import cover_matching
 from ripsaw.errors import InputError
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram, _cliques
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
@@ -120,6 +123,22 @@ def rank_at(pairs, s, t):
     if s > t:
         raise InputError("need s <= t")
     return sum(1 for b, d in pairs if b < s and d >= t)
+
+
+def match_by_pairs(entries_v, entries_w, psi):
+    """``match_diagrams`` as a per-pair comprehension: psi is evaluated for
+    every (V, W) pair, and for each entry's aliveness on its own.  The graph
+    it builds is handed to the package's ``cover_matching``, so a difference
+    from ``match_diagrams`` is a difference in the graph."""
+    def related(entry_v, entry_w):
+        (b, d), (bw, dw) = entry_v, entry_w
+        return b <= bw <= psi(b) and d <= dw <= psi(d)
+
+    adjacency = [[jw for jw, ew in enumerate(entries_w) if related(ev, ew)]
+                 for ev in entries_v]
+    alive_v = [iv for iv, (b, d) in enumerate(entries_v) if psi(b) <= d]
+    alive_w = [jw for jw, (b, d) in enumerate(entries_w) if psi(b) <= d]
+    return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
 
 
 # --- mod-p linear algebra (fresh implementation) ------------------------------

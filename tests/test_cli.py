@@ -388,6 +388,33 @@ def test_keep_parse_error(tmp_path):
                "--out", tmp_path / "x.sparse") == 2
 
 
+@pytest.mark.parametrize("keep, echo", [
+    ("most", "(4 characters: 'most')"),
+    ("1" * 5000, f"(5000 characters: '{'1' * 40}'...)"),
+], ids=["word", "5000-digits"])
+def test_keep_refusal_echoes_at_most_40_characters(circle_files, tmp_path, capsys, keep, echo):
+    """A value past Python's integer-string limit is refused like a word,
+    with its length and its first 40 characters, not all of it."""
+    out = tmp_path / "x.sparse"
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               "--keep", keep, "--out", out) == 2
+    assert capsys.readouterr().err == f'error: --keep must be an integer or "all" {echo}\n'
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dataset", ["circle", "solenoid"])
+def test_gen_refuses_dim_for_a_fixed_dimension(tmp_path, capsys, dataset):
+    """Only cloud takes --dim (default 2); circle writes angles and solenoid
+    3-D points whatever --dim would say."""
+    out = tmp_path / "g.csv"
+    assert run("gen", dataset, "--n", 5, "--dim", 7, "--out", out) == 2
+    assert capsys.readouterr().err == (
+        f"error: --dim is for cloud only: {dataset} points have a fixed dimension\n")
+    assert not out.exists()
+    assert run("gen", "cloud", "--n", 5, "--out", out) == 0
+    assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 5
+
+
 def _parsed(argv):
     """The arguments ``argv`` parses to, without the subcommand handler."""
     argv = [str(a) for a in argv]

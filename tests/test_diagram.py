@@ -3,12 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from helpers import prim_h0, rank_at
+from helpers import match_by_pairs, prim_h0, rank_at
 from ripsaw import (
     InputError,
     PersistenceDiagram,
     PrecisionProfile,
-    alive,
     approximate,
     build,
     build_filtration,
@@ -20,7 +19,6 @@ from ripsaw import (
     random_cloud,
     read_sparse,
     reduce,
-    related,
     solenoid_sample,
     sparsify,
     tighten,
@@ -78,30 +76,41 @@ def test_approximate_essential_entry():
     assert e.rect[2] == INF and e.rect[3] == INF
 
 
-# --- relatedness / aliveness ----------------------------------------------------
+# --- relatedness / aliveness, through single-entry matchings -------------------
 
-def test_related_identity_means_equality():
-    assert related((1.0, 3.0), (1.0, 3.0), identity)
-    assert not related((1.0, 3.0), (1.0, 3.1), identity)
-    assert not related((1.0, 3.0), (0.9, 3.0), identity)
+@pytest.mark.parametrize("entry_v, entry_w, psi, related", [
+    ((1.0, 3.0), (1.0, 3.0), identity, True),
+    ((1.0, 3.0), (1.0, 3.1), identity, False),
+    ((1.0, 3.0), (0.9, 3.0), identity, False),
+    ((1.0, 3.0), (1.1, 3.2), scale_125, True),
+    ((1.0, 3.0), (1.25, 3.75), scale_125, True),   # both sides at psi
+    ((1.0, 3.0), (1.1, 4.5), scale_125, False),    # death later than psi(3.0)
+    ((1.0, 3.0), (1.3, 3.2), scale_125, False),    # birth later than psi(1.0)
+    ((1.0, INF), (1.2, INF), scale_125, True),
+    ((1.0, INF), (1.2, 9.0), scale_125, False),
+], ids=["identity-equal", "identity-later-death", "identity-earlier-birth", "expansive",
+        "expansive-corner", "late-death", "late-birth", "infinite-death",
+        "finite-against-infinite"])
+def test_match_pairs_an_entry_with_what_lies_in_its_box(entry_v, entry_w, psi, related):
+    """A W entry is related to (b, d) when b <= bw <= psi(b) and d <= dw <=
+    psi(d); with psi = id, the entries are equal.  A single related pair is
+    always matched, so the pair list shows the relation."""
+    assert match_diagrams([entry_v], [entry_w], psi).pairs == ([(0, 0)] if related else [])
 
 
-def test_related_expansive():
-    assert related((1.0, 3.0), (1.1, 3.2), scale_125)
-
-
-def test_related_fails_on_late_death():
-    assert not related((1.0, 3.0), (1.1, 4.5), scale_125)
-
-
-def test_alive():
-    assert alive((1.0, 1.0), identity)
-    assert alive((1.0, 1.5), scale_125)       # 1.25 <= 1.5
-    assert not alive((1.0, 1.2), scale_125)   # 1.25 > 1.2
-
-
-def test_alive_infinite_death():
-    assert alive((1.0, INF), scale_125)
+@pytest.mark.parametrize("entry, psi, alive", [
+    ((1.0, 1.0), identity, True),
+    ((1.0, 1.5), scale_125, True),     # 1.25 <= 1.5
+    ((1.0, 1.25), scale_125, True),    # equality at psi(b)
+    ((1.0, 1.2), scale_125, False),    # 1.25 > 1.2
+    ((1.0, INF), scale_125, True),
+], ids=["identity", "survives", "equal-at-psi-b", "dies-within-shift", "infinite-death"])
+def test_match_must_cover_an_entry_that_survives_the_shift(entry, psi, alive):
+    """An entry is alive, on either side, when psi(b) <= d; with nothing on
+    the other side, it is reported uncovered exactly then."""
+    expected = [0] if alive else []
+    assert match_diagrams([entry], [], psi).uncovered_alive_v == expected
+    assert match_diagrams([], [entry], psi).uncovered_alive_w == expected
 
 
 # --- matching ---------------------------------------------------------------------
@@ -170,10 +179,67 @@ def test_match_properties_on_random_pipeline():
         assert res.ok
         seen_v, seen_w = set(), set()
         for iv, jw in res.pairs:
-            assert related(pv[iv], pw[jw], profile.psi)
+            (b, d), (bw, dw) = pv[iv], pw[jw]
+            assert b <= bw <= profile.psi(b) and d <= dw <= profile.psi(d)
             assert iv not in seen_v and jw not in seen_w
             seen_v.add(iv)
             seen_w.add(jw)
+
+
+def test_match_evaluates_psi_once_per_entry_value():
+    """psi runs for the birth and death of each V entry and the birth of each
+    W entry, never for a (V, W) pair; ten entries a side with one birth make
+    every pair reach the box test."""
+    calls = []
+
+    def psi(r):
+        calls.append(r)
+        return 1.25 * r
+
+    entries_v = [(1.0, 2.0 + k / 4) for k in range(10)]
+    entries_w = [(1.0, 2.25 + k / 4) for k in range(10)]
+    res = match_diagrams(entries_v, entries_w, psi)
+    assert len(calls) <= 2 * len(entries_v) + len(entries_w)
+    assert res == match_by_pairs(entries_v, entries_w, lambda r: 1.25 * r)
+    assert res.ok and len(res.pairs) == 10
+
+
+def _nearby_pairs(pairs, seed):
+    """``pairs`` each moved up by u = 0, 1/8 or 1/4 in birth and by u or u +
+    1/8 in death (an infinite death stays), so that no death falls below its
+    birth and many entries land in one another's boxes."""
+    from helpers import splitmix_draw
+
+    moved = []
+    for k, (b, d) in enumerate(pairs):
+        u = int(splitmix_draw(seed, 2 * k) * 3) / 8
+        moved.append((b + u, d + u + int(splitmix_draw(seed, 2 * k + 1) * 2) / 8))
+    return moved
+
+
+def test_match_equals_the_per_pair_matching_on_random_diagrams():
+    """On 1,440 random diagram pairs (tied values, infinite deaths, W drawn
+    apart from V or moved up from it, H0-shaped ones too) under psi = id, an
+    affine shift and two profiles with eps0 > 0, one of them capped at R, the
+    matching equals the one built by testing every (V, W) pair with psi."""
+    affine = lambda r: 1.25 * r + 0.125  # noqa: E731
+    profiles = (PrecisionProfile(R=1.5, eps0=0.125, eps1=0.25, N=9, n=9),
+                PrecisionProfile(R=10.0, eps0=0.25, eps1=0.125, N=9, n=9))
+    shifts = (identity, affine) + tuple(p.psi for p in profiles)
+    cases = []
+    for seed in range(120):
+        pv, h0 = _random_pairs(seed), _h0_pairs(seed, 0)
+        cases += [(pv, _random_pairs(seed, salt=100)), (pv, _nearby_pairs(pv, seed)),
+                  (h0, _nearby_pairs(h0, seed + 1000))]
+    results = []
+    for psi in shifts:
+        for pv, pw in cases:
+            res = match_diagrams(pv, pw, psi)
+            assert res == match_by_pairs(pv, pw, psi), (pv, pw)
+            results.append(res)
+    assert len(results) >= 1000
+    assert sum(len(res.pairs) >= 3 for res in results) >= 300
+    assert sum(res.ok for res in results) >= 100 and sum(not res.ok for res in results) >= 100
 
 
 def test_cover_matching_frees_a_partner_that_is_not_alive():

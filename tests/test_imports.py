@@ -83,7 +83,7 @@ def test_module_algebra_names_resolve_lazily():
         for name in names:
             assert getattr(ripsaw, name) is getattr(home, name), name
     assert isinstance(ripsaw.sparsify, types.FunctionType)
-    assert len(ripsaw.__all__) == 35
+    assert len(ripsaw.__all__) == 33
     namespace = {}
     exec("from ripsaw import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == ripsaw.__all__
