@@ -136,6 +136,17 @@ def cmd_gen(args):
     return 0
 
 
+def _number(kind):
+    """``kind`` as an argparse type whose refusal echoes an excerpt of the value."""
+    def parse(text):
+        try:
+            return kind(text)
+        except ValueError:
+            msg = f"invalid {kind.__name__} value ({excerpt(text)})"
+        raise argparse.ArgumentTypeError(msg)
+    return parse
+
+
 # subcommand: (help line, handler, its arguments as (name, add_argument keywords))
 _COMMANDS = {
     "tree": ("build and tighten a contraction tree", cmd_tree, [
@@ -145,13 +156,13 @@ _COMMANDS = {
     "sparsify": ("emit the sparse length matrix", cmd_sparsify, [
         ("--input", dict(required=True, help="read under the format its tree records")),
         ("--tree", dict(required=True)),
-        ("--eps1", dict(type=float, default=0.0)),
+        ("--eps1", dict(type=_number(float), default=0.0)),
         ("--keep", dict(default="all", help='number of points to retain, or "all"')),
         ("--out", dict(required=True))]),
     "persist": ("compute the persistence diagram", cmd_persist, [
         ("--input", dict(required=True, help="sparse 'i j d' file")),
-        ("--dim", dict(type=int, default=1, help="largest homology dimension to report")),
-        ("--field", dict(type=int, default=2)),
+        ("--dim", dict(type=_number(int), default=1, help="largest homology dimension to report")),
+        ("--field", dict(type=_number(int), default=2)),
         ("--out", dict(required=True))]),
     "plot": ("render a diagram (with error boxes) to SVG", cmd_plot, [
         ("--input", dict(required=True, help="diagram JSON")),
@@ -162,9 +173,9 @@ _COMMANDS = {
         ("sparse", dict(help="sparsified diagram JSON (with profile)"))]),
     "gen": ("write a sample dataset as point CSV", cmd_gen, [
         ("dataset", dict(choices=["circle", "solenoid", "cloud"])),
-        ("--n", dict(type=int, required=True)),
-        ("--dim", dict(type=int, help="cloud only; default 2")),
-        ("--seed", dict(type=int, default=0)),
+        ("--n", dict(type=_number(int), required=True)),
+        ("--dim", dict(type=_number(int), help="cloud only; default 2")),
+        ("--seed", dict(type=_number(int), default=0)),
         ("--out", dict(required=True))]),
 }
 

@@ -90,32 +90,26 @@ def _alternate(x, adjacency, match_x, match_y, keep):
     the other side or at a vertex of x's side outside ``keep``, which gives
     up its partner.  No other vertex of x's side loses its partner.
 
-    A depth-first search on an explicit stack, so long paths cannot exhaust
-    the interpreter's; ``path`` holds the x-side vertices being extended and
-    ``ys[k]`` the partner ``path[k]`` tries."""
-    path, ys, seen = [(x, iter(adjacency[x]))], [], set()
-    while path:
-        for y in path[-1][1]:
-            if y not in seen:
-                break
-        else:
-            path.pop()
-            if ys:
-                ys.pop()
-            continue
-        seen.add(y)
-        other = match_y.get(y)
-        if other is not None and other in keep:
-            ys.append(y)
-            path.append((other, iter(adjacency[other])))
-            continue
-        if match_x.get(other) == y:
-            del match_x[other]
-        ys.append(y)
-        for (u, _nbrs), v in zip(path, ys):
-            match_x[u] = v
-            match_y[v] = u
-        return True
+    A breadth-first search: ``reached`` maps each vertex of the other side
+    to the vertex of x's side it was reached from, and ``queue`` grows by the
+    partners still to extend, so x takes a free neighbour before any path
+    walks past it.  The path is flipped back through ``reached``."""
+    reached, queue = {}, [x]
+    for u in queue:
+        for y in adjacency[u]:
+            if y in reached:
+                continue
+            reached[y] = u
+            other = match_y.get(y)
+            if other is not None and other in keep:
+                queue.append(other)
+                continue
+            if other is not None:
+                del match_x[other]
+            while y is not None:
+                u = match_y[y] = reached[y]
+                match_x[u], y = y, match_x.get(u)
+            return True
     return False
 
 

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, exact_lines, record
+from .errors import InputError, exact_lines, excerpt, record
 
 INF = math.inf
 
@@ -78,9 +78,10 @@ class PrecisionProfile:
     n: int
 
     def __post_init__(self):
-        if not (all(math.isfinite(v) and v >= 0.0 for v in (self.R, self.eps0, self.eps1))
-                and 1 <= self.N <= self.n):
-            raise InputError(f"profile out of range: {self.as_meta()}")
+        bad = [f"{k} ({excerpt(repr(v))})" for k, v in self.as_meta().items()
+               if not (1 <= self.N <= self.n if k in ("n", "N") else math.isfinite(v) and v >= 0.0)]
+        if bad:
+            raise InputError(f"profile out of range: {', '.join(bad)}")
 
     def psi(self, r):
         """Shift map: how far scales may move under sparsification."""

@@ -402,6 +402,39 @@ def test_keep_refusal_echoes_at_most_40_characters(circle_files, tmp_path, capsy
     assert not out.exists()
 
 
+def test_out_of_range_profile_echoes_at_most_40_characters(circle_files, tmp_path, capsys):
+    """A --keep that int() reads but the profile refuses names N by its
+    length and first 40 digits, not every digit."""
+    out = tmp_path / "x.sparse"
+    assert run("sparsify", "--input", circle_files["csv"], "--tree", circle_files["tree"],
+               "--keep", "1" * 4000, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: profile out of range: n (2 characters: '32'), "
+                   f"N (4000 characters: '{'1' * 40}'...)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, option, kind", [
+    (["sparsify", "--input", "p.csv", "--tree", "p.tree", "--eps1"], "--eps1", "float"),
+    (["persist", "--input", "p.sparse", "--dim"], "--dim", "int"),
+    (["persist", "--input", "p.sparse", "--field"], "--field", "int"),
+    (["gen", "cloud", "--n"], "--n", "int"),
+    (["gen", "cloud", "--n", "5", "--dim"], "--dim", "int"),
+    (["gen", "cloud", "--n", "5", "--seed"], "--seed", "int"),
+], ids=["sparsify-eps1", "persist-dim", "persist-field", "gen-n", "gen-dim", "gen-seed"])
+def test_number_refusal_echoes_at_most_40_characters(tmp_path, capsys, argv, option, kind):
+    """The parser refuses a number it cannot read with exit 2, echoing the
+    value's length and its first 40 characters, not all of it."""
+    out = tmp_path / "x.out"
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "x" * 3000, "--out", out)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument {option}: invalid {kind} value "
+                        f"(3000 characters: '{'x' * 40}'...)\n")
+    assert len(err) < 300 and not out.exists()
+
+
 @pytest.mark.parametrize("dataset", ["circle", "solenoid"])
 def test_gen_refuses_dim_for_a_fixed_dimension(tmp_path, capsys, dataset):
     """Only cloud takes --dim (default 2); circle writes angles and solenoid

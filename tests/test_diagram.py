@@ -254,40 +254,23 @@ def test_cover_matching_frees_a_partner_that_is_not_alive():
 def test_cover_matching_against_exhaustive_feasibility():
     """On random small graphs, cover_matching succeeds exactly when some
     injective matching covering both required sets exists (checked by
-    exhaustive search), and its output is a valid covering matching of
-    maximum size."""
+    exhaustive search), its output is a valid covering matching of maximum
+    size, and the alive V entries it leaves uncovered, and the number of
+    alive W entries, are what any complete augmenting search gives."""
     from itertools import permutations
 
     from ripsaw.diagram import cover_matching
     from helpers import splitmix_draw
 
-    def feasible(adjacency, alive_v, alive_w, n_w):
-        # brute force: try all injective maps from V vertices to W slots
+    def matchings(adjacency, n_w):
+        # brute force: every injective map from V vertices to W slots or None
+        # that keeps each V vertex in its box
         n_v = len(adjacency)
-        slots = list(range(n_w)) + [None] * n_v
-        for perm in permutations(slots, n_v):
-            used = [w for w in perm if w is not None]
-            if len(set(used)) != len(used):
-                continue
-            if any(perm[v] is None for v in alive_v):
-                continue
-            if any(perm[v] is not None and perm[v] not in adjacency[v]
-                   for v in range(n_v)):
-                continue
-            if any(w not in perm for w in alive_w):
-                continue
-            return True
-        return False
-
-    def max_matching_size(adjacency, n_w):
-        best = 0
-        for perm in permutations(list(range(n_w)) + [None] * len(adjacency),
-                                 len(adjacency)):
+        for perm in permutations(list(range(n_w)) + [None] * n_v, n_v):
             used = [w for w in perm if w is not None]
             if (len(set(used)) == len(used)
                     and all(w is None or w in adjacency[v] for v, w in enumerate(perm))):
-                best = max(best, len(used))
-        return best
+                yield perm, set(used)
 
     for seed in range(120):
         n_v = 1 + int(splitmix_draw(seed, 0) * 5)
@@ -298,9 +281,21 @@ def test_cover_matching_against_exhaustive_feasibility():
         ]
         alive_v = [v for v in range(n_v) if splitmix_draw(seed, 99 + v) < 0.5]
         alive_w = [w for w in range(n_w) if splitmix_draw(seed, 777 + w) < 0.5]
+        every = list(matchings(adjacency, n_w))
         res = cover_matching(adjacency, alive_v, alive_w, n_w)
-        assert res.ok == feasible(adjacency, alive_v, alive_w, n_w), seed
-        assert len(res.pairs) == max_matching_size(adjacency, n_w), seed
+        assert res.ok == any(all(perm[v] is not None for v in alive_v) and set(alive_w) <= used
+                             for perm, used in every), seed
+        assert len(res.pairs) == max(len(used) for _perm, used in every), seed
+        # what no complete augmenting search can change: the alive V entries
+        # that one greedy pass in order keeps, and how many alive W entries
+        # the best matching covers
+        kept = []
+        for v in alive_v:
+            if any(all(perm[u] is not None for u in kept + [v]) for perm, _used in every):
+                kept.append(v)
+        assert res.uncovered_alive_v == [v for v in alive_v if v not in kept], seed
+        assert len(res.uncovered_alive_w) == len(alive_w) - max(
+            len(used.intersection(alive_w)) for _perm, used in every), seed
         seen_w = set()
         for v, w in res.pairs:
             assert w in adjacency[v]
@@ -313,15 +308,39 @@ def test_cover_matching_against_exhaustive_feasibility():
 
 
 def test_cover_matching_walks_a_long_alternating_path():
-    """Vertex i is adjacent to W entries i-1 and i, so matching vertex i
-    first walks an alternating path through every earlier vertex; a search
-    that recursed once per step would exhaust the interpreter's stack."""
+    """Vertex i < n is adjacent to W entries i and i+1, and vertex n only to
+    W entry 0, so covering vertex n forces every earlier vertex to move up
+    one: any complete search walks an alternating path through all of them,
+    and one that recursed once per step would exhaust the interpreter's
+    stack."""
     from ripsaw.diagram import cover_matching
 
     n = 1200
-    adjacency = [[i - 1, i] if i else [0] for i in range(n)]
+    adjacency = [[i, i + 1] for i in range(n)] + [[0]]
+    res = cover_matching(adjacency, range(n + 1), range(n + 1), n + 1)
+    assert res.ok and res.pairs == [(i, i + 1) for i in range(n)] + [(n, 0)]
+
+
+def test_cover_matching_reads_each_neighbour_list_about_once():
+    """Vertex i is adjacent to W entries i-1 and i.  Each vertex takes the
+    free W entry in its box at once, so the matching reads each of the
+    2,399 edges a bounded number of times, its own transpose included; a
+    search that walked through the taken entry first would read about n^2."""
+    from ripsaw.diagram import cover_matching
+
+    reads = [0]
+
+    class Counted(list):
+        def __iter__(self):
+            for item in super().__iter__():
+                reads[0] += 1
+                yield item
+
+    n = 1200
+    adjacency = [Counted([i - 1, i] if i else [0]) for i in range(n)]
     res = cover_matching(adjacency, range(n), range(n), n)
     assert res.ok and res.pairs == [(i, i) for i in range(n)]
+    assert reads[0] <= 3 * (2 * n - 1)
 
 
 # --- rank queries -------------------------------------------------------------------
