@@ -72,7 +72,7 @@ def cmd_persist(args):
     from .sparsify import read_sparse
 
     if args.dim < 0:
-        raise InputError(f"--dim must be at least 0, got {args.dim}")
+        raise InputError(f"--dim must be at least 0 ({excerpt(str(args.dim))})")
     if not persistence.is_prime(args.field):
         raise InputError(f"--field must be a prime, got {args.field}")
     matrix = read_sparse(args.input)

@@ -48,7 +48,7 @@ def is_prime(p):
     except TypeError:
         raise InputError(f"field characteristic {p!r} is not an integer") from None
     if p >= 2**64:
-        raise InputError(f"field characteristic {p} is not below 2**64")
+        raise InputError(f"field characteristic is not below 2**64 ({excerpt(str(p))})")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2 or any(p % a == 0 for a in bases):
         return p in bases
@@ -75,6 +75,15 @@ def _simplex_budget():
     except ValueError:  # digits past Python's integer-string limit
         pass
     raise InputError(f"{MAX_SIMPLICES_ENV} is not a nonnegative integer ({excerpt(env)})")
+
+
+def _guard(count, budget):
+    """``count``, the simplices stored so far; ``ResourceGuardError`` once it
+    exceeds ``budget``."""
+    if count > budget:
+        raise ResourceGuardError(f"simplex count exceeds cap {budget} "
+                                 f"(aborted after {count} simplices)")
+    return count
 
 
 @dataclass
@@ -110,21 +119,17 @@ class Filtration:
         sorted by (diameter, dimension, vertex order); every face precedes
         its cofaces.  Built on each read."""
         out = [(0, 1, (v,)) for v in self.columns[0]] + sorted(
-            (r, len(verts), verts) for verts, _, r, _ in _cliques(self.adj, self.dim_cap + 1))
+            (r, len(verts), verts) for verts, _, r in _cliques(self.adj, self.dim_cap + 1))
         return [(verts, self.lengths[r]) for r, _m, verts in out]
 
 
 def _cliques(adj, dim_cap):
     """Every clique of 2 to dim_cap >= 2 vertices of the ranked graph ``adj``
     on n vertices, grown depth-first from each vertex, yielded as (increasing
-    vertex tuple, its base-n code, diameter rank, extensions): the code reads
-    the vertices as digits, the last one least significant, and the
-    extensions are the vertices above the last one adjacent to all of them,
-    so a clique with dim_cap vertices has len(extensions) top cofaces.
-    Sorting each ``adj[v]`` makes the walk, and so where the guard stops it,
-    independent of the order adj was filled in."""
+    vertex tuple, its base-n code, diameter rank): the code reads the
+    vertices as digits, the last one least significant."""
     n = len(adj)
-    above = [{u for u in sorted(ranks) if u > v} for v, ranks in enumerate(adj)]
+    above = [{u for u in ranks if u > v} for v, ranks in enumerate(adj)]
     stack = [((v,), v, 0, above[v]) for v in range(n)]
     while stack:
         verts, code, diam, cands = stack.pop()
@@ -135,10 +140,9 @@ def _cliques(adj, dim_cap):
                 if r > d:
                     d = r
             new = verts + (v,)
-            ext = cands & above[v]
-            yield new, code * n + v, d, ext
+            yield new, code * n + v, d
             if len(new) < dim_cap:
-                stack.append((new, code * n + v, d, ext))
+                stack.append((new, code * n + v, d, cands & above[v]))
 
 
 def build_filtration(matrix, dim_cap) -> Filtration:
@@ -147,10 +151,11 @@ def build_filtration(matrix, dim_cap) -> Filtration:
 
     One walk over the edges, stably sorted by length, ranks them; ties keep
     ``SparseLengthMatrix``'s (i, j) order, so the edge keys come out sorted.
-    Only at dim_cap >= 2 are larger cliques enumerated, on ``Filtration.adj``
-    (built on first read); the top dimension is counted, not stored.
-    Refuses with ``ResourceGuardError`` once the count of every simplex up to
-    dim_cap, vertices and edges first, exceeds the cap in RIPSAW_MAX_SIMPLICES.
+    Only at dim_cap >= 3 are larger cliques enumerated, on ``Filtration.adj``
+    (built on first read); the top dimension is left implicit for ``reduce``.
+    Refuses with ``ResourceGuardError`` once the keys it stores, vertices and
+    edges first, exceed the cap in RIPSAW_MAX_SIMPLICES; ``reduce`` goes on
+    counting.
     """
     if not isinstance(matrix, SparseLengthMatrix):
         raise InputError("build_filtration takes a SparseLengthMatrix, "
@@ -166,20 +171,13 @@ def build_filtration(matrix, dim_cap) -> Filtration:
             base += n * n
         edges.append(base + i * n + j)
     filt = Filtration(lengths=lengths, dim_cap=dim_cap, columns=[list(range(n)), edges])
-    columns, count = filt.columns, n + len(edges)
-    for verts, code, d, ext in _cliques(filt.adj, dim_cap) if dim_cap > 1 else ():
-        if count > budget:
-            break
-        m = len(verts)
-        if m > 2:  # edges are stored already
+    columns, count = filt.columns, _guard(n + len(edges), budget)
+    for verts, code, d in _cliques(filt.adj, dim_cap) if dim_cap > 2 else ():
+        if (m := len(verts)) > 2:  # edges are stored already
             if m > len(columns):  # the first clique of m vertices
                 columns.append([])
             columns[m - 1].append(d * n**m + code)
-        count += (m > 2) + (len(ext) if m == dim_cap else 0)
-    if count > budget:
-        raise ResourceGuardError(
-            f"simplex count exceeds cap {budget} "
-            f"(aborted after {count} simplices)")
+            count = _guard(count + 1, budget)
     for keys in columns[2:]:
         keys.sort()
     return filt
@@ -293,7 +291,9 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     A column whose pivot is still free needs no addition and is kept as its
     simplex's key alone, its coboundary regenerated when a later column
     reaches that pivot; one that needed additions is kept reduced, as row
-    and coefficient arrays (64-bit when every key fits).
+    and coefficient arrays (64-bit when every key fits).  The stored rows
+    count on from ``columns``' keys against the cap in RIPSAW_MAX_SIMPLICES,
+    with ``ResourceGuardError`` once the total exceeds it.
 
     A d-simplex whose column keeps pivot tau yields (diameter of the
     simplex, diameter of tau]; one whose column reduces to zero is an
@@ -303,7 +303,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     if not is_prime(p):
         raise InputError(f"field characteristic {p} is not prime")
     lengths, columns = filtration.lengths, filtration.columns
-    n = len(columns[0])
+    n, budget, count = len(columns[0]), _simplex_budget(), sum(map(len, columns))
     pivots = _merging_edges(columns[1], n)
     entries = [DiagramEntry(dim=0, birth=0.0, death=INF)] * (n - len(pivots))
     entries += [DiagramEntry(dim=0, birth=0.0, death=lengths[key // (n * n)])
@@ -323,6 +323,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
                     # stored scaled so that the pivot coefficient is 1
                     inv = pow(col[low], -1, p)
                     pivots[low] = (pack(col), pack([c * inv % p for c in col.values()]))
+                    count = _guard(count + len(col), budget)
             elif col:
                 # a free pivot needs no addition: keep only the simplex's key
                 pivots[low] = key

@@ -392,15 +392,14 @@ def decode_simplex_key(key, m, n):
 def simplex_counts(matrix, dim_cap):
     """Simplices per dimension 0..dim_cap of the sparse edge list's flag
     complex, the n vertices and every larger clique enumerated and counted,
-    the top dimension included, as ``Filtration.simplices`` lists them;
-    ``build_filtration`` counts the top dimension from extension sets instead.
-    The ranked adjacency is built here, from ``matrix.edges``."""
+    the top dimension included, as ``Filtration.simplices`` lists them.  The
+    ranked adjacency is built here, from ``matrix.edges``."""
     rank = {w: k for k, w in enumerate(sorted({w for _i, _j, w in matrix.edges}), start=1)}
     adj = [{} for _ in range(matrix.profile.N)]
     for i, j, w in matrix.edges:
         adj[i][j] = adj[j][i] = rank[w]
     counts = [len(adj)] + [0] * dim_cap
-    for verts, _code, _d, _ext in _cliques(adj, dim_cap + 1):
+    for verts, _code, _d in _cliques(adj, dim_cap + 1):
         counts[len(verts) - 1] += 1
     return counts
 

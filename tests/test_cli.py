@@ -151,7 +151,8 @@ def test_persist_over_a_61_bit_prime_field(circle_files, tmp_path):
 
 @pytest.mark.parametrize("field, message", [
     (2**61 + 1, "--field must be a prime, got 2305843009213693953"),  # 3 divides it
-    (2**64 + 13, "field characteristic 18446744073709551629 is not below 2**64"),
+    (2**64 + 13, "field characteristic is not below 2**64 "
+                 "(20 characters: '18446744073709551629')"),
 ])
 def test_persist_rejects_large_bad_field(circle_files, tmp_path, capsys, field, message):
     assert run("persist", "--input", circle_files["sparse"], "--field", field,
@@ -159,15 +160,35 @@ def test_persist_rejects_large_bad_field(circle_files, tmp_path, capsys, field, 
     assert message in capsys.readouterr().err
 
 
-def test_persist_memory_guard(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "100")
+def _exact_cloud30(tmp_path):
+    """The exact (--eps1 0) sparse file of a 30-point cloud."""
     csv, tree, sparse = tmp_path / "p.csv", tmp_path / "p.tree", tmp_path / "p.sparse"
     write_points_csv(csv, random_cloud(30, 2, 5))
     run("tree", "--input", csv, "--out", tree)
     run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0, "--out", sparse)
+    return sparse
+
+
+def test_persist_memory_guard(tmp_path, monkeypatch, capsys):
+    sparse = _exact_cloud30(tmp_path)
+    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "100")
     assert run("persist", "--input", sparse, "--dim", 1,
                "--out", tmp_path / "d.json") == 3
     assert "hand the .sparse file to an external engine" in capsys.readouterr().err
+
+
+def test_persist_guard_counts_only_what_is_stored(tmp_path, monkeypatch):
+    """At --dim 1 the 30-point exact complex stores 465 keys (30 vertices and
+    435 edges) and some reduced columns' rows, far below the 4,060 triangles
+    that its coboundaries generate and never store: a cap of 1,000 passes
+    with the entries of the run with the cap lifted."""
+    sparse = _exact_cloud30(tmp_path)
+    lifted, capped = tmp_path / "lifted.json", tmp_path / "capped.json"
+    assert run("persist", "--input", sparse, "--dim", 1, "--out", lifted) == 0
+    monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", "1000")
+    assert run("persist", "--input", sparse, "--dim", 1, "--out", capped) == 0
+    assert (json.loads(capped.read_text())["entries"]
+            == json.loads(lifted.read_text())["entries"])
 
 
 def test_persist_holds_no_matrix_during_reduce(circle_files, monkeypatch):
@@ -1226,7 +1247,23 @@ def test_persist_rejects_negative_dim(circle_files, tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run("persist", "--input", circle_files["sparse"], "--dim", -1,
                "--out", out) == 2
-    assert "--dim must be at least 0, got -1" in capsys.readouterr().err
+    assert "--dim must be at least 0 (2 characters: '-1')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--field", "1" * 3000, "field characteristic is not below 2**64 "
+                            f"(3000 characters: '{'1' * 40}'...)"),
+    ("--dim", "-" + "1" * 3000, f"--dim must be at least 0 (3001 characters: '-{'1' * 39}'...)"),
+], ids=["field", "dim"])
+def test_out_of_range_persist_argument_echoes_at_most_40_characters(circle_files, tmp_path,
+                                                                    capsys, flag, value,
+                                                                    message):
+    """A --field or --dim that int() reads but is out of range is refused
+    with its length and first 40 characters, not every digit."""
+    out = tmp_path / "x.json"
+    assert run("persist", "--input", circle_files["sparse"], flag, value, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -1243,7 +1280,7 @@ def test_persist_rejects_composite_field_before_building(circle_files, tmp_path,
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--dim", -1, "--dim must be at least 0, got -1"),
+    ("--dim", -1, "--dim must be at least 0 (2 characters: '-1')"),
     ("--field", 4, "--field must be a prime, got 4"),
 ])
 def test_persist_checks_arguments_before_reading_input(tmp_path, capsys, flag, value,

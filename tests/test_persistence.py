@@ -43,7 +43,7 @@ from ripsaw import (
     sparsify,
     tighten,
 )
-from ripsaw.persistence import _cliques, dump_diagram, is_prime, load_diagram
+from ripsaw.persistence import dump_diagram, is_prime, load_diagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
@@ -242,6 +242,10 @@ def test_union_find_h0_two_components_and_a_duplicate():
             0: [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0), (0.0, INF), (0.0, INF)], 1: []}
 
 
+def _no_cliques(*_args):
+    raise AssertionError("cliques enumerated below dim_cap 3")
+
+
 @pytest.mark.parametrize("lengths", [
     _two_components_and_a_duplicate(),
     edge_list(full_distance_matrix(euclidean_oracle(random_cloud(64, 2, 0)))),
@@ -252,11 +256,7 @@ def test_dim_cap_1_enumerates_no_clique(monkeypatch, lengths):
     give boundary-matrix reduction's diagram."""
     filt = build_filtration(lengths, 1)
     expected = {p: boundary_reduce(filt, p) for p in (2, 3)}
-
-    def no_cliques(*_args):
-        raise AssertionError("cliques enumerated at dim_cap 1")
-
-    monkeypatch.setattr("ripsaw.persistence._cliques", no_cliques)
+    monkeypatch.setattr("ripsaw.persistence._cliques", _no_cliques)
     for p in (2, 3):
         assert reduce(build_filtration(lengths, 1), p) == expected[p]
 
@@ -275,18 +275,6 @@ def test_memory_guard_env(monkeypatch):
         assert _aborted_after(err) > cap
 
 
-def test_clique_walk_ignores_the_order_adj_was_filled_in():
-    """Where the guard stops the clique walk depends on the walk's order, so
-    that order depends on the graph alone: ``adj`` filled in filtration
-    order, as ``Filtration.adj`` fills it, and in vertex order give the same
-    walk."""
-    oracle = euclidean_oracle(random_cloud(100, 2, 0))
-    ct = tighten(build(oracle), oracle)
-    adj = build_filtration(sparsify(ct, oracle, make_profile(ct, eps1=0.5)), 1).adj
-    by_vertex = [dict(sorted(ranks.items())) for ranks in adj]
-    assert list(_cliques(adj, 3)) == list(_cliques(by_vertex, 3))
-
-
 def _guard_inputs():
     oracle = euclidean_oracle(random_cloud(40, 2, 7))
     ct = tighten(build(oracle), oracle)
@@ -296,18 +284,59 @@ def _guard_inputs():
 
 
 @pytest.mark.parametrize("dim_cap", [1, 2, 3])
-def test_memory_guard_counts_every_clique(monkeypatch, dim_cap):
-    """The guard trips exactly one simplex below the total of an enumeration
-    that lists every clique, the top dimension included: extension sets
-    count the top dimension exactly."""
+def test_memory_guard_counts_the_stored_keys(monkeypatch, dim_cap):
+    """``build_filtration`` counts the keys it stores: the vertices, the
+    edges (stored at every dim_cap) and the cliques below the top dimension,
+    which ``reduce`` generates and never stores.  The guard trips exactly one
+    below that total, and below dim_cap 3 no clique is enumerated."""
     for name, lengths in _guard_inputs():
-        total = sum(simplex_counts(lengths, dim_cap))
+        total = sum(simplex_counts(lengths, dim_cap)[:max(dim_cap, 2)])
+        if dim_cap < 3:
+            monkeypatch.setattr("ripsaw.persistence._cliques", _no_cliques)
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total))
-        assert build_filtration(lengths, dim_cap).dim_cap == dim_cap, name
+        filt = build_filtration(lengths, dim_cap)
+        assert sum(map(len, filt.columns)) == total, name
         monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total - 1))
         with pytest.raises(ResourceGuardError) as err:
             build_filtration(lengths, dim_cap)
+        assert _aborted_after(err) == total, name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("dim_cap", [2, 3])
+def test_reduce_counts_the_rows_it_stores(monkeypatch, dim_cap, p):
+    """``reduce`` goes on from the filtration's keys with the rows of each
+    reduced column it keeps: a cap one below keys plus stored rows lets the
+    filtration be built and trips in ``reduce``, and a cap equal to that
+    total gives the diagram of the run with the cap lifted."""
+    from ripsaw import persistence
+
+    reduce_column, stored = persistence._reduce_column, []
+
+    def counting_reduce_column(col, *args):
+        low = reduce_column(col, *args)
+        stored.append(len(col))  # a nonzero result is kept in the pivot table
+        return low
+
+    # K7's equal lengths leave every pivot free, so it stores no row
+    inputs = [(name, lengths) for name, lengths in _guard_inputs() if name != "K7"]
+    inputs.append(("exact30", edge_list(full_distance_matrix(
+        euclidean_oracle(random_cloud(30, 2, 5))))))
+    monkeypatch.setattr(persistence, "_reduce_column", counting_reduce_column)
+    for name, lengths in inputs:
+        filt = build_filtration(lengths, dim_cap)
+        stored.clear()
+        expected = reduce(filt, p)
+        total = sum(map(len, filt.columns)) + sum(stored)
+        assert sum(stored) > 0, name
+        monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total - 1))
+        filt = build_filtration(lengths, dim_cap)
+        with pytest.raises(ResourceGuardError) as err:
+            reduce(filt, p)
         assert _aborted_after(err) > total - 1, name
+        monkeypatch.setenv("RIPSAW_MAX_SIMPLICES", str(total))
+        assert reduce(filt, p) == expected, name
+        monkeypatch.delenv("RIPSAW_MAX_SIMPLICES")
 
 
 @pytest.mark.parametrize("edges,message", [
