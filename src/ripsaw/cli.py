@@ -123,6 +123,10 @@ def cmd_verify(args):
 def cmd_gen(args):
     if args.dim is not None and args.dataset != "cloud":
         raise InputError(f"--dim is for cloud only: {args.dataset} points have a fixed dimension")
+    width = {"circle": 1, "solenoid": 3}.get(args.dataset, 2 if args.dim is None else args.dim)
+    if args.n * width > sys.maxsize:
+        raise InputError(f"{args.dataset} needs more coordinates than a list holds (--n "
+                         f"{excerpt(str(args.n))}; per point {excerpt(str(width))})")
     if args.dataset == "circle":
         # one angle per line; feed back through --format circle for the
         # geodesic metric
@@ -130,7 +134,7 @@ def cmd_gen(args):
     elif args.dataset == "solenoid":
         points = generators.solenoid_sample(args.n, args.seed)
     else:  # "cloud", the last of the parser's choices
-        points = generators.random_cloud(args.n, 2 if args.dim is None else args.dim, args.seed)
+        points = generators.random_cloud(args.n, width, args.seed)
     generators.write_points_csv(args.out, points)
     print(f"wrote {args.out} ({len(points)} points)")
     return 0

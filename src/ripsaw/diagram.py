@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from operator import gt
 
 from .errors import InputError
@@ -119,46 +119,42 @@ def match_diagrams(entries_v, entries_w, psi) -> MatchResult:
     V entry (b, d) is related to the W entries in its box [b, psi(b)] x
     [d, psi(d)], and an entry (b, d) of either side is alive when psi(b) <= d.
     psi runs once per entry value, 2|V| + |W| times; every (V, W) pair is
-    then compared against the V entry's box."""
+    then compared against the V entry's box, and every neighbour list holds
+    the same int object per W entry."""
     boxes = [(b, psi(b), d, psi(d)) for b, d in entries_v]
-    adjacency = [[jw for jw, (bw, dw) in enumerate(entries_w) if b <= bw <= pb and d <= dw <= pd]
+    indexed_w = list(enumerate(entries_w))
+    adjacency = [[jw for jw, (bw, dw) in indexed_w if b <= bw <= pb and d <= dw <= pd]
                  for b, pb, d, pd in boxes]
     alive_v = [iv for iv, (_b, pb, d, _pd) in enumerate(boxes) if pb <= d]
-    alive_w = [jw for jw, (bw, dw) in enumerate(entries_w) if psi(bw) <= dw]
+    alive_w = [jw for jw, (bw, dw) in indexed_w if psi(bw) <= dw]
     return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
 
 
 def cover_matching(adjacency, alive_v, alive_w, n_w) -> MatchResult:
     """Matching in a bipartite graph covering two required vertex sets.
 
-    Augmenting paths first cover what they can of ``alive_v``.  Each alive
-    W entry still unmatched then follows an alternating path that ends at a
-    free V entry or takes the partner of a W entry that is not alive, so
-    no V entry and no matched alive W entry loses its partner.  Some matching
-    covering ``alive_w`` gives such a path (its symmetric difference with
-    the current one), so both sets end up covered whenever each can be
-    covered alone (Mendelsohn-Dulmage).  Augmenting from every unmatched V
-    entry then makes the matching maximum without uncovering anything.
-    """
+    Kuhn's algorithm, with one augmenting search per V entry (``alive_v``
+    first, then the rest in index order), gives a maximum matching that
+    covers what it can of ``alive_v``.  Each alive W entry still unmatched
+    then follows an alternating path on the transpose, built only then; in
+    a maximum matching the path takes the partner of a W entry that is not
+    alive, so no V entry and no matched alive W entry loses its partner.
+    Both sets end up covered whenever each can be covered alone
+    (Mendelsohn-Dulmage)."""
     all_v = range(len(adjacency))
     match_v, match_w = {}, {}
-    for v in alive_v:
+    for v in dict.fromkeys(chain(alive_v, all_v)):
         _alternate(v, adjacency, match_v, match_w, all_v)
     uncovered_alive_v = [iv for iv in alive_v if iv not in match_v]
-
-    radjacency = [[] for _ in range(n_w)]
-    for iv, nbrs in enumerate(adjacency):
-        for jw in nbrs:
-            radjacency[jw].append(iv)
-    keep_w = set(alive_w)
-    uncovered_alive_w = [
-        jw for jw in alive_w if jw not in match_w
-        and not _alternate(jw, radjacency, match_w, match_v, keep_w)]
-
-    for v in all_v:
-        if v not in match_v:
-            _alternate(v, adjacency, match_v, match_w, all_v)
-
+    uncovered_alive_w = [jw for jw in alive_w if jw not in match_w]
+    if uncovered_alive_w:
+        radjacency = [[] for _ in range(n_w)]
+        for iv, nbrs in enumerate(adjacency):
+            for jw in nbrs:
+                radjacency[jw].append(iv)
+        keep_w = set(alive_w)
+        uncovered_alive_w = [jw for jw in uncovered_alive_w
+                             if not _alternate(jw, radjacency, match_w, match_v, keep_w)]
     return MatchResult(pairs=sorted(match_v.items()), uncovered_alive_v=uncovered_alive_v,
                        uncovered_alive_w=uncovered_alive_w)
 

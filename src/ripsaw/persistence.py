@@ -48,7 +48,11 @@ def is_prime(p):
     except TypeError:
         raise InputError(f"field characteristic {p!r} is not an integer") from None
     if p >= 2**64:
-        raise InputError(f"field characteristic is not below 2**64 ({excerpt(str(p))})")
+        try:
+            text = excerpt(str(p))
+        except ValueError:  # past the interpreter's limit on digits in an int's str()
+            text = f"{p.bit_length()} bits"
+        raise InputError(f"field characteristic is not below 2**64 ({text})")
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
     if p < 2 or any(p % a == 0 for a in bases):
         return p in bases

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from explicit_modules import barcode_from_ranks
-from ripsaw.diagram import cover_matching
+from ripsaw.diagram import MatchResult, _alternate, cover_matching
 from ripsaw.errors import InputError
 from ripsaw.persistence import DiagramEntry, PersistenceDiagram, _cliques
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
@@ -139,6 +139,32 @@ def match_by_pairs(entries_v, entries_w, psi):
     alive_v = [iv for iv, (b, d) in enumerate(entries_v) if psi(b) <= d]
     alive_w = [jw for jw, (b, d) in enumerate(entries_w) if psi(b) <= d]
     return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
+
+
+def cover_matching_three_passes(adjacency, alive_v, alive_w, n_w):
+    """``cover_matching`` as it ran in three passes, kept as a reference:
+    augmenting searches from the alive V entries only, then the repair pass
+    from each unmatched alive W entry on an always-built transpose, then a
+    third augmenting pass from every V entry still unmatched, which made
+    the matching maximum."""
+    all_v = range(len(adjacency))
+    match_v, match_w = {}, {}
+    for v in alive_v:
+        _alternate(v, adjacency, match_v, match_w, all_v)
+    uncovered_alive_v = [iv for iv in alive_v if iv not in match_v]
+    radjacency = [[] for _ in range(n_w)]
+    for iv, nbrs in enumerate(adjacency):
+        for jw in nbrs:
+            radjacency[jw].append(iv)
+    keep_w = set(alive_w)
+    uncovered_alive_w = [
+        jw for jw in alive_w if jw not in match_w
+        and not _alternate(jw, radjacency, match_w, match_v, keep_w)]
+    for v in all_v:
+        if v not in match_v:
+            _alternate(v, adjacency, match_v, match_w, all_v)
+    return MatchResult(pairs=sorted(match_v.items()), uncovered_alive_v=uncovered_alive_v,
+                       uncovered_alive_w=uncovered_alive_w)
 
 
 # --- mod-p linear algebra (fresh implementation) ------------------------------

@@ -469,6 +469,28 @@ def test_gen_refuses_dim_for_a_fixed_dimension(tmp_path, capsys, dataset):
     assert [len(line.split(",")) for line in out.read_text().splitlines()] == [2] * 5
 
 
+@pytest.mark.parametrize("dataset, extra", [
+    ("circle", []), ("solenoid", []), ("cloud", []), ("cloud", ["--dim", "9" * 3000])],
+    ids=["circle", "solenoid", "cloud", "cloud-dim"])
+def test_gen_refuses_more_coordinates_than_a_list_holds(tmp_path, capsys, monkeypatch,
+                                                        dataset, extra):
+    """A well-formed --n (or cloud --dim) whose coordinate count is above
+    sys.maxsize is refused before any generator runs, echoing an excerpt."""
+    from ripsaw import generators
+
+    def runaway(*_args):
+        raise AssertionError("a generator ran")
+
+    for name in ("circle_sample", "random_cloud", "solenoid_sample"):
+        monkeypatch.setattr(generators, name, runaway)
+    out = tmp_path / "g.csv"
+    n = "9" * 3000 if not extra else 5
+    assert run("gen", dataset, "--n", n, *extra, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dataset} needs more coordinates than a list holds (--n ")
+    assert len(err) < 300 and not out.exists()
+
+
 def _parsed(argv):
     """The arguments ``argv`` parses to, without the subcommand handler."""
     argv = [str(a) for a in argv]

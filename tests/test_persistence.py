@@ -437,6 +437,19 @@ def test_reduce_rejects_field_beyond_64_bits():
         reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), 2**64 + 13)
 
 
+def test_field_past_the_integer_string_limit_is_input_error():
+    """An int whose str() the interpreter refuses (over 4,300 digits) is
+    named by its bit length: no ValueError escapes from the refusal."""
+    p = 10**5000
+    message = r"field characteristic is not below 2\*\*64 \(16610 bits\)"
+    with pytest.raises(InputError, match=message):
+        is_prime(p)
+    with pytest.raises(InputError, match=message):
+        reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), p)
+    with pytest.raises(InputError, match=message):
+        PersistenceDiagram(field_char=p, max_dim=0, entries=[])
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
 def test_non_integer_field_is_input_error(p):
     """2.0 and 3.0 used to pass as primes and write a diagram its own reader
