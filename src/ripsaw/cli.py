@@ -72,9 +72,8 @@ def cmd_persist(args):
     from .sparsify import read_sparse
 
     if args.dim < 0:
-        raise InputError(f"--dim must be at least 0 ({excerpt(str(args.dim))})")
-    if not persistence.is_prime(args.field):
-        raise InputError(f"--field must be a prime, got {args.field}")
+        raise InputError(f"--dim must be at least 0 ({excerpt(args.dim)})")
+    persistence.check_field(args.field)
     matrix = read_sparse(args.input)
     profile, filtration = matrix.profile, persistence.build_filtration(matrix, args.dim + 1)
     del matrix  # the edges are in the filtration now; reduce needs only that
@@ -126,7 +125,7 @@ def cmd_gen(args):
     width = {"circle": 1, "solenoid": 3}.get(args.dataset, 2 if args.dim is None else args.dim)
     if args.n * width > sys.maxsize:
         raise InputError(f"{args.dataset} needs more coordinates than a list holds (--n "
-                         f"{excerpt(str(args.n))}; per point {excerpt(str(width))})")
+                         f"{excerpt(args.n)}; per point {excerpt(width)})")
     if args.dataset == "circle":
         # one angle per line; feed back through --format circle for the
         # geodesic metric

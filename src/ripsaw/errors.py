@@ -14,10 +14,17 @@ class ResourceGuardError(RuntimeError):
     names the budget and how many items were counted before it tripped."""
 
 
-def excerpt(text):
-    """``text`` as a refusal echoes it: its length and its first 40
-    characters, so that a value of any size gives a one-line message."""
-    return f"{len(text)} characters: {text[:40]!r}{'...' if len(text) > 40 else ''}"
+def excerpt(value):
+    """``value`` as a refusal echoes it, a str as it is and anything else by
+    its repr: its length and its first 40 characters, so that a value of any
+    size gives a one-line message; an int past the interpreter's limit on
+    digits is named by its bit length."""
+    try:
+        text = value if isinstance(value, str) else repr(value)
+    except ValueError:  # an int past the interpreter's limit on digits in its repr
+        return f"{value.bit_length()} bits"
+    size = f"{len(text)} character{'s' if len(text) != 1 else ''}"
+    return f"{size}: {text[:40]!r}{'...' if len(text) > 40 else ''}"
 
 
 def lines(path):
@@ -51,12 +58,13 @@ def exact_lines(path):
 def record(path, lineno, text, shape):
     """(int, int, float) read from ``text``, three fields joined by single
     spaces; ``InputError`` naming ``path`` and ``lineno`` otherwise, saying
-    it expected ``shape``.  The spacing is checked first, as int() and
-    float() would read a field with a tab, a "\r" or a space around it."""
+    it expected ``shape`` and echoing an excerpt of the line.  The spacing is
+    checked first, as int() and float() would read a field with a tab, a
+    "\r" or a space around it."""
     toks = text.split(" ")
-    if len(toks) != 3 or toks != text.split():
-        raise InputError(f"{path}:{lineno}: expected '{shape}'")
     try:
-        return int(toks[0]), int(toks[1]), float(toks[2])
-    except ValueError as exc:
-        raise InputError(f"{path}:{lineno}: {exc}") from None
+        if len(toks) == 3 and toks == text.split():
+            return int(toks[0]), int(toks[1]), float(toks[2])
+    except ValueError:
+        pass
+    raise InputError(f"{path}:{lineno}: expected '{shape}' ({excerpt(text)})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import math
 
-from .errors import InputError, lines
+from .errors import InputError, excerpt, lines
 
 
 class Oracle:
@@ -90,8 +90,8 @@ def load_points(path):
             continue
         try:
             coords = tuple(float(tok) for tok in text.replace(",", " ").split())
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:
+            raise InputError(f"{path}:{lineno}: not a row of numbers ({excerpt(text)})") from None
         if not coords:
             raise InputError(f"{path}:{lineno}: no values")
         if points and len(coords) != len(points[0]):
@@ -112,10 +112,10 @@ def load_lower_distance(path):
         for tok in text.replace(",", " ").split():
             try:
                 value = float(tok)
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: {exc}") from None
+            except ValueError:
+                value = math.nan
             if not (math.isfinite(value) and value >= 0.0):
-                raise InputError(f"{path}:{lineno}: {tok} is not a finite number >= 0")
+                raise InputError(f"{path}:{lineno}: not a finite number >= 0 ({excerpt(tok)})")
             values.append(value)
     return values
 

@@ -40,35 +40,28 @@ MAX_SIMPLICES_ENV = "RIPSAW_MAX_SIMPLICES"
 DEFAULT_MAX_SIMPLICES = 2_000_000
 
 
-def is_prime(p):
-    """Deterministic Miller-Rabin over the prime bases up to 37, exact for
-    every p < 2**64; a larger p, or one that is not an int, raises InputError."""
-    try:
-        json_int(p)
-    except TypeError:
-        raise InputError(f"field characteristic {p!r} is not an integer") from None
-    if p >= 2**64:
-        try:
-            text = excerpt(str(p))
-        except ValueError:  # past the interpreter's limit on digits in an int's str()
-            text = f"{p.bit_length()} bits"
-        raise InputError(f"field characteristic is not below 2**64 ({text})")
+def check_field(p):
+    """``p`` if it is an int prime below 2**64, which Miller-Rabin over the
+    prime bases up to 37 decides exactly; InputError for anything else."""
     bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if p < 2 or any(p % a == 0 for a in bases):
-        return p in bases
-    d = p - 1
-    s = (d & -d).bit_length() - 1  # d = odd * 2**s
-    for a in bases:
-        x = pow(a, d >> s, p)
-        if x == 1 or x == p - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % p
-            if x == p - 1:
+    prime = isinstance(p, int) and not isinstance(p, bool) and 2 <= p < 2**64
+    if prime and p not in bases:  # a base that divides p is a witness
+        d = p - 1
+        s = (d & -d).bit_length() - 1  # d = odd * 2**s
+        for a in bases:
+            x = pow(a, d >> s, p)
+            if x == 1 or x == p - 1:
+                continue
+            for _ in range(s - 1):
+                x = x * x % p
+                if x == p - 1:
+                    break
+            else:
+                prime = False
                 break
-        else:
-            return False
-    return True
+    if not prime:
+        raise InputError(f"field characteristic is not an integer prime below 2**64 ({excerpt(p)})")
+    return p
 
 
 def _simplex_budget():
@@ -199,8 +192,8 @@ class PersistenceDiagram:
     """Per-dimension multiset of (birth, death] entries over Z_p, for the
     dimensions 0 .. ``max_dim`` that were computed, held as a tuple.  A
     diagram is valid or is never built: ``InputError`` unless the field is a
-    prime, each entry has dim >= 0 and a finite birth >= 0 with a death at or
-    after it, and max_dim is >= 0 and every entry's dim."""
+    prime below 2**64, each entry has dim >= 0 and a finite birth >= 0 with a
+    death at or after it, and max_dim is >= 0 and every entry's dim."""
 
     field_char: int
     max_dim: int
@@ -208,8 +201,7 @@ class PersistenceDiagram:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
-        if not is_prime(self.field_char):
-            raise InputError(f"diagram field {self.field_char} is not a prime")
+        check_field(self.field_char)
         for e in self.entries:
             if not (e.dim >= 0 and 0.0 <= e.birth < INF and e.death >= e.birth):
                 raise InputError(f"bad diagram entry: dim {e.dim}, birth "
@@ -304,8 +296,7 @@ def reduce(filtration: Filtration, p: int) -> PersistenceDiagram:
     essential class, death = inf.  The pairs depend only on the filtration's
     total order, so they equal those of boundary-matrix reduction.
     """
-    if not is_prime(p):
-        raise InputError(f"field characteristic {p} is not prime")
+    check_field(p)
     lengths, columns = filtration.lengths, filtration.columns
     n, budget, count = len(columns[0]), _simplex_budget(), sum(map(len, columns))
     pivots = _merging_edges(columns[1], n)

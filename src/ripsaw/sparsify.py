@@ -78,7 +78,7 @@ class PrecisionProfile:
     n: int
 
     def __post_init__(self):
-        bad = [f"{k} ({excerpt(repr(v))})" for k, v in self.as_meta().items()
+        bad = [f"{k} ({excerpt(v)})" for k, v in self.as_meta().items()
                if not (1 <= self.N <= self.n if k in ("n", "N") else math.isfinite(v) and v >= 0.0)]
         if bad:
             raise InputError(f"profile out of range: {', '.join(bad)}")

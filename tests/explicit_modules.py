@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ripsaw.errors import InputError
-from ripsaw.persistence import is_prime
+from ripsaw.persistence import check_field
 
 
 @dataclass
@@ -35,7 +35,7 @@ class ExplicitModule:
     def __post_init__(self):
         if len(self.maps) != len(self.dims) - 1:
             raise InputError("need one map per consecutive pair of spaces")
-        if not is_prime(self.p) or max(1, *self.dims) * self.p**2 >= 2**63:
+        if max(1, *self.dims) * check_field(self.p)**2 >= 2**63:
             raise InputError(f"cannot compute over Z_{self.p} with dims {self.dims}: "
                              "need p prime and max(dims) * p**2 < 2**63")
         # a new list: the caller's maps are left as they were

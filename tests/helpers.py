@@ -1,8 +1,6 @@
 """Independent test oracles, deliberately written from scratch so they share
-no code path with the implementations they check; ``simplex_counts`` reuses
-the package's clique enumerator, and checks only what is counted without it,
-and ``match_by_pairs`` the package's ``cover_matching``, and checks only the
-graph it is handed."""
+no code path with the implementations they check; ``match_by_pairs`` reuses
+the package's ``cover_matching``, and checks only the graph it is handed."""
 
 import itertools
 import math
@@ -14,7 +12,7 @@ import numpy as np
 from explicit_modules import barcode_from_ranks
 from ripsaw.diagram import MatchResult, _alternate, cover_matching
 from ripsaw.errors import InputError
-from ripsaw.persistence import DiagramEntry, PersistenceDiagram, _cliques
+from ripsaw.persistence import DiagramEntry, PersistenceDiagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
@@ -415,17 +413,27 @@ def decode_simplex_key(key, m, n):
     return tuple(digits[::-1]), rank
 
 
+def flag_simplices(matrix, dim_cap):
+    """Every simplex of dimension 0..dim_cap of the sparse edge list's flag
+    complex, as (vertex tuple, diameter): each vertex subset of up to
+    dim_cap + 1 of the N points is tested for a clique of ``matrix.edges``,
+    and a vertex has diameter 0.0."""
+    length = {(i, j): w for i, j, w in matrix.edges}
+    out = []
+    for m in range(1, dim_cap + 2):
+        for verts in itertools.combinations(range(matrix.profile.N), m):
+            pairs = list(itertools.combinations(verts, 2))
+            if all(pair in length for pair in pairs):
+                out.append((verts, max((length[pair] for pair in pairs), default=0.0)))
+    return out
+
+
 def simplex_counts(matrix, dim_cap):
     """Simplices per dimension 0..dim_cap of the sparse edge list's flag
-    complex, the n vertices and every larger clique enumerated and counted,
-    the top dimension included, as ``Filtration.simplices`` lists them.  The
-    ranked adjacency is built here, from ``matrix.edges``."""
-    rank = {w: k for k, w in enumerate(sorted({w for _i, _j, w in matrix.edges}), start=1)}
-    adj = [{} for _ in range(matrix.profile.N)]
-    for i, j, w in matrix.edges:
-        adj[i][j] = adj[j][i] = rank[w]
-    counts = [len(adj)] + [0] * dim_cap
-    for verts, _code, _d in _cliques(adj, dim_cap + 1):
+    complex, the top dimension included, as ``Filtration.simplices`` lists
+    them, counted from ``flag_simplices``."""
+    counts = [0] * (dim_cap + 1)
+    for verts, _d in flag_simplices(matrix, dim_cap):
         counts[len(verts) - 1] += 1
     return counts
 

@@ -150,8 +150,9 @@ def test_persist_over_a_61_bit_prime_field(circle_files, tmp_path):
 
 
 @pytest.mark.parametrize("field, message", [
-    (2**61 + 1, "--field must be a prime, got 2305843009213693953"),  # 3 divides it
-    (2**64 + 13, "field characteristic is not below 2**64 "
+    (2**61 + 1, "field characteristic is not an integer prime below 2**64 "
+                "(19 characters: '2305843009213693953')"),  # 3 divides it
+    (2**64 + 13, "field characteristic is not an integer prime below 2**64 "
                  "(20 characters: '18446744073709551629')"),
 ])
 def test_persist_rejects_large_bad_field(circle_files, tmp_path, capsys, field, message):
@@ -726,7 +727,8 @@ def _mutated_tree_lines(lines, family, rng):
 
 
 # what ``read_tree`` says of a line or file it cannot parse
-_TREE_DEFECTS = {"two-tokens": "expected 'index parent time'", "word-field": "'x'",
+_TREE_DEFECTS = {"two-tokens": "expected 'index parent time'",
+                 "word-field": "expected 'index parent time'",
                  "config-line-only": "expected header 'n <count>'",
                  "count-5000-digits": ":1: expected header 'n <count>'",
                  "comment-line": "expected 'index parent time'",
@@ -1063,8 +1065,8 @@ def test_tree_refuses_mutated_input_csv(tmp_path, capsys, fmt, family):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("1.0\nnan, 1.5\n", "2: nan is not a finite number >= 0"),
-    ("1.0\n2.0, -1\n", "2: -1 is not a finite number >= 0"),
+    ("1.0\nnan, 1.5\n", "2: not a finite number >= 0 (3 characters: 'nan')"),
+    ("1.0\n2.0, -1\n", "2: not a finite number >= 0 (2 characters: '-1')"),
     ("1.0\n2.0, 3.0, 4.0\n", " 4 entries is not a triangular count n(n-1)/2")],
     ids=["nan", "negative", "not-triangular"])
 def test_tree_names_lower_distance_file_of_bad_entry(tmp_path, capsys, text, message):
@@ -1073,6 +1075,31 @@ def test_tree_names_lower_distance_file_of_bad_entry(tmp_path, capsys, text, mes
     assert run("tree", "--input", lower, "--format", "lower-distance", "--out", out) == 2
     assert capsys.readouterr().err == f"error: {lower}:{message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["points", "circle", "lower-distance", "tree", "sparse"])
+def test_reader_echoes_a_huge_bad_token_in_one_short_line(circle_files, tmp_path, monkeypatch,
+                                                          capsys, fmt):
+    """A 5,000-character token that a reader refuses, in any of the five text
+    formats, is echoed as an excerpt: exit 2, and one stderr line under 200
+    bytes that names the file and line."""
+    monkeypatch.chdir(tmp_path)  # the line as a user running in the directory sees it
+    token = ("9" if fmt == "lower-distance" else "x") * 5000  # 5,000 nines read as inf
+    if fmt in ("tree", "sparse"):
+        path = Path(f"circle.{fmt}")
+        _replace_line(path, 3, f"4 0 {token}")
+        argv = (["sparsify", "--input", "circle.csv", "--tree", path] if fmt == "tree"
+                else ["persist", "--input", path])
+    else:
+        path = Path("bad.txt")
+        path.write_text({"points": f"1.0, 2.0\n{token}, 1.0\n", "circle": f"0.25\n{token}\n",
+                         "lower-distance": f"1.0\n2.0, {token}\n"}[fmt])
+        argv = ["tree", "--input", path, "--format", fmt]
+    assert run(*argv, "--out", "x.out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:{2 if path.name == 'bad.txt' else 4}: ")
+    assert err.count("\n") == 1 and err.endswith("\n") and len(err.encode()) < 200
+    assert not Path("x.out").exists()
 
 
 def _lower_rows(n, value):
@@ -1274,10 +1301,12 @@ def test_persist_rejects_negative_dim(circle_files, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--field", "1" * 3000, "field characteristic is not below 2**64 "
+    ("--field", "1" * 3000, "field characteristic is not an integer prime below 2**64 "
                             f"(3000 characters: '{'1' * 40}'...)"),
+    ("--field", "-" + "1" * 3000, "field characteristic is not an integer prime below 2**64 "
+                                  f"(3001 characters: '-{'1' * 39}'...)"),
     ("--dim", "-" + "1" * 3000, f"--dim must be at least 0 (3001 characters: '-{'1' * 39}'...)"),
-], ids=["field", "dim"])
+], ids=["field", "negative-field", "dim"])
 def test_out_of_range_persist_argument_echoes_at_most_40_characters(circle_files, tmp_path,
                                                                     capsys, flag, value,
                                                                     message):
@@ -1297,13 +1326,15 @@ def test_persist_rejects_composite_field_before_building(circle_files, tmp_path,
     out = tmp_path / "x.json"
     assert run("persist", "--input", circle_files["sparse"], "--field", 4,
                "--out", out) == 2
-    assert "--field must be a prime, got 4" in capsys.readouterr().err
+    assert ("field characteristic is not an integer prime below 2**64 (1 character: '4')"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--dim", -1, "--dim must be at least 0 (2 characters: '-1')"),
-    ("--field", 4, "--field must be a prime, got 4"),
+    ("--field", 4, "field characteristic is not an integer prime below 2**64 "
+                   "(1 character: '4')"),
 ])
 def test_persist_checks_arguments_before_reading_input(tmp_path, capsys, flag, value,
                                                        message):

@@ -22,6 +22,7 @@ from helpers import (
     decode_simplex_key,
     diagram_to_multisets,
     edge_list,
+    flag_simplices,
     full_distance_matrix,
     gauss_rank,
     random_invertible,
@@ -43,7 +44,7 @@ from ripsaw import (
     sparsify,
     tighten,
 )
-from ripsaw.persistence import dump_diagram, is_prime, load_diagram
+from ripsaw.persistence import check_field, dump_diagram, load_diagram
 from ripsaw.sparsify import PrecisionProfile, SparseLengthMatrix
 
 INF = math.inf
@@ -302,6 +303,20 @@ def test_memory_guard_counts_the_stored_keys(monkeypatch, dim_cap):
         assert _aborted_after(err) == total, name
 
 
+@pytest.mark.parametrize("dim_cap", [1, 2, 3])
+def test_filtration_lists_each_clique_once(dim_cap):
+    """``Filtration.simplices`` holds each vertex subset that is a clique of
+    the edge list, with its diameter, exactly once: as a multiset it equals
+    brute force over the vertex subsets, on K7, the 40-point sparse cloud,
+    five isolated points and a triangle."""
+    no_edges = [[0.0 if i == j else INF for j in range(5)] for i in range(5)]
+    inputs = _guard_inputs() + [("five-points", edge_list(no_edges)),
+                                ("triangle", edge_list(np.ones((3, 3)) - np.eye(3)))]
+    for name, lengths in inputs:
+        got = sorted(build_filtration(lengths, dim_cap).simplices)
+        assert got == sorted(flag_simplices(lengths, dim_cap)), name
+
+
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("dim_cap", [2, 3])
 def test_reduce_counts_the_rows_it_stores(monkeypatch, dim_cap, p):
@@ -438,16 +453,17 @@ def test_reduce_rejects_field_beyond_64_bits():
 
 
 def test_field_past_the_integer_string_limit_is_input_error():
-    """An int whose str() the interpreter refuses (over 4,300 digits) is
-    named by its bit length: no ValueError escapes from the refusal."""
-    p = 10**5000
-    message = r"field characteristic is not below 2\*\*64 \(16610 bits\)"
-    with pytest.raises(InputError, match=message):
-        is_prime(p)
-    with pytest.raises(InputError, match=message):
-        reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), p)
-    with pytest.raises(InputError, match=message):
-        PersistenceDiagram(field_char=p, max_dim=0, entries=[])
+    """An int whose str() the interpreter refuses (over 4,300 digits), above
+    2**64 or below 2, is named by its bit length: no ValueError escapes from
+    the refusal."""
+    message = r"^field characteristic is not an integer prime below 2\*\*64 \(16610 bits\)$"
+    for p in (10**5000, -10**5000):
+        with pytest.raises(InputError, match=message):
+            check_field(p)
+        with pytest.raises(InputError, match=message):
+            reduce(build_filtration(edge_list(np.zeros((2, 2))), 1), p)
+        with pytest.raises(InputError, match=message):
+            PersistenceDiagram(field_char=p, max_dim=0, entries=[])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 2.5])
@@ -464,12 +480,19 @@ def test_is_prime_agrees_with_trial_division():
     def trial(p):
         return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
-    assert [p for p in range(-2, 10**4) if is_prime(p) != trial(p)] == []
+    def accepted(p):
+        try:
+            return check_field(p) == p
+        except InputError:
+            return False
+
+    assert [p for p in range(-2, 10**4) if accepted(p) != trial(p)] == []
 
 
 @pytest.mark.parametrize("p", [561, 3215031751])  # Carmichael; strong pseudoprime to 2, 3, 5, 7
 def test_is_prime_rejects_pseudoprimes(p):
-    assert not is_prime(p)
+    with pytest.raises(InputError, match=rf"not an integer prime below 2\*\*64 \(.*'{p}'\)$"):
+        check_field(p)
 
 
 @pytest.mark.parametrize("points,hom_cap,p", [
@@ -547,7 +570,7 @@ def test_explicit_module_refuses_maps_that_are_not_integer_matrices(dims, maps):
 def test_explicit_module_refuses_field_it_cannot_compute_in(p):
     """Z_1 and Z_4 are not fields; over Z_(2**61-1) int64 products overflow."""
     maps = [[[p - 1, p - 1], [0, 1]], [[p - 1, p - 1], [p - 1, 1]]]
-    with pytest.raises(InputError, match="p prime"):
+    with pytest.raises(InputError, match=r"not an integer prime below 2\*\*64|need p prime"):
         ExplicitModule(dims=[2, 2, 2], maps=maps, p=p)
 
 
@@ -665,7 +688,7 @@ def test_diagram_meta_holds_only_what_is_given(tmp_path):
 
 
 @pytest.mark.parametrize("field,max_dim,entries,message", [
-    (4, 0, [], "diagram field 4 is not a prime"),
+    (4, 0, [], "field characteristic is not an integer prime below 2**64 (1 character: '4')"),
     (2, 0, [DiagramEntry(0, math.nan, 1.0)], "bad diagram entry: dim 0, birth nan, death 1.0"),
     (2, 0, [DiagramEntry(0, INF, INF)], "bad diagram entry: dim 0, birth inf, death inf"),
     (2, 0, [DiagramEntry(0, 0.5, 0.25)], "bad diagram entry: dim 0, birth 0.5, death 0.25"),
