@@ -22,9 +22,10 @@ import json
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
+from itertools import islice
 
 from . import metric
-from .errors import InputError, exact_lines, record
+from .errors import InputError, exact_lines, excerpt, record
 
 INF = math.inf
 CONFIG_PREFIX = "# config "
@@ -220,67 +221,55 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
     return out
 
 
-def _line(*values):
-    """A ``.tree`` line: ``values`` (floats in shortest round-trip form) and "\n"."""
-    return " ".join(map(str, values)) + "\n"
+def _rendered(ctree: ContractionTree, config):
+    """The lines of a ``.tree`` file: the header ``n <count>``, the config
+    line (``config`` as sorted-key JSON) and one line "index parent_index
+    time" per node in contraction order, with original point indices (the
+    root's parent is -1)."""
+    yield f"n {ctree.size}\n"
+    yield f"{CONFIG_PREFIX}{json.dumps(config, sort_keys=True)}\n"
+    for k in range(ctree.size):
+        par = -1 if k == 0 else ctree.order[ctree.parent[k]]
+        yield f"{ctree.order[k]} {par} {float(ctree.times[k])}\n"
 
 
 def write_tree(path, ctree: ContractionTree, digest, config):
-    """Serialize the header ``n <count>``, the config line (``config``, which
-    records the input's ``format``, plus its ``digest``, as sorted-key JSON)
-    and one line "index parent_index time" per node in contraction order,
-    with original point indices (the root's parent is -1); floats print in
-    shortest round-trip form, so rewriting is byte-exact.
-    """
+    """Serialize ``ctree`` with ``config``, which records the input's
+    ``format``, plus its ``digest``; floats print in shortest round-trip
+    form, so rewriting is byte-exact."""
     with open(path, "w") as fh:
-        fh.write(_line("n", ctree.size))
-        fh.write(_line(CONFIG_PREFIX + json.dumps(dict(config, digest=digest), sort_keys=True)))
-        for k in range(ctree.size):
-            par = -1 if k == 0 else ctree.order[ctree.parent[k]]
-            fh.write(_line(ctree.order[k], par, float(ctree.times[k])))
+        fh.writelines(_rendered(ctree, dict(config, digest=digest)))
 
 
 def read_tree(path, input_path):
     """(tree, oracle of ``input_path`` read under the ``format`` the tree
-    records); ``InputError`` naming the tree unless it holds the header
-    ``n <count>``, a config line of sorted-key JSON recording a ``format`` of
-    ``metric.FORMATS`` and the input's ``digest``, then ``count`` lines "index
-    parent time" that make a valid tree, each line as ``write_tree`` renders it.
-    """
+    records); ``InputError`` naming the tree unless its line 2 is a config
+    line whose JSON object records a ``format`` of ``metric.FORMATS`` and the
+    input's ``digest``, the lines after it are "index parent time" nodes
+    that make a valid tree, and every line is as ``write_tree`` renders that
+    tree and config."""
     rows = exact_lines(path)
-    lineno, raw, text = next(rows, (1, b"", ""))
-    try:  # "+5", " 5" or "５" read as 5, but fail the rendering check below
-        count = int(text.removeprefix("n "))
-    except ValueError:  # not a number, or past Python's integer-string limit
-        count = -1
-    if count < 0 or raw != _line("n", count).encode():
-        raise InputError(f"{path}:{lineno}: expected header 'n <count>'")
-    lineno, raw, text = next(rows, (lineno + 1, b"", ""))
+    head = list(islice(rows, 2))
+    text = head[1][2] if len(head) == 2 else ""
     if not text.startswith(CONFIG_PREFIX):
-        raise InputError(f"{path}:{lineno}: expected the config line '{CONFIG_PREFIX}{{...}}'")
+        raise InputError(f"{path}:2: expected the config line '{CONFIG_PREFIX}{{...}}'")
     try:
         config = json.loads(text[len(CONFIG_PREFIX):])
         recorded, fmt = config["digest"], config.get("format")
     except (ValueError, TypeError, KeyError):
-        raise InputError(f"{path}:{lineno}: malformed config line: "
+        raise InputError(f"{path}:2: malformed config line: "
                          "no JSON object with a 'digest' key") from None
-    if raw != _line(CONFIG_PREFIX + json.dumps(config, sort_keys=True)).encode():
-        raise InputError(f"{path}:{lineno}: malformed config line: "
-                         "not the sorted-key JSON that ripsaw writes")
     if fmt not in metric.FORMATS:
-        raise InputError(f"{path}:{lineno}: the config line records no input format "
+        raise InputError(f"{path}:2: the config line records no input format "
                          f"ripsaw reads (format {fmt!r})")
     oracle, digest = metric.load_input(input_path, fmt)
     if recorded != digest:
         raise InputError(f"{path}: tree was built from a different input "
                          f"(digest {recorded}, input has {digest})")
-    nodes, misspelt = [], []  # the lines of misspelt nodes
+    raws, nodes = [raw for _lineno, raw, _text in head], []
     for lineno, raw, text in rows:
+        raws.append(raw)
         nodes.append(record(path, lineno, text, "index parent time"))
-        if raw != _line(*nodes[-1]).encode():
-            misspelt.append(lineno)
-    if len(nodes) != count:
-        raise InputError(f"{path}: header says {count} nodes, found {len(nodes)}")
     pos = {orig: k for k, (orig, _par, _time) in enumerate(nodes)}
     pos[-1] = -1  # the root's parent
     try:
@@ -291,7 +280,8 @@ def read_tree(path, input_path):
         raise InputError(f"{path}: parent {exc} is no node of the tree") from None
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
-    if misspelt:  # named last: a time of 1e309 reads as inf, which no tree holds
-        expected = _line(*nodes[misspelt[0] - 3])  # node k is on line k + 3
-        raise InputError(f"{path}:{misspelt[0]}: expected {expected!r}, as ripsaw writes it")
+    # compared last: a time of 1e309 reads as inf, which no tree holds
+    for lineno, (raw, line) in enumerate(zip(raws, _rendered(ctree, config)), start=1):
+        if raw != line.encode():
+            raise InputError(f"{path}:{lineno}: expected {excerpt(line)}, as ripsaw writes it")
     return ctree, oracle

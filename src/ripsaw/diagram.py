@@ -118,15 +118,18 @@ def match_diagrams(entries_v, entries_w, psi) -> MatchResult:
 
     V entry (b, d) is related to the W entries in its box [b, psi(b)] x
     [d, psi(d)], and an entry (b, d) of either side is alive when psi(b) <= d.
-    psi runs once per entry value, 2|V| + |W| times; every (V, W) pair is
-    then compared against the V entry's box, and every neighbour list holds
-    the same int object per W entry."""
+    psi runs once per entry value, 2|V| + |W| times.  The W entries are
+    sorted by death once; a V entry's box test then runs only on those whose
+    death lies in [d, psi(d)], found by bisection, and its neighbours are the
+    ones that pass, in index order, with the same int object per W entry."""
     boxes = [(b, psi(b), d, psi(d)) for b, d in entries_v]
-    indexed_w = list(enumerate(entries_w))
-    adjacency = [[jw for jw, (bw, dw) in indexed_w if b <= bw <= pb and d <= dw <= pd]
+    rows = sorted((dw, jw, bw) for jw, (bw, dw) in enumerate(entries_w))
+    deaths = [dw for dw, _jw, _bw in rows]
+    adjacency = [sorted([jw for dw, jw, bw in rows[bisect_left(deaths, d):bisect_right(deaths, pd)]
+                         if b <= bw <= pb and d <= dw <= pd])
                  for b, pb, d, pd in boxes]
     alive_v = [iv for iv, (_b, pb, d, _pd) in enumerate(boxes) if pb <= d]
-    alive_w = [jw for jw, (bw, dw) in indexed_w if psi(bw) <= dw]
+    alive_w = [jw for jw, (bw, dw) in enumerate(entries_w) if psi(bw) <= dw]
     return cover_matching(adjacency, alive_v, alive_w, len(entries_w))
 
 

@@ -29,6 +29,7 @@ _POSSIBLE_FILL = "#ee854a"
 _PSI_COLOR = "#d62728"
 
 _FLOAT_MAX = sys.float_info.max
+_TINY = math.ulp(0.0)  # 5e-324, the least positive float
 _LOG_FLOAT_MAX = math.nextafter(math.log10(_FLOAT_MAX), 0.0)  # 10 ** this is finite
 
 
@@ -141,11 +142,12 @@ def _ticks(axis):
         hi = math.floor(axis.hi)
         decades = range(lo, hi + 1, max(1, (hi - lo) // _TICK_TARGET + 1))
         return [((d - axis.lo) / axis.span, f"1e{d}") for d in decades]
-    raw = axis.span / _TICK_TARGET
-    mag = 10 ** math.floor(math.log10(raw))
+    # a linear axis starts at 0; below 1e-323 a span / 5 or a power of 10
+    # underflows, so neither may fall under the least positive float
+    raw = max(axis.span / _TICK_TARGET, _TINY)
+    mag = max(10 ** math.floor(math.log10(raw)), _TINY)
     step = next((mult * mag for mult in (1, 2, 5) if raw <= mult * mag), 10 * mag)
-    ticks = []
-    v = math.ceil(axis.lo / step) * step
+    ticks, v = [], 0.0
     while v <= axis.hi:
         ticks.append(((v - axis.lo) / axis.span, f"{v:.6g}"))
         v += step

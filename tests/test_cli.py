@@ -337,6 +337,24 @@ def test_plot_diagram_near_float_maximum(tmp_path, capsys):
         assert coords and all(0.0 <= v <= 640.0 for v in coords), flags
 
 
+@pytest.mark.parametrize("angle", ["5e-324", "1e-323", "1.5e-323", "3e-323", "5e-323"])
+def test_plot_diagram_at_subnormal_scale(tmp_path, capsys, angle):
+    """Two circle points a few subnormal floats apart: span / 5 or the power
+    of 10 below it underflows to 0, yet the linear plot exits 0 with its
+    ticks starting at 0."""
+    csv, tree, sparse, diagram, svg = (tmp_path / f"tiny.{ext}"
+                                       for ext in ("csv", "tree", "sparse", "json", "svg"))
+    csv.write_text(f"0.0\n{angle}\n")
+    assert run("tree", "--input", csv, "--format", "circle", "--out", tree) == 0
+    assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5, "--out", sparse) == 0
+    assert run("persist", "--input", sparse, "--out", diagram) == 0
+    capsys.readouterr()
+    assert run("plot", "--input", diagram, "--out", svg) == 0
+    assert capsys.readouterr().err == ""
+    labels = [t.text for t in ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}text")]
+    assert labels[:3] == ["inf", "0", "0"]
+
+
 def test_gen_solenoid_and_cloud(tmp_path):
     sol = tmp_path / "sol.csv"
     assert run("gen", "solenoid", "--n", 25, "--seed", 7, "--out", sol) == 0
@@ -592,13 +610,15 @@ def test_sparsify_rejects_nan_tree_time(circle_files, tmp_path, capsys, index, t
 
 
 def test_sparsify_rejects_non_ascii_tree_count(circle_files, tmp_path, capsys):
-    """'²' passes str.isdigit() but is no count that int() reads."""
+    """'²' passes str.isdigit(), but the header differs from the one ripsaw
+    writes for the tree below it."""
     tree = circle_files["tree"]
     assert tree.read_text().splitlines()[0] == "n 32"
     _replace_line(tree, 0, "n \u00b2")
     assert run("sparsify", "--input", circle_files["csv"], "--tree", tree,
                "--out", tmp_path / "x.sparse") == 2
-    assert "expected header 'n <count>'" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {tree}:1: expected 5 characters: 'n 32\\n', as ripsaw writes it\n")
 
 
 @pytest.mark.parametrize("label", ["9", "-3"])
@@ -729,8 +749,8 @@ def _mutated_tree_lines(lines, family, rng):
 # what ``read_tree`` says of a line or file it cannot parse
 _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'",
                  "word-field": "expected 'index parent time'",
-                 "config-line-only": "expected header 'n <count>'",
-                 "count-5000-digits": ":1: expected header 'n <count>'",
+                 "config-line-only": ":2: expected the config line",
+                 "count-5000-digits": ":1: expected 5 characters: 'n 24\\n', as ripsaw writes it",
                  "comment-line": "expected 'index parent time'",
                  "no-config-line": "expected the config line",
                  "config-without-digest": "malformed config line",
@@ -775,10 +795,10 @@ def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, famil
 
 
 @pytest.mark.parametrize("index,edit,defect", [
-    (0, " {}", "expected header 'n <count>'"),
-    (0, "{}\r", "expected header 'n <count>'"),
-    (1, "{} \t", "not the sorted-key JSON"),
-    (1, "{}\r", "not the sorted-key JSON"),
+    (0, " {}", "expected 5 characters: 'n 24\\n', as ripsaw writes it"),
+    (0, "{}\r", "expected 5 characters: 'n 24\\n', as ripsaw writes it"),
+    (1, "{} \t", ", as ripsaw writes it"),
+    (1, "{}\r", ", as ripsaw writes it"),
 ], ids=["header-leading-space", "header-cr", "config-trailing-space-tab", "config-cr"])
 def test_sparsify_refuses_tree_head_with_stray_whitespace(cloud_tree_files, tmp_path, capsys,
                                                           index, edit, defect):

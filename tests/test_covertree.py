@@ -274,8 +274,9 @@ def test_read_tree_rejects_garbage(tmp_path):
     csv.write_text("0.5\n")
     _oracle, digest = load_input(csv, "points")
     bad.write_text(f'n 2\n# config {{"digest": "{digest}", "format": "points"}}\n0 -1 inf\n')
-    with pytest.raises(InputError, match="header says 2 nodes, found 1"):
+    with pytest.raises(InputError, match=re.escape(f"{bad}:1: expected 4 characters: 'n 1\\n', "
+                                                   "as ripsaw writes it")):
         read_tree(bad, csv)
     bad.write_text("nonsense\n")
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match=re.escape(f"{bad}:2: expected the config line")):
         read_tree(bad, csv)

@@ -409,6 +409,46 @@ def test_match_shares_one_int_per_sparse_entry(monkeypatch):
     assert res.ok and len(res.pairs) == 600
 
 
+def test_match_builds_the_all_pairs_box_graph(monkeypatch):
+    """The neighbour lists ``match_diagrams`` finds by bisecting the W deaths
+    are the lists of the box test on every (V, W) pair, and its matching is
+    the one ``cover_matching`` finds on those: 40 random diagram pairs of up
+    to 300 entries a side, deaths tied on an eighth grid, one in twenty
+    infinite, every other pair H0-shaped, under a psi flat past R = 2."""
+    import random
+
+    import ripsaw.diagram
+
+    handed = []
+    real = ripsaw.diagram.cover_matching
+
+    def capture(adjacency, alive_v, alive_w, n_w):
+        handed.append(adjacency)
+        return real(adjacency, alive_v, alive_w, n_w)
+
+    def pairs(rng, h0):
+        out = []
+        for _ in range(rng.randrange(300)):
+            b = 0.0 if h0 else rng.randrange(24) / 8
+            out.append((b, INF if rng.random() < 0.05 else b + rng.randrange(24) / 8))
+        return out
+
+    monkeypatch.setattr(ripsaw.diagram, "cover_matching", capture)
+    psi = PrecisionProfile(R=2.0, eps0=0.125, eps1=0.25, N=9, n=9).psi
+    related = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        pv, pw = pairs(rng, seed % 2 == 0), pairs(rng, seed % 2 == 0)
+        res = match_diagrams(pv, pw, psi)
+        box = [[jw for jw, (bw, dw) in enumerate(pw) if b <= bw <= psi(b) and d <= dw <= psi(d)]
+               for b, d in pv]
+        assert handed.pop() == box, seed
+        assert res == real(box, [iv for iv, (b, d) in enumerate(pv) if psi(b) <= d],
+                           [jw for jw, (b, d) in enumerate(pw) if psi(b) <= d], len(pw)), seed
+        related += sum(map(len, box))
+    assert related > 20_000
+
+
 # --- rank queries -------------------------------------------------------------------
 
 def test_rank_at():
