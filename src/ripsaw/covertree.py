@@ -22,10 +22,9 @@ import json
 import math
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import islice
 
 from . import metric
-from .errors import InputError, exact_lines, excerpt, record
+from .errors import InputError, excerpt, read_rows, render_rows
 
 INF = math.inf
 CONFIG_PREFIX = "# config "
@@ -96,7 +95,8 @@ class ContractionTree:
     the reach values, ``times[0] == inf``.  A tree is valid or is never
     built: ``InputError`` unless ``order`` is a permutation of 0..n-1, the
     root's parent is -1 and every other node's parent comes before it, and
-    the times after the root's are finite, >= 0 and never increase.
+    the times after the root's are finite, >= 0 and never increase; a
+    refusal about one node opens with its 1-based position.
     """
 
     order: tuple
@@ -114,19 +114,19 @@ class ContractionTree:
         if sorted(self.order) != list(range(n)):
             raise InputError(f"node indices are not exactly 0..{n - 1}")
         if self.parent[0] != -1 or self.times[0] != INF:
-            raise InputError(f"root has parent {self.parent[0]} and time "
+            raise InputError(f"1: root has parent {self.parent[0]} and time "
                              f"{self.times[0]!r}, not -1 and inf")
         for k in range(1, n):
             t = self.times[k]
             if not 0 <= self.parent[k] < k:
-                raise InputError(f"node {self.order[k]} at position {k} has parent "
+                raise InputError(f"{k + 1}: node {self.order[k]} at position {k} has parent "
                                  f"position {self.parent[k]}, not in 0..{k - 1}")
             # `not t >= 0` also holds for nan
             if not (t >= 0.0 and t != INF):
-                raise InputError(f"node {self.order[k]}: contraction time is {t!r}, "
+                raise InputError(f"{k + 1}: node {self.order[k]}: contraction time is {t!r}, "
                                  "not finite and >= 0")
             if t > self.times[k - 1]:
-                raise InputError(f"times increase at position {k}")
+                raise InputError(f"{k + 1}: times increase at position {k}")
 
     @property
     def size(self):
@@ -223,14 +223,12 @@ def contraction_violations(ctree: ContractionTree, oracle, limit=10):
 
 def _rendered(ctree: ContractionTree, config):
     """The lines of a ``.tree`` file: the header ``n <count>``, the config
-    line (``config`` as sorted-key JSON) and one line "index parent_index
-    time" per node in contraction order, with original point indices (the
-    root's parent is -1)."""
+    line (``config`` as sorted-key JSON), then one row "index parent time"
+    per node in contraction order, in original indices (root's parent -1)."""
     yield f"n {ctree.size}\n"
     yield f"{CONFIG_PREFIX}{json.dumps(config, sort_keys=True)}\n"
-    for k in range(ctree.size):
-        par = -1 if k == 0 else ctree.order[ctree.parent[k]]
-        yield f"{ctree.order[k]} {par} {float(ctree.times[k])}\n"
+    parents = [-1, *(ctree.order[k] for k in ctree.parent[1:])]
+    yield from render_rows(list(zip(ctree.order, parents, ctree.times)))
 
 
 def write_tree(path, ctree: ContractionTree, digest, config):
@@ -243,18 +241,16 @@ def write_tree(path, ctree: ContractionTree, digest, config):
 
 def read_tree(path, input_path):
     """(tree, oracle of ``input_path`` read under the ``format`` the tree
-    records); ``InputError`` naming the tree unless its line 2 is a config
-    line whose JSON object records a ``format`` of ``metric.FORMATS`` and the
-    input's ``digest``, the lines after it are "index parent time" nodes
-    that make a valid tree, and every line is as ``write_tree`` renders that
-    tree and config."""
-    rows = exact_lines(path)
-    head = list(islice(rows, 2))
-    text = head[1][2] if len(head) == 2 else ""
-    if not text.startswith(CONFIG_PREFIX):
+    records); ``InputError`` naming the tree, and the line at fault when
+    one is, unless line 2 is a config line recording a ``format`` of
+    ``metric.FORMATS`` and the input's ``digest``, the later lines are rows
+    that ``errors.read_rows`` accepts and that make a valid tree, and lines
+    1 and 2 are as ``write_tree`` renders that tree and config."""
+    head, nodes = read_rows(path, "index parent time", head=2)
+    if not head[1].startswith(CONFIG_PREFIX.encode()):
         raise InputError(f"{path}:2: expected the config line '{CONFIG_PREFIX}{{...}}'")
     try:
-        config = json.loads(text[len(CONFIG_PREFIX):])
+        config = json.loads(head[1][len(CONFIG_PREFIX):])
         recorded, fmt = config["digest"], config.get("format")
     except (ValueError, TypeError, KeyError):
         raise InputError(f"{path}:2: malformed config line: "
@@ -266,10 +262,6 @@ def read_tree(path, input_path):
     if recorded != digest:
         raise InputError(f"{path}: tree was built from a different input "
                          f"(digest {recorded}, input has {digest})")
-    raws, nodes = [raw for _lineno, raw, _text in head], []
-    for lineno, raw, text in rows:
-        raws.append(raw)
-        nodes.append(record(path, lineno, text, "index parent time"))
     pos = {orig: k for k, (orig, _par, _time) in enumerate(nodes)}
     pos[-1] = -1  # the root's parent
     try:
@@ -278,10 +270,11 @@ def read_tree(path, input_path):
                                 times=[time for _orig, _par, time in nodes])
     except KeyError as exc:
         raise InputError(f"{path}: parent {exc} is no node of the tree") from None
-    except InputError as exc:
-        raise InputError(f"{path}: {exc}") from None
-    # compared last: a time of 1e309 reads as inf, which no tree holds
-    for lineno, (raw, line) in enumerate(zip(raws, _rendered(ctree, config)), start=1):
+    except InputError as exc:  # one about a node opens with its position k, on line k + 2
+        k, _, rest = str(exc).partition(": ")
+        raise InputError(f"{path}:{int(k) + 2}: {rest}" if k.isdigit()
+                         else f"{path}: {exc}") from None
+    for lineno, (raw, line) in enumerate(zip(head, _rendered(ctree, config)), start=1):
         if raw != line.encode():
             raise InputError(f"{path}:{lineno}: expected {excerpt(line)}, as ripsaw writes it")
     return ctree, oracle

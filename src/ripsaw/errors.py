@@ -1,8 +1,12 @@
 """Exception types shared across the package, how a refusal echoes a value
-(``excerpt``), and the line readers text inputs go through: a tolerant one
-for the files users write, and an exact one for the files ripsaw writes and
-reads back, whose "int int float" lines (``.tree`` nodes and ``.sparse``
-edges) ``record`` parses."""
+(``excerpt``), the tolerant line reader for the files users write, and the
+one definition of the "int int float" rows that ripsaw writes and reads back
+(``.tree`` nodes, ``.sparse`` edges): ``read_rows`` accepts a row file only
+as ``render_rows`` writes it."""
+
+from itertools import chain, islice
+
+_BLOCK = 4096  # rows that one % renders, and that a reader parses at once
 
 
 class InputError(ValueError):
@@ -41,30 +45,54 @@ def lines(path):
         raise InputError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def exact_lines(path):
-    """(line number, bytes, text) for each line of the file ``path`` exactly
-    as written: the line's bytes, and its UTF-8 text minus only the "\n"
-    that ends it, so that blank lines and stray whitespace reach the caller;
-    ``InputError`` naming the file and line when one is not UTF-8."""
-    lineno = 0
+def _text(fields):
+    """Rows, given as their fields in order, as "a b c" lines from one %: a
+    and b as str() spells them (%d would truncate a float), c by its repr."""
+    return "%s %s %r\n" * (len(fields) // 3) % tuple(fields)
+
+
+def render_rows(rows):
+    """The text of the (int, int, number) ``rows``, one str per _BLOCK rows;
+    c is written as repr(float(c)), so that a numpy number reads back."""
+    for k in range(0, len(rows), _BLOCK):
+        fields = list(chain.from_iterable(rows[k:k + _BLOCK]))
+        fields[2::3] = map(float, fields[2::3])
+        yield _text(fields)
+
+
+def _rows(text):
+    """The rows of ``text`` if it is their rendering, else None."""
+    fields = text.split()
+    try:
+        for k, kind in enumerate((int, int, float)):
+            fields[k::3] = map(kind, fields[k::3])
+        same = _text(fields) == text
+    except (TypeError, ValueError):  # a field is no number, or the count no multiple of 3
+        return None
+    it = iter(fields)
+    return list(zip(it, it, it)) if same else None
+
+
+def read_rows(path, shape, head=0, digest=None):
+    """(the first ``head`` lines of the file ``path`` as bytes, the rows
+    after them), a block of _BLOCK lines accepted only as ``render_rows``
+    writes its rows; else ``InputError`` at the first line that is not,
+    saying it expected ``shape``, or that is not UTF-8.  ``digest``, if
+    given, takes the bytes of the rows."""
+    rows, lineno = [], head
     try:
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                yield lineno, raw, raw.decode("utf-8").removesuffix("\n")
+            first = [fh.readline() for _ in range(head)]
+            while chunk := list(islice(fh, _BLOCK)):
+                raw = b"".join(chunk)
+                if (block := _rows(raw.decode(errors="replace"))) is None:
+                    for lineno, line in enumerate(chunk, start=head + len(rows) + 1):
+                        if _rows(text := line.decode()) is None:
+                            raise InputError(f"{path}:{lineno}: expected '{shape}', "
+                                             f"as ripsaw writes it ({excerpt(text)})")
+                rows += block
+                if digest is not None:
+                    digest.update(raw)
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
-
-
-def record(path, lineno, text, shape):
-    """(int, int, float) read from ``text``, three fields joined by single
-    spaces; ``InputError`` naming ``path`` and ``lineno`` otherwise, saying
-    it expected ``shape`` and echoing an excerpt of the line.  The spacing is
-    checked first, as int() and float() would read a field with a tab, a
-    "\r" or a space around it."""
-    toks = text.split(" ")
-    try:
-        if len(toks) == 3 and toks == text.split():
-            return int(toks[0]), int(toks[1]), float(toks[2])
-    except ValueError:
-        pass
-    raise InputError(f"{path}:{lineno}: expected '{shape}' ({excerpt(text)})")
+    return first, rows

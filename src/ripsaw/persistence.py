@@ -144,7 +144,8 @@ def _cliques(adj, dim_cap):
 
 def build_filtration(matrix, dim_cap) -> Filtration:
     """The flag filtration of all cliques with at most dim_cap+1 vertices of
-    the ``SparseLengthMatrix`` ``matrix`` (``InputError`` for anything else).
+    the ``SparseLengthMatrix`` ``matrix`` (``InputError`` for anything else,
+    and unless ``dim_cap`` is an int >= 1).
 
     One walk over the edges, stably sorted by length, ranks them; ties keep
     ``SparseLengthMatrix``'s (i, j) order, so the edge keys come out sorted.
@@ -158,8 +159,9 @@ def build_filtration(matrix, dim_cap) -> Filtration:
         raise InputError("build_filtration takes a SparseLengthMatrix, "
                          f"not {type(matrix).__name__}")
     budget = _simplex_budget()
-    if dim_cap < 1:
-        raise InputError(f"dim_cap must be at least 1 (homology below it), got {dim_cap}")
+    if type(dim_cap) is not int or dim_cap < 1:  # a bool is no int here
+        raise InputError("dim_cap must be at least 1 (homology below it) and an int, "
+                         f"got {type(dim_cap).__name__} ({excerpt(dim_cap)})")
     n = matrix.profile.N
     lengths, edges, base = [0.0], [], 0  # base = rank * n**2 of the last length
     for i, j, w in sorted(matrix.edges, key=itemgetter(2)):

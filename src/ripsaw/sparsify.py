@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import InputError, exact_lines, excerpt, record
+from .errors import InputError, excerpt, read_rows, render_rows
 
 INF = math.inf
 
@@ -236,8 +236,7 @@ def write_sparse(path, matrix: SparseLengthMatrix, config):
     the ``sha256`` of the lines written and ``config``."""
     digest = hashlib.sha256()
     with open(path, "w") as fh:
-        for k in range(0, len(matrix.edges), 4096):
-            block = "".join([f"{i} {j} {w!r}\n" for i, j, w in matrix.edges[k:k + 4096]])
+        for block in render_rows(matrix.edges):
             fh.write(block)
             digest.update(block.encode())
     meta = dict(matrix.profile.as_meta(), edges=len(matrix.edges), sha256=digest.hexdigest(),
@@ -250,9 +249,9 @@ def write_sparse(path, matrix: SparseLengthMatrix, config):
 def read_sparse(path) -> SparseLengthMatrix:
     """The edges and profile ``write_sparse`` wrote; ``InputError`` naming the
     file for a malformed sidecar, one without ``sha256`` or a JSON integer
-    ``edges``, a line other than exactly "i j d" with single spaces, a last
-    line without "\n", edges ``SparseLengthMatrix`` refuses (line k holds
-    edge k), or a line count and byte sha256 other than the sidecar's."""
+    ``edges``, a line other than an "i j d" row as ``errors.read_rows``
+    accepts it, edges ``SparseLengthMatrix`` refuses (line k holds edge k),
+    or a line count and byte sha256 other than the sidecar's."""
     meta_path = _meta_path(path)
     if not meta_path.exists():
         raise InputError(f"missing metadata sidecar {meta_path}")
@@ -267,12 +266,8 @@ def read_sparse(path) -> SparseLengthMatrix:
         raise InputError(f"{meta_path}: sidecar 'edges': {exc}") from None
     except ValueError as exc:  # also JSON, decoding and InputError failures
         raise InputError(f"{meta_path}: {exc}") from None
-    edges, digest, raw = [], hashlib.sha256(), b"\n"
-    for lineno, raw, text in exact_lines(path):
-        digest.update(raw)
-        edges.append(record(path, lineno, text, "i j d"))
-    if not raw.endswith(b"\n"):
-        raise InputError(f"{path}:{len(edges)}: last line does not end in a newline")
+    digest = hashlib.sha256()
+    _head, edges = read_rows(path, "i j d", digest=digest)
     try:
         matrix = SparseLengthMatrix(edges=edges, profile=profile)
     except InputError as exc:

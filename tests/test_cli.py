@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from ripsaw import cli, random_cloud
+from ripsaw.errors import excerpt
 from ripsaw.generators import write_points_csv
 
 
@@ -763,6 +764,13 @@ _TREE_DEFECTS = {"two-tokens": "expected 'index parent time'",
                     ("no-final-newline", "plus-sign", "time-20E", "time-trailing-zero")}}
 
 
+# what ``ContractionTree`` says of the one node these families change, at
+# that node's line
+_NODE_SHAPE_DEFECTS = {"time-nan": "contraction time is nan",
+                       "time-inf": "contraction time is inf",
+                       "parent-after-child": "not in 0.."}
+
+
 @pytest.mark.parametrize("family", [
     "drop-line", "repeat-line", "count-up", "count-down", "time-nan", "time-negative",
     "time-1e309", "time-inf", "finite-root-time", "index-n", "parent-after-child",
@@ -784,13 +792,19 @@ def test_sparsify_refuses_mutated_tree(cloud_tree_files, tmp_path, capsys, famil
     lines = tree.read_text().splitlines()
     out = tmp_path / "m.sparse"
     for seed in range(3):
-        tree.write_text(_mutate_tree(lines, family, random.Random(seed)))
+        mutated = _mutate_tree(lines, family, random.Random(seed))
+        tree.write_text(mutated)
         capsys.readouterr()
         assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
                    "--out", out) == 2, seed
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tree}"), seed
         assert _TREE_DEFECTS.get(family, "") in err, seed
+        if family in _NODE_SHAPE_DEFECTS:
+            lineno = next(k for k, (a, b) in enumerate(zip(lines, mutated.splitlines()),
+                                                       start=1) if a != b)
+            assert err.startswith(f"error: {tree}:{lineno}: "), (seed, err)
+            assert _NODE_SHAPE_DEFECTS[family] in err, (seed, err)
         assert not out.exists() and not out.with_suffix(".meta.json").exists()
 
 
@@ -816,15 +830,21 @@ def test_sparsify_refuses_tree_head_with_stray_whitespace(cloud_tree_files, tmp_
 
 def test_sparsify_refuses_tree_time_beyond_float_range(cloud_tree_files, tmp_path, capsys):
     """A time of 1e309 reads as inf; as the first non-root time it would
-    become the profile's R and an ``Infinity`` in the sidecar."""
+    become the profile's R and an ``Infinity`` in the sidecar.  ripsaw
+    writes inf as "inf", so the line is refused as a spelling before any
+    tree is built."""
     csv, tree = cloud_tree_files
     orig, parent, _t = tree.read_text().splitlines()[3].split()
     _replace_line(tree, 3, f"{orig} {parent} 1e309")
     out = tmp_path / "x.sparse"
     assert run("sparsify", "--input", csv, "--tree", tree, "--eps1", 0.5,
                "--out", out) == 2
-    assert "contraction time is inf" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"error: {tree}:4: expected 'index parent time', as ripsaw writes it")
     assert not out.exists() and not out.with_suffix(".meta.json").exists()
+
+
+_FULL_WIDTH = {ord(d): ord(d) + 0xFEE0 for d in "0123456789"}
 
 
 def _mutate_sparse(lines, family, n, rng):
@@ -838,6 +858,12 @@ def _mutate_sparse(lines, family, n, rng):
     toks = lines[k].split()
     lengths = {"length-nan": "nan", "length-inf": "inf", "length-negative": "-1",
                "length-1e309": "1e309"}
+    # an edge as ripsaw never writes it, read back as the same numbers
+    spellings = {"plus-sign": lambda t: ["+" + t[0], *t[1:]],
+                 "underscore": lambda t: [*t[:2], "0_" + t[2]],
+                 "full-width-digit": lambda t: [t[0], t[1].translate(_FULL_WIDTH), t[2]],
+                 "exponent": lambda t: [*t[:2], f"{float(t[2]):.16E}"],
+                 "trailing-zero": lambda t: [*t[:2], t[2] + "0"]}
     if family == "two-tokens":
         del toks[2]
     elif family == "four-tokens":
@@ -856,6 +882,8 @@ def _mutate_sparse(lines, family, n, rng):
         lines.insert(k, lines[k])
     elif family == "byte-0xff":
         lines.insert(k, "\udcff")
+    elif family in spellings:
+        toks = spellings[family](toks)
     if family not in ("repeat-line", "byte-0xff"):
         lines[k] = " ".join(toks)
     return lines
@@ -864,7 +892,8 @@ def _mutate_sparse(lines, family, n, rng):
 @pytest.mark.parametrize("family", [
     "two-tokens", "four-tokens", "length-nan", "length-inf", "length-negative",
     "length-1e309", "i-equals-j", "i-above-j", "j-equals-N", "fractional-index",
-    "repeat-line", "byte-0xff", "no-final-newline", *_WHITESPACE_FAMILIES])
+    "repeat-line", "byte-0xff", "no-final-newline", "plus-sign", "underscore",
+    "full-width-digit", "exponent", "trailing-zero", *_WHITESPACE_FAMILIES])
 def test_persist_refuses_mutated_sparse_file(circle_files, tmp_path, capsys, family):
     """Each defect, at three derandomized lines, is an input error: exit 2,
     a message naming the file and the line, and no diagram.  Each runs
@@ -955,10 +984,11 @@ def test_sparse_sidecar_records_count_and_hash_of_edge_lines(half_sparse, tmp_pa
 
 
 @pytest.mark.parametrize("case", ["comment-line", "swapped-lines", "doubled-space",
-                                  "no-edges-key", "no-sha256-key", "no-keys-tripled-length",
-                                  "float-edges", "boolean-edges"])
+                                  "respelt-numbers", "no-edges-key", "no-sha256-key",
+                                  "no-keys-tripled-length", "float-edges", "boolean-edges"])
 def test_persist_reads_a_sparse_file_only_as_written(half_sparse, tmp_path, capsys, case):
-    """A comment, two lines out of (i, j) order, a doubled space, a sidecar
+    """A comment, two lines out of (i, j) order, a doubled space, numbers
+    spelt as ripsaw never writes them (echoed in the refusal), a sidecar
     without ``edges`` or ``sha256`` (even with the length it would not check
     changed), or one whose ``edges`` is the line count written as a float or
     is ``true`` is an input error naming the file, and the line for a defect
@@ -977,6 +1007,11 @@ def test_persist_reads_a_sparse_file_only_as_written(half_sparse, tmp_path, caps
     elif case == "doubled-space":
         lines[k] = lines[k].replace(" ", "  ", 1)
         where = f"{half_sparse}:{k + 1}: expected 'i j d'"
+    elif case == "respelt-numbers":
+        i, j, w = lines[k].split()
+        lines[k] = f"+{i} {j} {float(w):E}"
+        echo = excerpt(lines[k] + "\n")
+        where = f"{half_sparse}:{k + 1}: expected 'i j d', as ripsaw writes it ({echo})"
     elif case in ("float-edges", "boolean-edges"):
         meta["edges"] = float(len(lines)) if case == "float-edges" else True
         where = f"{meta_path}: sidecar 'edges': {meta['edges']!r} is not an integer"

@@ -54,8 +54,12 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
 # --- filtration enumeration -----------------------------------------------------
 
 def test_build_filtration_refuses_dim_cap_0():
-    with pytest.raises(InputError, match="dim_cap must be at least 1"):
-        build_filtration(edge_list(full_distance_matrix(euclidean_oracle(UNIT_SQUARE))), 0)
+    """And a dim_cap that is no int: a float or a str would fail later in
+    ``reduce`` with a bare ``TypeError``, and ``True`` would run as 1."""
+    matrix = edge_list(full_distance_matrix(euclidean_oracle(UNIT_SQUARE)))
+    for dim_cap in (0, 2.0, "2", True):
+        with pytest.raises(InputError, match="dim_cap must be at least 1"):
+            build_filtration(matrix, dim_cap)
 
 
 @pytest.mark.parametrize("dim_cap", [1, 2, 3])
@@ -476,7 +480,7 @@ def test_non_integer_field_is_input_error(p):
         ExplicitModule(dims=[2, 2], maps=[[[1, 1], [0, 1]]], p=p)
 
 
-def test_is_prime_agrees_with_trial_division():
+def test_check_field_agrees_with_trial_division():
     def trial(p):
         return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
@@ -490,7 +494,7 @@ def test_is_prime_agrees_with_trial_division():
 
 
 @pytest.mark.parametrize("p", [561, 3215031751])  # Carmichael; strong pseudoprime to 2, 3, 5, 7
-def test_is_prime_rejects_pseudoprimes(p):
+def test_check_field_rejects_pseudoprimes(p):
     with pytest.raises(InputError, match=rf"not an integer prime below 2\*\*64 \(.*'{p}'\)$"):
         check_field(p)
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from helpers import implied_lengths, n_of_t, project, q_inv, simplex_counts
@@ -15,14 +16,16 @@ from ripsaw import (
     matrix_oracle,
     random_cloud,
     read_sparse,
+    read_tree,
     solenoid_sample,
     sparsify,
     tighten,
     write_sparse,
+    write_tree,
 )
 from ripsaw.covertree import ContractionTree
-from ripsaw.generators import circle_sample
-from ripsaw.metric import Oracle
+from ripsaw.generators import circle_sample, write_points_csv
+from ripsaw.metric import Oracle, load_input
 from ripsaw.sparsify import SparseLengthMatrix
 
 INF = math.inf
@@ -453,6 +456,39 @@ def test_sparse_file_roundtrip(tmp_path):
     assert back.edges == matrix.edges
     assert back.profile.as_meta() == matrix.profile.as_meta()
     assert (tmp_path / "edges.meta.json").exists()
+
+
+@pytest.mark.parametrize("case", ["numpy-oracle", "int-lengths", "extreme-floats"])
+def test_row_files_read_back_what_they_wrote(tmp_path, case):
+    """``write_sparse`` then ``read_sparse``, and ``write_tree`` then
+    ``read_tree``, give back the values written whatever number type holds
+    them: the numpy floats of an oracle (any object with ``size`` and
+    ``eval``), int lengths, and floats at the ends of their range.  Writing
+    what was read gives the same bytes."""
+    csv = tmp_path / "p.csv"
+    write_points_csv(csv, random_cloud(6, 2, 0))
+    oracle, digest = load_input(csv, "points")
+    if case == "numpy-oracle":
+        numpy_oracle = Oracle(oracle.size, lambda i, j: np.float64(oracle.eval(i, j)))
+        ctree = tighten(build(numpy_oracle), numpy_oracle)
+        matrix = sparsify(ctree, numpy_oracle, make_profile(ctree, eps1=0.5))
+        assert isinstance(ctree.times[1], np.float64) and isinstance(matrix.edges[0][2], np.float64)
+    else:
+        lengths = [3, 2, 2, 1, 0] if case == "int-lengths" else [
+            1.7976931348623157e308, 1e16, 1e-05, 5e-324, -0.0]
+        ctree = ContractionTree(order=range(6), parent=range(-1, 5), times=[INF, *lengths])
+        matrix = SparseLengthMatrix(edges=[(k, k + 1, w) for k, w in enumerate(lengths)],
+                                    profile=PrecisionProfile(R=1.0, eps0=0.0, eps1=0.0, N=6, n=6))
+    first, second = tmp_path / "a.sparse", tmp_path / "b.sparse"
+    write_sparse(first, matrix, {"case": case})
+    assert read_sparse(first) == matrix
+    write_sparse(second, read_sparse(first), {"case": case})
+    assert first.read_bytes() == second.read_bytes()
+    first, second = tmp_path / "a.tree", tmp_path / "b.tree"
+    write_tree(first, ctree, digest, {"format": "points"})
+    assert read_tree(first, csv)[0] == ctree
+    write_tree(second, read_tree(first, csv)[0], digest, {"format": "points"})
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_unsorted_edges_are_refused_where_the_matrix_is_built():
